@@ -3,7 +3,9 @@
 * :class:`InstantMergeSketch` — small counters that fuse with their pair
   neighbour at the first overflow (``8 -> 16 -> 32`` bit lifecycle, no
   sharing state). This is the classic dynamic-merging behaviour the main
-  sketch defers.
+  sketch defers. It is a leaf of the main sketch's engine
+  (``sketch.DynamicSketch``) with ``shared_bits`` pinned to 0, not a
+  separate implementation.
 * :class:`CountMinSketch` — plain full-width counters, the usual baseline.
 
 For fair comparisons the state-tracking overhead of the dynamic schemes is
@@ -14,241 +16,24 @@ same bit budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hashing import MASK64, RowHasher, derive_seeds, index_batch, mix64, seed_state
-from .sketch import (
-    GROUP_COUNTER_COUNT,
-    GROUP_MERGED_WIDE,
-    MERGE_SUM,
-    PAIR_INDEPENDENT,
-    PAIR_MERGED,
-    SketchConfig,
-    _PAIR_A,
-    _PAIR_B,
-    group_code,
-)
+from .hashing import RowSketch, derive_seeds, index_batch
+from .sketch import DynamicSketch, SketchConfig
 
 
-class InstantMergeSketch:
+class InstantMergeSketch(DynamicSketch):
     """Dynamic sketch that fuses a full counter with its neighbour at once.
 
-    Accepts the same config as the main sketch; ``shared_bits`` is ignored.
+    Accepts the same config as the main sketch; ``shared_bits`` is set to 0.
     """
 
     scheme = "instant"
 
     def __init__(self, config: SketchConfig) -> None:
-        self.config = config
-        self._d = config.rows
-        self._w = config.width
-        self._s = config.counter_bits
-        self._mode_sum = config.merge_mode == MERGE_SUM
-        self._max_base = (1 << self._s) - 1
-        self._max_wide = (1 << (2 * self._s)) - 1
-        self._max_quad = (1 << (4 * self._s)) - 1
-        self._rows = [[0] * self._w for _ in range(self._d)]
-        self._states = [[0] * (self._w >> 2) for _ in range(self._d)]
-        self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
-        self._seed_states = [seed_state(seed) for seed in config.seeds]
-        self.packet_count = 0
-
-    def encode(self, key: bytes) -> None:
-        if len(key) <= 8:
-            self.encode_u64(int.from_bytes(key, "little"))
-            return
-        for r, hasher in enumerate(self._hashers):
-            self._encode(r, hasher.index(key))
-        self.packet_count += 1
-
-    def encode_u64(self, key: int) -> None:
-        w = self._w
-        key &= MASK64
-        for r, ss in enumerate(self._seed_states):
-            self._encode(r, (mix64(key ^ ss) * w) >> 64)
-        self.packet_count += 1
-
-    def encode_stream(self, keys: np.ndarray) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        max_base = self._max_base
-        slow = self._encode
-        for r in range(self._d):
-            row = self._rows[r]
-            states = self._states[r]
-            for i in index_batch(keys, self.config.seeds[r], self._w).tolist():
-                if states[i >> 2] == 0:
-                    v = row[i]
-                    if v < max_base:
-                        row[i] = v + 1
-                        continue
-                slow(r, i)
-        self.packet_count += len(keys)
-
-    def _encode(self, row_idx: int, slot: int) -> None:
-        slots = self._rows[row_idx]
-        states = self._states[row_idx]
-        g = slot >> 2
-        code = states[g]
-        s_bits = self._s
-        if code < GROUP_MERGED_WIDE:
-            pair = (slot >> 1) & 1
-            ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-            if ps == PAIR_INDEPENDENT:
-                v = slots[slot]
-                if v < self._max_base:
-                    slots[slot] = v + 1
-                    return
-                self._fuse_pair(row_idx, g, pair)
-                self._encode(row_idx, slot)
-                return
-            base = (g << 2) | (pair << 1)
-            low = slots[base]
-            if low < self._max_base:
-                slots[base] = low + 1
-                return
-            v = low | (slots[base + 1] << s_bits)
-            if v < self._max_wide:
-                v += 1
-                slots[base] = v & self._max_base
-                slots[base + 1] = v >> s_bits
-                return
-            sibling = pair ^ 1
-            sib_state = _PAIR_A[code] if sibling == 0 else _PAIR_B[code]
-            if sib_state != PAIR_MERGED:
-                self._fuse_pair(row_idx, g, sibling)
-            self._fuse_group(row_idx, g)
-            self._encode(row_idx, slot)
-            return
-        base = g << 2
-        low = slots[base]
-        if low < self._max_base:
-            slots[base] = low + 1
-            return
-        v = (
-            low
-            | (slots[base + 1] << s_bits)
-            | (slots[base + 2] << (2 * s_bits))
-            | (slots[base + 3] << (3 * s_bits))
-        )
-        if v < self._max_quad:
-            v += 1
-            m = self._max_base
-            slots[base] = v & m
-            slots[base + 1] = (v >> s_bits) & m
-            slots[base + 2] = (v >> (2 * s_bits)) & m
-            slots[base + 3] = v >> (3 * s_bits)
-
-    def _fuse_pair(self, row_idx: int, group: int, pair: int) -> None:
-        slots = self._rows[row_idx]
-        base = (group << 2) | (pair << 1)
-        a, b = slots[base], slots[base + 1]
-        value = a + b if self._mode_sum else (a if a >= b else b)
-        slots[base] = value & self._max_base
-        slots[base + 1] = value >> self._s
-        code = self._states[row_idx][group]
-        if pair == 0:
-            code = group_code(PAIR_MERGED, _PAIR_B[code])
-        else:
-            code = group_code(_PAIR_A[code], PAIR_MERGED)
-        self._states[row_idx][group] = code
-
-    def _fuse_group(self, row_idx: int, group: int) -> None:
-        slots = self._rows[row_idx]
-        base = group << 2
-        qa = slots[base] | (slots[base + 1] << self._s)
-        qb = slots[base + 2] | (slots[base + 3] << self._s)
-        value = qa + qb if self._mode_sum else (qa if qa >= qb else qb)
-        m = self._max_base
-        s = self._s
-        slots[base] = value & m
-        slots[base + 1] = (value >> s) & m
-        slots[base + 2] = (value >> (2 * s)) & m
-        slots[base + 3] = value >> (3 * s)
-        self._states[row_idx][group] = GROUP_MERGED_WIDE
-
-    def query(self, key: bytes) -> int:
-        if len(key) <= 8:
-            return self.query_u64(int.from_bytes(key, "little"))
-        best = None
-        for r, hasher in enumerate(self._hashers):
-            v = self._decode(r, hasher.index(key))
-            if best is None or v < best:
-                best = v
-        return best
-
-    def query_u64(self, key: int) -> int:
-        w = self._w
-        key &= MASK64
-        best = None
-        for r, ss in enumerate(self._seed_states):
-            v = self._decode(r, (mix64(key ^ ss) * w) >> 64)
-            if best is None or v < best:
-                best = v
-        return best
-
-    def _decode(self, row_idx: int, slot: int) -> int:
-        slots = self._rows[row_idx]
-        g = slot >> 2
-        code = self._states[row_idx][g]
-        s_bits = self._s
-        if code < GROUP_MERGED_WIDE:
-            pair = (slot >> 1) & 1
-            ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-            if ps == PAIR_INDEPENDENT:
-                return slots[slot]
-            base = (g << 2) | (pair << 1)
-            return slots[base] | (slots[base + 1] << s_bits)
-        base = g << 2
-        return (
-            slots[base]
-            | (slots[base + 1] << s_bits)
-            | (slots[base + 2] << (2 * s_bits))
-            | (slots[base + 3] << (3 * s_bits))
-        )
-
-    def slot_of(self, row: int, key: bytes) -> int:
-        return self._hashers[row].index(key)
-
-    def group_state(self, row: int, group: int) -> int:
-        if not 0 <= group < (self._w >> 2):
-            raise IndexError(f"group {group} out of range")
-        return self._states[row][group]
-
-    def counter_count(self) -> list[int]:
-        return [sum(GROUP_COUNTER_COUNT[c] for c in states) for states in self._states]
-
-    def row_total(self, row: int) -> int:
-        slots = self._rows[row]
-        s = self._s
-        total = 0
-        for g, code in enumerate(self._states[row]):
-            base = g << 2
-            if code < GROUP_MERGED_WIDE:
-                for pair in (0, 1):
-                    pbase = base | (pair << 1)
-                    ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-                    if ps == PAIR_INDEPENDENT:
-                        total += slots[pbase] + slots[pbase + 1]
-                    else:
-                        total += slots[pbase] | (slots[pbase + 1] << s)
-            else:
-                total += (
-                    slots[base]
-                    | (slots[base + 1] << s)
-                    | (slots[base + 2] << (2 * s))
-                    | (slots[base + 3] << (3 * s))
-                )
-        return total
-
-    def memory_bits(self) -> int:
-        return self._d * (self._w * self._s + self._w)
-
-    def query_many(self, keys: Iterable[int]) -> list[int]:
-        q = self.query_u64
-        return [q(k) for k in keys]
+        super().__init__(replace(config, shared_bits=0))
 
 
 @dataclass(frozen=True)
@@ -273,40 +58,14 @@ class CountMinConfig:
 _MAX32 = (1 << 32) - 1
 
 
-class CountMinSketch:
+class CountMinSketch(RowSketch):
     """Count-Min with saturating 32-bit counters."""
 
     scheme = "count-min"
 
     def __init__(self, config: CountMinConfig) -> None:
-        self.config = config
-        self._d = config.rows
-        self._w = config.width
+        super().__init__(config)
         self._rows = [[0] * self._w for _ in range(self._d)]
-        self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
-        self._seed_states = [seed_state(seed) for seed in config.seeds]
-        self.packet_count = 0
-
-    def encode(self, key: bytes) -> None:
-        if len(key) <= 8:
-            self.encode_u64(int.from_bytes(key, "little"))
-            return
-        for r, hasher in enumerate(self._hashers):
-            i = hasher.index(key)
-            row = self._rows[r]
-            if row[i] < _MAX32:
-                row[i] += 1
-        self.packet_count += 1
-
-    def encode_u64(self, key: int) -> None:
-        w = self._w
-        key &= MASK64
-        for r, ss in enumerate(self._seed_states):
-            i = (mix64(key ^ ss) * w) >> 64
-            row = self._rows[r]
-            if row[i] < _MAX32:
-                row[i] += 1
-        self.packet_count += 1
 
     def encode_stream(self, keys: np.ndarray) -> None:
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
@@ -318,20 +77,13 @@ class CountMinSketch:
                     row[i] = v + 1
         self.packet_count += len(keys)
 
-    def query(self, key: bytes) -> int:
-        if len(key) <= 8:
-            return self.query_u64(int.from_bytes(key, "little"))
-        return min(self._rows[r][h.index(key)] for r, h in enumerate(self._hashers))
+    def _encode(self, row_idx: int, slot: int) -> None:
+        row = self._rows[row_idx]
+        if row[slot] < _MAX32:
+            row[slot] += 1
 
-    def query_u64(self, key: int) -> int:
-        w = self._w
-        key &= MASK64
-        best = None
-        for r, ss in enumerate(self._seed_states):
-            v = self._rows[r][(mix64(key ^ ss) * w) >> 64]
-            if best is None or v < best:
-                best = v
-        return best
+    def _decode(self, row_idx: int, slot: int) -> int:
+        return self._rows[row_idx][slot]
 
     def counter_count(self) -> list[int]:
         return [self._w] * self._d
@@ -341,10 +93,6 @@ class CountMinSketch:
 
     def memory_bits(self) -> int:
         return self._d * self._w * 32
-
-    def query_many(self, keys: Iterable[int]) -> list[int]:
-        q = self.query_u64
-        return [q(k) for k in keys]
 
 
 def dynamic_row_bits(width: int, counter_bits: int = 8) -> int:

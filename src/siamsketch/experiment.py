@@ -33,10 +33,10 @@ from .baselines import (
 )
 from .hashing import derive_seeds
 from .metrics import (
+    FlowSizeDistribution,
     detect_changes,
     detect_heavy_hitters,
     estimate_entropy,
-    estimate_fsd,
     metric_are,
     metric_f1,
     metric_re,
@@ -159,7 +159,6 @@ def build_sketch(scheme: str, spec: ExperimentSpec):
         shared_bits=spec.shared_bits,
         merge_mode=spec.merge_mode,
         seeds=seeds,
-        max_level_bits=4 * spec.counter_bits,
     )
     if scheme == "sc-lsb":
         return SiameseSketch(config)
@@ -214,8 +213,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if benign is not None:
         oracle.observe_stream(benign.as_u64())
 
-    exp_id = spec.experiment_id or f"exp-{config_hash(spec)}"
     chash = config_hash(spec)
+    exp_id = spec.experiment_id or f"exp-{chash}"
     frac = "" if spec.attack_fraction is None else repr(spec.attack_fraction)
     result = ExperimentResult()
 
@@ -224,8 +223,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         base = oracle.total if oracle.total else len(stream)
         threshold = threshold_from_fraction(spec.threshold_fraction, base)
 
-    truths = [c for _, c in oracle.flows()]
-    flow_keys = [k for k, _ in oracle.flows()]
+    flow_keys, truths = [], []
+    for k, c in oracle.flows():
+        flow_keys.append(k)
+        truths.append(c)
+    if "heavy-hitter" in spec.apps and threshold:
+        truth_set = true_heavy_hitters(oracle, threshold)
+    if "fsd" in spec.apps or "entropy" in spec.apps:
+        act_fsd = true_fsd(oracle)
 
     for scheme in spec.schemes:
         sketch = build_sketch(scheme, spec)
@@ -268,12 +273,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             detected = {
                 k for k, e in zip(flow_keys, estimates) if e >= threshold
             }
-            truth_set = true_heavy_hitters(oracle, threshold)
             emit("f1_heavy_hitter", metric_f1(detected, truth_set))
             emit("recall_heavy_hitter", recall_of(detected, truth_set))
         if "fsd" in spec.apps or "entropy" in spec.apps:
-            est_fsd = estimate_fsd(sketch, flow_keys)
-            act_fsd = true_fsd(oracle)
+            est_fsd = FlowSizeDistribution.from_sizes(estimates)
             if "fsd" in spec.apps:
                 emit("wmre", metric_wmre(est_fsd, act_fsd))
             if "entropy" in spec.apps:

@@ -1,12 +1,19 @@
-"""Seeded 64-bit mixing and row indexing shared by every sketch scheme.
+"""Seeded 64-bit mixing, row indexing, and the front door of every sketch.
 
 All sketches obtain slot indices from this module so that cross-scheme
 comparisons use identical placements: one seed per row, one reduction per
 table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
+
+:class:`RowSketch` is the base of every scheme. It owns the row seeds and
+hashers, the packet total, and the per-key entry points (``encode``,
+``query`` and their ``u64`` forms, ``query_many``, ``slot_of``); a scheme
+supplies only what one slot does with a packet and what it reads back.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -96,3 +103,66 @@ def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     hi = h >> np.uint64(32)
     lo = h & np.uint64(0xFFFFFFFF)
     return ((hi * w + ((lo * w) >> np.uint64(32))) >> np.uint64(32)).astype(np.int64)
+
+
+class RowSketch:
+    """Count-Min-shaped front door: one slot per row, minimum over rows.
+
+    A scheme supplies ``encode_stream`` and the per-slot pair
+    ``_encode(row, slot)`` (count one packet) and ``_decode(row, slot)``
+    (the value the slot resolves to). ``config`` needs ``rows``, ``width``
+    and one seed per row.
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self._d = config.rows
+        self._w = config.width
+        self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
+        self._seed_states = [seed_state(seed) for seed in config.seeds]
+        self.packet_count = 0
+
+    def encode(self, key: bytes) -> None:
+        """Count one packet for ``key`` in every row."""
+        if len(key) <= 8:
+            self.encode_u64(int.from_bytes(key, "little"))
+            return
+        for r, hasher in enumerate(self._hashers):
+            self._encode(r, hasher.index(key))
+        self.packet_count += 1
+
+    def encode_u64(self, key: int) -> None:
+        w = self._w
+        key &= MASK64
+        for r, ss in enumerate(self._seed_states):
+            self._encode(r, (mix64(key ^ ss) * w) >> 64)
+        self.packet_count += 1
+
+    def query(self, key: bytes) -> int:
+        """Minimum decoded value for ``key`` over all rows."""
+        if len(key) <= 8:
+            return self.query_u64(int.from_bytes(key, "little"))
+        return min(self._decode(r, h.index(key)) for r, h in enumerate(self._hashers))
+
+    def query_u64(self, key: int) -> int:
+        w = self._w
+        key &= MASK64
+        best = None
+        for r, ss in enumerate(self._seed_states):
+            v = self._decode(r, (mix64(key ^ ss) * w) >> 64)
+            if best is None or v < best:
+                best = v
+        return best
+
+    def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
+        """:meth:`query_u64` of every key, placing a whole row at a time."""
+        keys = np.asarray(keys, dtype=np.uint64)
+        decode = self._decode
+        best = None
+        for r, seed in enumerate(self.config.seeds):
+            vals = [decode(r, i) for i in index_batch(keys, seed, self._w).tolist()]
+            best = vals if best is None else [v if v < b else b for v, b in zip(vals, best)]
+        return best
+
+    def slot_of(self, row: int, key: bytes) -> int:
+        return self._hashers[row].index(key)

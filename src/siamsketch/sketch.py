@@ -38,17 +38,24 @@ code  meaning (pair A, pair B)
 ====  =======================================
 
 With ``shared_bits == 0`` sharing is disabled and a full counter fuses
-immediately, which reproduces the instant-merge baseline's behaviour.
+immediately: that is the instant-merge baseline, and only codes 0, 2, 6, 8
+and 10 occur.
+
+:class:`DynamicSketch` is the one engine for this lifecycle. The schemes
+are its leaf classes: :class:`SiameseSketch` (``sc-lsb``) here, and
+``baselines.InstantMergeSketch`` (``instant``), which pins
+``shared_bits`` to 0. Hashing and the per-key entry points come from
+``hashing.RowSketch``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .hashing import MASK64, RowHasher, derive_seeds, index_batch, mix64, seed_state
+from .hashing import RowSketch, derive_seeds, index_batch
 
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
@@ -64,6 +71,11 @@ LEGAL_GROUP_STATES = frozenset(range(11))
 
 _PAIR_A = tuple(c // 3 for c in range(9))
 _PAIR_B = tuple(c % 3 for c in range(9))
+
+# Codes reachable with sharing disabled (``shared_bits == 0``).
+UNSHARED_GROUP_STATES = frozenset(
+    c for c in range(9) if PAIR_SHARED not in (_PAIR_A[c], _PAIR_B[c])
+) | {GROUP_MERGED_WIDE}
 
 # Logical counters contributed by a group in each state: an independent or
 # shared member still counts as its own estimator, a fused counter is one.
@@ -119,7 +131,6 @@ class SketchConfig:
     shared_bits: int = 4
     merge_mode: str = MERGE_SUM
     seeds: tuple[int, ...] = ()
-    max_level_bits: int = 32
 
     def __post_init__(self) -> None:
         if self.rows < 1:
@@ -134,23 +145,18 @@ class SketchConfig:
             raise ValueError("shared_bits must satisfy 0 <= shared_bits < counter_bits")
         if self.merge_mode not in (MERGE_SUM, MERGE_MAX):
             raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
-        if self.max_level_bits != 4 * self.counter_bits:
-            raise ValueError("max_level_bits must be 4 * counter_bits")
         if not self.seeds:
             object.__setattr__(self, "seeds", derive_seeds(0, self.rows))
         elif len(self.seeds) != self.rows:
             raise ValueError("seeds must provide one seed per row")
 
 
-class SiameseSketch:
-    """The ``sc-lsb`` scheme: shared low bits, winner-take-all, late fusing."""
-
-    scheme = "sc-lsb"
+class DynamicSketch(RowSketch):
+    """The dynamic-counter engine: the whole lifecycle above, for any
+    ``shared_bits``. Schemes are leaf classes that name themselves."""
 
     def __init__(self, config: SketchConfig) -> None:
-        self.config = config
-        self._d = config.rows
-        self._w = config.width
+        super().__init__(config)
         self._s = config.counter_bits
         self._k = config.shared_bits
         self._mode_sum = config.merge_mode == MERGE_SUM
@@ -167,28 +173,9 @@ class SiameseSketch:
             self._pmax_wide = (1 << (2 * self._s - self._hk)) - 1
         self._rows = [[0] * self._w for _ in range(self._d)]
         self._states = [[0] * (self._w >> 2) for _ in range(self._d)]
-        self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
-        self._seed_states = [seed_state(seed) for seed in config.seeds]
-        self.packet_count = 0
         self._lsb_discards = [0] * self._d
 
     # -- encoding ---------------------------------------------------------
-
-    def encode(self, key: bytes) -> None:
-        """Count one packet for ``key`` in every row."""
-        if len(key) <= 8:
-            self.encode_u64(int.from_bytes(key, "little"))
-            return
-        for r, hasher in enumerate(self._hashers):
-            self._encode(r, hasher.index(key))
-        self.packet_count += 1
-
-    def encode_u64(self, key: int) -> None:
-        w = self._w
-        key &= MASK64
-        for r, ss in enumerate(self._seed_states):
-            self._encode(r, (mix64(key ^ ss) * w) >> 64)
-        self.packet_count += 1
 
     def encode_stream(self, keys: np.ndarray) -> None:
         """Count every packet of a uint64 key array (row-major fast path)."""
@@ -406,27 +393,6 @@ class SiameseSketch:
 
     # -- decoding ---------------------------------------------------------
 
-    def query(self, key: bytes) -> int:
-        """Minimum decoded value for ``key`` over all rows."""
-        if len(key) <= 8:
-            return self.query_u64(int.from_bytes(key, "little"))
-        best = None
-        for r, hasher in enumerate(self._hashers):
-            v = self._decode(r, hasher.index(key))
-            if best is None or v < best:
-                best = v
-        return best
-
-    def query_u64(self, key: int) -> int:
-        w = self._w
-        key &= MASK64
-        best = None
-        for r, ss in enumerate(self._seed_states):
-            v = self._decode(r, (mix64(key ^ ss) * w) >> 64)
-            if best is None or v < best:
-                best = v
-        return best
-
     def _decode(self, row_idx: int, slot: int) -> int:
         slots = self._rows[row_idx]
         g = slot >> 2
@@ -459,9 +425,6 @@ class SiameseSketch:
         )
 
     # -- inspection -------------------------------------------------------
-
-    def slot_of(self, row: int, key: bytes) -> int:
-        return self._hashers[row].index(key)
 
     def group_state(self, row: int, group: int) -> int:
         """4-bit state code of one group of four base slots."""
@@ -577,6 +540,8 @@ class SiameseSketch:
         """Counter bits plus 4 state bits per group, over all rows."""
         return self._d * (self._w * self._s + self._w)
 
-    def query_many(self, keys: Iterable[int]) -> list[int]:
-        q = self.query_u64
-        return [q(k) for k in keys]
+
+class SiameseSketch(DynamicSketch):
+    """The ``sc-lsb`` scheme: shared low bits, winner-take-all, late fusing."""
+
+    scheme = "sc-lsb"

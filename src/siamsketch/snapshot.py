@@ -7,7 +7,7 @@ Layout, little-endian throughout::
     rows         u16
     width        u32       base slots per row (Count-Min: counters per row)
     counter_bits u8        base counter width (Count-Min: 32)
-    shared_bits  u8        0 for schemes without sharing
+    shared_bits  u8        0 for schemes without sharing (SKIM, SKCM)
     merge_mode   u8        0 = sum, 1 = max (Count-Min: 0)
     reserved     u8        0
     seeds        rows * u64
@@ -15,6 +15,11 @@ Layout, little-endian throughout::
         counters  width * ceil(counter_bits / 8) bytes, one slot each
         states    width / 4 packed nibbles, low nibble first
                   (absent for Count-Min)
+
+``SKSC`` and ``SKIM`` hold the same dynamic-counter engine; ``SKIM`` is that
+engine at ``shared_bits == 0``, whose groups never hold a shared pair (codes
+1, 3, 4, 5, 7) or code 9. A header that no config accepts, or a state code
+the header's scheme cannot reach, is rejected on load.
 
 Diagnostics that are not part of counter state (packet totals, share-time
 discards) are not serialized.
@@ -28,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import CountMinConfig, CountMinSketch, InstantMergeSketch
-from .sketch import LEGAL_GROUP_STATES, MERGE_MAX, MERGE_SUM, SiameseSketch, SketchConfig
+from .sketch import (
+    LEGAL_GROUP_STATES,
+    MERGE_MAX,
+    MERGE_SUM,
+    UNSHARED_GROUP_STATES,
+    SiameseSketch,
+    SketchConfig,
+)
 
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sHHIBBBB")
@@ -90,12 +102,8 @@ def dump_bytes(sketch) -> bytes:
         return b"".join(parts)
     cfg = sketch.config
     mode = 0 if cfg.merge_mode == MERGE_SUM else 1
-    shared = cfg.shared_bits if magic == MAGIC_SIAMESE else 0
-    parts.append(
-        _HEADER.pack(
-            magic, SNAPSHOT_VERSION, cfg.rows, cfg.width, cfg.counter_bits, shared, mode, 0
-        )
-    )
+    shape = (cfg.rows, cfg.width, cfg.counter_bits, cfg.shared_bits, mode, 0)
+    parts.append(_HEADER.pack(magic, SNAPSHOT_VERSION, *shape))
     parts.extend(struct.pack("<Q", s) for s in cfg.seeds)
     dtype = _slot_dtype(cfg.counter_bits)
     for row, states in zip(sketch._rows, sketch._states):
@@ -123,7 +131,9 @@ def load_bytes(raw: bytes):
         off += 8
     seeds = tuple(seeds)
     if magic == MAGIC_COUNT_MIN:
-        sketch = CountMinSketch(CountMinConfig(rows=rows, width=width, seeds=seeds))
+        if counter_bits != 32:
+            raise SnapshotError("bad-config", f"Count-Min counter_bits {counter_bits}, not 32")
+        sketch = CountMinSketch(_config(CountMinConfig, rows=rows, width=width, seeds=seeds))
         row_bytes = width * 4
         for r in range(rows):
             if off + row_bytes > len(raw):
@@ -136,17 +146,21 @@ def load_bytes(raw: bytes):
             off += row_bytes
         _expect_end(raw, off)
         return sketch
-    merge_mode = MERGE_SUM if mode == 0 else MERGE_MAX
-    config = SketchConfig(
+    if magic == MAGIC_INSTANT and shared_bits:
+        raise SnapshotError("bad-config", f"instant-merge shared_bits {shared_bits}, not 0")
+    if mode > 1:
+        raise SnapshotError("bad-config", f"unknown merge_mode code {mode}")
+    config = _config(
+        SketchConfig,
         rows=rows,
         width=width,
         counter_bits=counter_bits,
         shared_bits=shared_bits,
-        merge_mode=merge_mode,
+        merge_mode=MERGE_SUM if mode == 0 else MERGE_MAX,
         seeds=seeds,
-        max_level_bits=4 * counter_bits,
     )
     sketch = SiameseSketch(config) if magic == MAGIC_SIAMESE else InstantMergeSketch(config)
+    legal = LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES
     dtype = _slot_dtype(counter_bits)
     row_bytes = width * dtype.itemsize
     group_count = width // 4
@@ -161,12 +175,19 @@ def load_bytes(raw: bytes):
         )
         off += row_bytes
         states = _unpack_states(raw[off : off + state_bytes], group_count)
-        if any(s not in LEGAL_GROUP_STATES for s in states):
+        if any(s not in legal for s in states):
             raise SnapshotError("bad-state", f"row {r} has an illegal state code")
         sketch._states[r] = states
         off += state_bytes
     _expect_end(raw, off)
     return sketch
+
+
+def _config(cls, **fields):
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise SnapshotError("bad-config", str(exc)) from exc
 
 
 def _expect_end(raw: bytes, off: int) -> None:

@@ -11,9 +11,11 @@ from siamsketch import (
     count_min_width_for,
     equal_memory_widths,
 )
+from siamsketch.hashing import index_batch
 from siamsketch.sketch import GROUP_MERGED_WIDE, PAIR_MERGED, group_code, pair_states
 
 from conftest import key_bytes, keys_for_slots
+from reference_impls import RefInstantMerge
 
 
 def _pair_sketch(merge_mode="sum"):
@@ -108,25 +110,55 @@ def test_count_min_saturates():
     assert cm.query_u64(9) == (1 << 32) - 1
 
 
+def _feed(ref, cfg, stream):
+    """Drive the independent instant-merge model over the sketch's slots."""
+    for r, seed in enumerate(cfg.seeds):
+        for slot in index_batch(stream, seed, cfg.width).tolist():
+            ref.add(r, slot)
+
+
+def _ref_model(cfg, stream):
+    ref = RefInstantMerge(cfg.rows, cfg.width, cfg.counter_bits, cfg.merge_mode)
+    _feed(ref, cfg, stream)
+    return ref
+
+
 def test_share_disabled_equals_instant():
-    # the main sketch with shared_bits=0 must be bit-identical to the
-    # independently written instant-merge implementation
+    # the engine with shared_bits=0, and the instant scheme built on it,
+    # must match the independent straight-line instant-merge model
     rng = np.random.default_rng(31)
     for trial in range(8):
         mode = "sum" if trial % 2 == 0 else "max"
+        bits = 8 if trial % 4 < 2 else 4
         seeds = (int(rng.integers(1 << 32)), int(rng.integers(1 << 32)))
-        cfg = SketchConfig(rows=2, width=16, shared_bits=0, merge_mode=mode, seeds=seeds)
-        sc = SiameseSketch(cfg)
-        im = InstantMergeSketch(cfg)
-        keys = rng.integers(0, 1 << 64, size=8, dtype=np.uint64)
-        stream = rng.choice(keys, size=int(rng.integers(1000, 80_000)))
-        sc.encode_stream(stream)
-        im.encode_stream(stream)
-        assert sc._rows == im._rows
-        assert sc._states == im._states
-        for k in keys.tolist():
-            assert sc.query_u64(k) == im.query_u64(k)
-        assert sc.counter_count() == im.counter_count()
+        cfg = SketchConfig(
+            rows=2, width=16, counter_bits=bits, shared_bits=0, merge_mode=mode, seeds=seeds
+        )
+        # skewed loads: pairs fuse while their siblings still hold two counts
+        keys = rng.integers(0, 1 << 64, size=16, dtype=np.uint64)
+        weights = 1.0 / np.arange(1, 17)
+        size = int(rng.integers(1000, 80_000))
+        stream = rng.choice(keys, size=size, p=weights / weights.sum())
+        ref = _ref_model(cfg, stream)
+        key_slots = zip(*(index_batch(keys, seed, cfg.width).tolist() for seed in seeds))
+        answers = [ref.query(list(slots)) for slots in key_slots]
+        for sk in (SiameseSketch(cfg), InstantMergeSketch(cfg)):
+            sk.encode_stream(stream)
+            for r in range(cfg.rows):
+                for slot in range(cfg.width):
+                    assert sk.counter_view_at(r, slot).value == ref.value(r, slot)
+                for g in range(cfg.width // 4):
+                    assert sk.group_state(r, g) == ref.group_state(r, g)
+                assert sk.row_total(r) == ref.row_total(r)
+            assert [sk.query_u64(k) for k in keys.tolist()] == answers
+            assert sk.counter_count() == ref.counter_count()
+
+
+def test_instant_ignores_shared_bits():
+    cfg = SketchConfig(rows=2, width=16, shared_bits=4, seeds=(1, 2))
+    assert InstantMergeSketch(cfg).config == SketchConfig(
+        rows=2, width=16, shared_bits=0, seeds=(1, 2)
+    )
 
 
 def test_sum_merge_totals_differ_by_exactly_the_share_discard():
@@ -135,12 +167,11 @@ def test_sum_merge_totals_differ_by_exactly_the_share_discard():
         seeds = (int(rng.integers(1 << 32)),)
         cfg = SketchConfig(rows=1, width=8, shared_bits=4, merge_mode="sum", seeds=seeds)
         sc = SiameseSketch(cfg)
-        im = InstantMergeSketch(cfg)
         keys = rng.integers(0, 1 << 64, size=4, dtype=np.uint64)
         stream = rng.choice(keys, size=int(rng.integers(500, 30_000)))
         sc.encode_stream(stream)
-        im.encode_stream(stream)
-        assert im.row_total(0) - sc.row_total(0) == sc.lsb_discard(0)
+        ref = _ref_model(cfg, stream)
+        assert ref.row_total(0) - sc.row_total(0) == sc.lsb_discard(0)
 
 
 def test_equal_memory_accounting():
@@ -164,11 +195,11 @@ def test_late_merge_dominance_small():
     seeds = (11, 12)
     cfg = SketchConfig(rows=2, width=32, shared_bits=4, seeds=seeds)
     sc = SiameseSketch(cfg)
-    im = InstantMergeSketch(cfg)
+    ref = RefInstantMerge(cfg.rows, cfg.width, cfg.counter_bits, cfg.merge_mode)
     keys = rng.integers(0, 1 << 64, size=40, dtype=np.uint64)
     for _ in range(50):
         chunk = rng.choice(keys, size=2000)
         sc.encode_stream(chunk)
-        im.encode_stream(chunk)
-        for a, b in zip(sc.counter_count(), im.counter_count()):
+        _feed(ref, cfg, chunk)
+        for a, b in zip(sc.counter_count(), ref.counter_count()):
             assert a >= b

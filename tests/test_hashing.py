@@ -4,6 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from siamsketch import (
+    CountMinConfig,
+    CountMinSketch,
+    InstantMergeSketch,
+    SiameseSketch,
+    SketchConfig,
+)
 from siamsketch.hashing import (
     RowHasher,
     derive_seeds,
@@ -106,3 +113,24 @@ def test_mix64_avalanche_smoke():
 def test_invalid_width():
     with pytest.raises(ValueError):
         RowHasher(seed=0, width=0)
+
+
+def test_query_many_matches_query_u64_for_every_scheme():
+    # the shared front door places whole rows with index_batch; answers must
+    # equal the scalar per-key path, keys above 2**63 included
+    rng = np.random.default_rng(12)
+    keys = rng.integers(0, 1 << 64, size=300, dtype=np.uint64)
+    stream = rng.choice(keys[:40], size=30_000)
+    cfg = SketchConfig(rows=3, width=32, counter_bits=4, shared_bits=2, seeds=(1, 2, 3))
+    sketches = [
+        SiameseSketch(cfg),
+        InstantMergeSketch(cfg),
+        CountMinSketch(CountMinConfig(rows=3, width=9, seeds=(1, 2, 3))),
+    ]
+    probe = keys.tolist()
+    assert max(probe) >= 1 << 63
+    for sk in sketches:
+        sk.encode_stream(stream)
+        assert sk.query_many(probe) == [sk.query_u64(k) for k in probe]
+        assert sk.query_many(keys) == sk.query_many(probe)
+        assert sk.query_many([]) == []

@@ -40,8 +40,9 @@ def test_fresh_sketch_is_empty():
         dict(shared_bits=3),  # odd
         dict(shared_bits=-2),
         dict(rows=0),
-        dict(max_level_bits=16),
         dict(merge_mode="average"),
+        dict(counter_bits=1),
+        dict(counter_bits=17),
     ],
 )
 def test_invalid_configs(kwargs):
@@ -52,6 +53,17 @@ def test_invalid_configs(kwargs):
 def test_k6_is_valid():
     sk = SiameseSketch(SketchConfig(shared_bits=6))
     assert sk.config.shared_bits == 6
+
+
+def test_narrow_counters_are_valid():
+    # 4-bit counters with 2 shared bits; levels are 4, 8 and 16 bits wide
+    cfg = SketchConfig(rows=1, width=8, counter_bits=4, shared_bits=2, seeds=(1,))
+    sk = SiameseSketch(cfg)
+    key = key_bytes(keys_for_slots(sk, 0, [0])[0])
+    for _ in range(600):  # past the 8-bit shared level's 2**9 capacity
+        sk.encode(key)
+    assert sk.query(key) == 600
+    assert sk.counter_view(0, key).level_bits == 16
 
 
 def test_k2_through_k6_all_run():

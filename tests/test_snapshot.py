@@ -74,8 +74,7 @@ def test_round_trip_max_mode_and_k0():
 
 
 def test_round_trip_wide_counter_bits():
-    cfg = SketchConfig(rows=1, width=8, counter_bits=12, shared_bits=4,
-                       seeds=(1,), max_level_bits=48)
+    cfg = SketchConfig(rows=1, width=8, counter_bits=12, shared_bits=4, seeds=(1,))
     sk = SiameseSketch(cfg)
     sk.encode_stream(np.zeros(9000, dtype=np.uint64))
     back = load_bytes(dump_bytes(sk))
@@ -127,3 +126,54 @@ def test_header_too_short():
 def test_unsupported_type():
     with pytest.raises(TypeError):
         dump_bytes(object())
+
+
+# Header byte offsets (see the layout in siamsketch.snapshot).
+_COUNTER_BITS_AT = 12
+_SHARED_BITS_AT = 13
+_MERGE_MODE_AT = 14
+
+
+def _patched(raw: bytes, offset: int, value: int) -> bytes:
+    out = bytearray(raw)
+    out[offset] = value
+    return bytes(out)
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch])
+@pytest.mark.parametrize("code", [1, 7, 9])
+def test_shared_codes_rejected_without_sharing(cls, code):
+    # a shared pair (codes 1, 7) or a shared wide group (9) cannot occur at
+    # shared_bits=0; code 1 in two groups is the state byte 0x11
+    sk = _driven(cls, shared_bits=0)
+    sk._states[0][0] = code
+    sk._states[0][1] = code
+    with pytest.raises(SnapshotError) as err:
+        load_bytes(dump_bytes(sk))
+    assert err.value.code == "bad-state"
+
+
+def test_instant_header_with_shared_bits_rejected():
+    raw = _patched(dump_bytes(_driven(InstantMergeSketch)), _SHARED_BITS_AT, 4)
+    with pytest.raises(SnapshotError) as err:
+        load_bytes(raw)
+    assert err.value.code == "bad-config"
+
+
+@pytest.mark.parametrize(
+    "offset, value",
+    [(_SHARED_BITS_AT, 3), (_SHARED_BITS_AT, 8), (_COUNTER_BITS_AT, 17), (_MERGE_MODE_AT, 7)],
+)
+def test_header_config_errors_are_typed(offset, value):
+    raw = _patched(dump_bytes(_driven(SiameseSketch)), offset, value)
+    with pytest.raises(SnapshotError) as err:
+        load_bytes(raw)
+    assert err.value.code == "bad-config"
+
+
+def test_count_min_counter_bits_checked():
+    cm = CountMinSketch(CountMinConfig(rows=2, width=37, seeds=(9, 10)))
+    raw = _patched(dump_bytes(cm), _COUNTER_BITS_AT, 8)
+    with pytest.raises(SnapshotError) as err:
+        load_bytes(raw)
+    assert err.value.code == "bad-config"
