@@ -16,11 +16,12 @@ same bit budget.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hashing import RowSketch, derive_seeds, index_batch
+from .hashing import RowSketch, derive_seeds
 from .sketch import DynamicSketch, SketchConfig
 
 
@@ -59,23 +60,17 @@ _MAX32 = (1 << 32) - 1
 
 
 class CountMinSketch(RowSketch):
-    """Count-Min with saturating 32-bit counters."""
+    """Count-Min with saturating 32-bit counters, one ``array('I')`` per row."""
 
     scheme = "count-min"
 
     def __init__(self, config: CountMinConfig) -> None:
         super().__init__(config)
-        self._rows = [[0] * self._w for _ in range(self._d)]
+        self._rows = [array("I", [0]) * self._w for _ in range(self._d)]
 
-    def encode_stream(self, keys: np.ndarray) -> None:
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        for r in range(self._d):
-            row = self._rows[r]
-            for i in index_batch(keys, self.config.seeds[r], self._w).tolist():
-                v = row[i]
-                if v < _MAX32:
-                    row[i] = v + 1
-        self.packet_count += len(keys)
+    def _encode_batch(self, row_idx: int, idx: np.ndarray) -> None:
+        row = np.frombuffer(self._rows[row_idx], dtype=np.uint32)
+        row[:] = np.minimum(row + np.bincount(idx, minlength=self._w), _MAX32)
 
     def _encode(self, row_idx: int, slot: int) -> None:
         row = self._rows[row_idx]
@@ -84,6 +79,9 @@ class CountMinSketch(RowSketch):
 
     def _decode(self, row_idx: int, slot: int) -> int:
         return self._rows[row_idx][slot]
+
+    def _decode_row(self, row_idx: int) -> np.ndarray:
+        return np.frombuffer(self._rows[row_idx], dtype=np.uint32)
 
     def counter_count(self) -> list[int]:
         return [self._w] * self._d

@@ -6,9 +6,11 @@ table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
 
 :class:`RowSketch` is the base of every scheme. It owns the row seeds and
-hashers, the packet total, and the per-key entry points (``encode``,
-``query`` and their ``u64`` forms, ``query_many``, ``slot_of``); a scheme
-supplies only what one slot does with a packet and what it reads back.
+hashers, the packet total, and the entry points (``encode``, ``query``
+and their ``u64`` forms, ``encode_stream``, ``query_many``, ``slot_of``); a
+scheme supplies only what one slot does with a packet and what it reads
+back, per slot and per row. ``query_many`` reads a decoded-row table: each
+row is decoded once, whatever the number of keys.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from typing import Sequence
 import numpy as np
 
 MASK64 = (1 << 64) - 1
+
+# Packets hashed and counted per step of ``RowSketch.encode_stream``. On a
+# 1.23 M-packet attacked stream (3 x 4096 slots), chunks of 16k, 32k, 64k and
+# 128k packets took 0.52, 0.36, 0.31 and 0.41 s for sc-lsb: smaller chunks
+# repeat the whole-row work of a chunk more often, larger ones carry more
+# packets into later rounds and outgrow the cache.
+ENCODE_CHUNK = 1 << 16
 
 _PHI = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -91,9 +100,12 @@ class RowHasher:
 def hash_batch(keys: np.ndarray, seed: int) -> np.ndarray:
     """Vectorized :func:`hash_u64` over a uint64 key array."""
     z = np.asarray(keys, dtype=np.uint64) ^ np.uint64(seed_state(seed))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
@@ -108,10 +120,18 @@ def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
 class RowSketch:
     """Count-Min-shaped front door: one slot per row, minimum over rows.
 
-    A scheme supplies ``encode_stream`` and the per-slot pair
-    ``_encode(row, slot)`` (count one packet) and ``_decode(row, slot)``
-    (the value the slot resolves to). ``config`` needs ``rows``, ``width``
-    and one seed per row.
+    A scheme supplies the per-slot pair ``_encode(row, slot)`` (count one
+    packet) and ``_decode(row, slot)`` (the value the slot resolves to), which
+    are its specification, and their whole-row forms: ``_encode_batch(row,
+    slots)`` counts a chunk of packets in stream order exactly as ``_encode``
+    would one by one, and ``_decode_row(row)`` returns ``_decode`` of every
+    slot as a uint64 array. ``config`` needs ``rows``, ``width`` and one seed
+    per row.
+
+    ``encode_stream`` hashes and counts the stream ``ENCODE_CHUNK`` packets at
+    a time, so no whole-stream index array is ever held. ``query_many``
+    decodes each row once into a table, answers every key with one gather per
+    row and takes the minimum over rows.
     """
 
     def __init__(self, config) -> None:
@@ -121,6 +141,15 @@ class RowSketch:
         self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
         self._seed_states = [seed_state(seed) for seed in config.seeds]
         self.packet_count = 0
+
+    def encode_stream(self, keys: np.ndarray) -> None:
+        """Count every packet of a uint64 key array, in stream order."""
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        for start in range(0, len(keys), ENCODE_CHUNK):
+            chunk = keys[start : start + ENCODE_CHUNK]
+            for r, seed in enumerate(self.config.seeds):
+                self._encode_batch(r, index_batch(chunk, seed, self._w))
+        self.packet_count += len(keys)
 
     def encode(self, key: bytes) -> None:
         """Count one packet for ``key`` in every row."""
@@ -155,14 +184,13 @@ class RowSketch:
         return best
 
     def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
-        """:meth:`query_u64` of every key, placing a whole row at a time."""
+        """:meth:`query_u64` of every key, as a list of Python ints."""
         keys = np.asarray(keys, dtype=np.uint64)
-        decode = self._decode
         best = None
         for r, seed in enumerate(self.config.seeds):
-            vals = [decode(r, i) for i in index_batch(keys, seed, self._w).tolist()]
-            best = vals if best is None else [v if v < b else b for v, b in zip(vals, best)]
-        return best
+            vals = self._decode_row(r)[index_batch(keys, seed, self._w)]
+            best = vals if best is None else np.minimum(best, vals)
+        return best.tolist()
 
     def slot_of(self, row: int, key: bytes) -> int:
         return self._hashers[row].index(key)

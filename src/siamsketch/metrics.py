@@ -1,8 +1,10 @@
 """Accuracy metrics and the security applications evaluated over a sketch.
 
 All applications enumerate the key universe from the exact oracle (sketches
-are not invertible) and query the sketch per key. Detection thresholds are
-inclusive: a flow whose value reaches the threshold is reported.
+are not invertible) and query the sketch for every key: in one
+``query_many`` call when the keys are 64-bit integers, per key otherwise.
+Detection thresholds are inclusive: a flow whose value reaches the threshold
+is reported.
 """
 
 from __future__ import annotations
@@ -11,13 +13,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
+from .hashing import MASK64
 from .oracle import ExactCounter
 
 
-def _query(sketch, key) -> int:
-    if isinstance(key, bytes):
-        return sketch.query(key)
-    return sketch.query_u64(int(key))
+def _query_keys(sketch, keys: Sequence[Hashable]) -> list[int]:
+    """The sketch's value for every key, in order. Python ints in the 64-bit
+    range go through one ``query_many``; any other key (``bytes``, numpy
+    scalars) is queried on its own."""
+    if all(type(k) is int and 0 <= k <= MASK64 for k in keys):
+        return sketch.query_many(keys)
+    return [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in keys]
 
 
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:
@@ -62,7 +68,8 @@ def detect_heavy_hitters(sketch, keys: Iterable[Hashable], threshold: int) -> se
     """Keys whose sketch value reaches ``threshold`` (inclusive)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    return {k for k in keys if _query(sketch, k) >= threshold}
+    keys = list(keys)
+    return {k for k, v in zip(keys, _query_keys(sketch, keys)) if v >= threshold}
 
 
 def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
@@ -77,11 +84,10 @@ def detect_changes(
         raise ValueError("threshold must be positive")
     if type(sketch_t1) is not type(sketch_t2) or sketch_t1.config != sketch_t2.config:
         raise ValueError("window sketches must share scheme and config")
-    return {
-        k
-        for k in keys
-        if abs(_query(sketch_t2, k) - _query(sketch_t1, k)) >= threshold
-    }
+    keys = list(keys)
+    before = _query_keys(sketch_t1, keys)
+    after = _query_keys(sketch_t2, keys)
+    return {k for k, a, b in zip(keys, before, after) if abs(b - a) >= threshold}
 
 
 def threshold_from_fraction(fraction: float, total_packets: int) -> int:
@@ -117,7 +123,7 @@ class FlowSizeDistribution:
 
 
 def estimate_fsd(sketch, keys: Iterable[Hashable]) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(_query(sketch, k) for k in keys)
+    return FlowSizeDistribution.from_sizes(_query_keys(sketch, list(keys)))
 
 
 def true_fsd(oracle: ExactCounter) -> FlowSizeDistribution:

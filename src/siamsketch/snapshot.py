@@ -18,8 +18,13 @@ Layout, little-endian throughout::
 
 ``SKSC`` and ``SKIM`` hold the same dynamic-counter engine; ``SKIM`` is that
 engine at ``shared_bits == 0``, whose groups never hold a shared pair (codes
-1, 3, 4, 5, 7) or code 9. A header that no config accepts, or a state code
-the header's scheme cannot reach, is rejected on load.
+1, 3, 4, 5, 7) or code 9. A header that no config accepts, a state code the
+header's scheme cannot reach, or a slot above ``2**counter_bits - 1`` is
+rejected on load.
+
+The body is a copy of the sketch's row buffers (``array.array``), byte-swapped
+to little-endian on a big-endian host, and the state nibbles are packed and
+unpacked with numpy; nothing is converted slot by slot.
 
 Diagnostics that are not part of counter state (packet totals, share-time
 discards) are not serialized.
@@ -28,6 +33,8 @@ discards) are not serialized.
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -64,52 +71,53 @@ class SnapshotError(Exception):
         self.code = code
 
 
-def _slot_dtype(counter_bits: int) -> np.dtype:
-    return np.dtype("<u1") if counter_bits <= 8 else np.dtype("<u2")
+def _row_bytes(row: array) -> bytes:
+    """A row's buffer in the little-endian order of the format."""
+    if sys.byteorder == "little" or row.itemsize == 1:
+        return row.tobytes()
+    swapped = array(row.typecode, row)
+    swapped.byteswap()
+    return swapped.tobytes()
 
 
-def _pack_states(states: list[int]) -> bytes:
-    out = bytearray((len(states) + 1) // 2)
-    for j, code in enumerate(states):
-        if j % 2 == 0:
-            out[j // 2] = code
-        else:
-            out[j // 2] |= code << 4
-    return bytes(out)
+def _read_row(typecode: str, raw: bytes, off: int, count: int) -> array:
+    row = array(typecode)
+    row.frombytes(raw[off : off + count * row.itemsize])
+    if sys.byteorder == "big":
+        row.byteswap()
+    return row
 
 
-def _unpack_states(raw: bytes, count: int) -> list[int]:
-    states = []
-    for j in range(count):
-        b = raw[j // 2]
-        states.append(b & 0xF if j % 2 == 0 else b >> 4)
-    return states
+def _pack_states(states: array) -> bytes:
+    codes = np.frombuffer(states, dtype=np.uint8)
+    if len(codes) % 2:
+        codes = np.append(codes, np.uint8(0))
+    return (codes[0::2] | (codes[1::2] << 4)).tobytes()
+
+
+def _unpack_states(raw: bytes, off: int, count: int) -> np.ndarray:
+    packed = np.frombuffer(raw, dtype=np.uint8, count=(count + 1) // 2, offset=off)
+    return np.stack((packed & 0xF, packed >> 4), axis=1).ravel()[:count]
 
 
 def dump_bytes(sketch) -> bytes:
     magic = _MAGIC_OF.get(type(sketch))
     if magic is None:
         raise TypeError(f"cannot snapshot {type(sketch).__name__}")
-    parts = []
-    if magic == MAGIC_COUNT_MIN:
-        cfg = sketch.config
-        parts.append(
-            _HEADER.pack(magic, SNAPSHOT_VERSION, cfg.rows, cfg.width, 32, 0, 0, 0)
-        )
-        parts.extend(struct.pack("<Q", s) for s in cfg.seeds)
-        for row in sketch._rows:
-            parts.append(np.asarray(row, dtype="<u4").tobytes())
-        return b"".join(parts)
     cfg = sketch.config
-    mode = 0 if cfg.merge_mode == MERGE_SUM else 1
-    shape = (cfg.rows, cfg.width, cfg.counter_bits, cfg.shared_bits, mode, 0)
-    parts.append(_HEADER.pack(magic, SNAPSHOT_VERSION, *shape))
-    parts.extend(struct.pack("<Q", s) for s in cfg.seeds)
-    dtype = _slot_dtype(cfg.counter_bits)
-    for row, states in zip(sketch._rows, sketch._states):
-        parts.append(np.asarray(row, dtype=dtype).tobytes())
-        parts.append(_pack_states(states))
-    return b"".join(parts)
+    if magic == MAGIC_COUNT_MIN:
+        shape = (cfg.rows, cfg.width, 32, 0, 0, 0)
+        body = [_row_bytes(row) for row in sketch._rows]
+    else:
+        mode = 0 if cfg.merge_mode == MERGE_SUM else 1
+        shape = (cfg.rows, cfg.width, cfg.counter_bits, cfg.shared_bits, mode, 0)
+        body = [
+            part
+            for row, states in zip(sketch._rows, sketch._states)
+            for part in (_row_bytes(row), _pack_states(states))
+        ]
+    seeds = struct.pack(f"<{cfg.rows}Q", *cfg.seeds)
+    return b"".join([_HEADER.pack(magic, SNAPSHOT_VERSION, *shape), seeds, *body])
 
 
 def load_bytes(raw: bytes):
@@ -123,13 +131,10 @@ def load_bytes(raw: bytes):
     if version != SNAPSHOT_VERSION:
         raise SnapshotError("bad-version", f"unsupported version {version}")
     off = _HEADER.size
-    seeds = []
-    for _ in range(rows):
-        if off + 8 > len(raw):
-            raise SnapshotError("truncated", "seed table truncated")
-        seeds.append(struct.unpack_from("<Q", raw, off)[0])
-        off += 8
-    seeds = tuple(seeds)
+    if off + 8 * rows > len(raw):
+        raise SnapshotError("truncated", "seed table truncated")
+    seeds = struct.unpack_from(f"<{rows}Q", raw, off)
+    off += 8 * rows
     if magic == MAGIC_COUNT_MIN:
         if counter_bits != 32:
             raise SnapshotError("bad-config", f"Count-Min counter_bits {counter_bits}, not 32")
@@ -138,11 +143,7 @@ def load_bytes(raw: bytes):
         for r in range(rows):
             if off + row_bytes > len(raw):
                 raise SnapshotError("truncated", f"row {r} truncated")
-            sketch._rows[r] = (
-                np.frombuffer(raw, dtype="<u4", count=width, offset=off)
-                .astype(np.int64)
-                .tolist()
-            )
+            sketch._rows[r] = _read_row("I", raw, off, width)
             off += row_bytes
         _expect_end(raw, off)
         return sketch
@@ -160,24 +161,25 @@ def load_bytes(raw: bytes):
         seeds=seeds,
     )
     sketch = SiameseSketch(config) if magic == MAGIC_SIAMESE else InstantMergeSketch(config)
-    legal = LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES
-    dtype = _slot_dtype(counter_bits)
-    row_bytes = width * dtype.itemsize
+    legal = np.zeros(16, dtype=bool)
+    legal[list(LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES)] = True
+    max_slot = (1 << counter_bits) - 1
+    typecode = sketch._rows[0].typecode
+    row_bytes = width * sketch._rows[0].itemsize
     group_count = width // 4
     state_bytes = (group_count + 1) // 2
     for r in range(rows):
         if off + row_bytes + state_bytes > len(raw):
             raise SnapshotError("truncated", f"row {r} truncated")
-        sketch._rows[r] = (
-            np.frombuffer(raw, dtype=dtype, count=width, offset=off)
-            .astype(np.int64)
-            .tolist()
-        )
+        row = _read_row(typecode, raw, off, width)
+        if np.frombuffer(row, dtype=typecode).max() > max_slot:
+            raise SnapshotError("bad-state", f"row {r} has a slot above {max_slot}")
+        sketch._rows[r] = row
         off += row_bytes
-        states = _unpack_states(raw[off : off + state_bytes], group_count)
-        if any(s not in legal for s in states):
+        states = _unpack_states(raw, off, group_count)
+        if not legal[states].all():
             raise SnapshotError("bad-state", f"row {r} has an illegal state code")
-        sketch._states[r] = states
+        sketch._states[r] = array("B", states.tobytes())
         off += state_bytes
     _expect_end(raw, off)
     return sketch

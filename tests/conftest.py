@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from siamsketch import SketchConfig, SiameseSketch
+from siamsketch.sketch import LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 
 def key_bytes(value: int) -> bytes:
@@ -45,6 +46,20 @@ def collision_free_keys(sketch, count: int, rng: np.random.Generator) -> list[in
             taken[r].add(g)
         keys.append(k)
     return keys
+
+
+def plant_state(sketch, rng: np.random.Generator) -> None:
+    """Give every group a random state code its scheme can reach and every
+    slot a random value, drawn mostly at or next to the slot maximum so that
+    the next packets cross counter limits at every level."""
+    cfg = sketch.config
+    legal = sorted(LEGAL_GROUP_STATES if cfg.shared_bits else UNSHARED_GROUP_STATES)
+    top = (1 << cfg.counter_bits) - 1
+    for r in range(cfg.rows):
+        for g in range(cfg.width // 4):
+            sketch._states[r][g] = int(rng.choice(legal))
+        for i in range(cfg.width):
+            sketch._rows[r][i] = int(rng.choice([0, top, top, top - 1, rng.integers(0, top + 1)]))
 
 
 @pytest.fixture

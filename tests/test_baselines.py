@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -105,9 +107,24 @@ def test_count_min_additive_collision():
 
 def test_count_min_saturates():
     cm = CountMinSketch(CountMinConfig(rows=1, width=4, seeds=(1,)))
-    cm._rows[0] = [(1 << 32) - 1] * 4
+    cm._rows[0] = array("I", [(1 << 32) - 1] * 4)
     cm.encode_u64(9)
     assert cm.query_u64(9) == (1 << 32) - 1
+
+
+def test_count_min_stream_saturates():
+    # the batched path adds a chunk's hits at once; it must stop at 2**32 - 1
+    # exactly where per-packet encoding does
+    near, low = (1 << 32) - 3, 7
+    sketches = [CountMinSketch(CountMinConfig(rows=1, width=4, seeds=(1,))) for _ in range(2)]
+    for cm in sketches:
+        cm._rows[0] = array("I", [near, low, near, low])
+    stream = np.arange(400, dtype=np.uint64)
+    sketches[0].encode_stream(stream)
+    for k in stream.tolist():
+        sketches[1].encode_u64(k)
+    assert sketches[0]._rows == sketches[1]._rows
+    assert list(sketches[0]._rows[0])[::2] == [(1 << 32) - 1] * 2
 
 
 def _feed(ref, cfg, stream):

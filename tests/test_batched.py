@@ -1,0 +1,107 @@
+"""The batched paths against the scalar state machine, which is the spec.
+
+``encode_stream`` counts whole chunks with numpy and replays only state
+changes through ``_encode``; ``query_many`` reads decoded-row tables. Both must
+leave and report exactly what per-packet ``encode_u64`` and per-key
+``query_u64`` do, in every group state and at every counter width.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, hashing
+
+from conftest import plant_state
+
+
+def bursty_stream(rng: np.random.Generator, length: int, pool: int) -> np.ndarray:
+    """Runs of one key, some as long as an attack flow's 256 packets,
+    over a small key pool with a skewed choice of key."""
+    keys = rng.integers(0, 1 << 64, size=pool, dtype=np.uint64)
+    weights = 1.0 / np.arange(1, pool + 1)
+    runs = []
+    total = 0
+    while total < length:
+        run = int(rng.choice([1, 2, rng.integers(1, 40), rng.integers(200, 300)]))
+        runs.append(np.full(run, rng.choice(keys, p=weights / weights.sum()), dtype=np.uint64))
+        total += run
+    return np.concatenate(runs)[:length] if runs else np.empty(0, dtype=np.uint64)
+
+
+def assert_same(batched, scalar) -> None:
+    assert batched._rows == scalar._rows
+    assert batched._states == scalar._states
+    rows = range(batched.config.rows)
+    assert [batched.lsb_discard(r) for r in rows] == [scalar.lsb_discard(r) for r in rows]
+    assert batched.packet_count == scalar.packet_count
+
+
+@st.composite
+def scenarios(draw):
+    bits = draw(st.sampled_from([4, 8, 16]))
+    rows = draw(st.integers(1, 3))
+    cfg = SketchConfig(
+        rows=rows,
+        width=4 * draw(st.integers(1, 16)),
+        counter_bits=bits,
+        shared_bits=draw(st.sampled_from(range(0, bits, 2))),
+        merge_mode=draw(st.sampled_from(["sum", "max"])),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=rows, max_size=rows))),
+    )
+    return (
+        draw(st.sampled_from([SiameseSketch, InstantMergeSketch])),
+        cfg,
+        draw(st.booleans()),  # start from a planted state
+        draw(st.integers(0, 2500)),  # stream length, 0 included
+        draw(st.integers(1, 40)),  # key pool
+        draw(st.sampled_from([5, 64, 700])),  # chunk size
+        draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios())
+def test_encode_stream_matches_per_packet_encode(scenario):
+    cls, cfg, planted, length, pool, chunk, seed = scenario
+    rng = np.random.default_rng(seed)
+    batched, scalar = cls(cfg), cls(cfg)
+    if planted:
+        plant_state(batched, np.random.default_rng(seed))
+        plant_state(scalar, np.random.default_rng(seed))
+    stream = bursty_stream(rng, length, pool)
+    # a small chunk makes short streams cross many chunk boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "ENCODE_CHUNK", chunk)
+        batched.encode_stream(stream)
+    for key in stream.tolist():
+        scalar.encode_u64(key)
+    assert_same(batched, scalar)
+    probe = np.unique(stream).tolist() + rng.integers(0, 1 << 64, size=20, dtype=np.uint64).tolist()
+    assert batched.query_many(probe) == [scalar.query_u64(k) for k in probe]
+
+
+@pytest.mark.parametrize("bits, shared", [(8, 4), (4, 2), (8, 0)])
+def test_encode_stream_crosses_the_chunk_size(bits, shared):
+    # a stream longer than one chunk, split at several points, at the real
+    # chunk size
+    rng = np.random.default_rng(bits + shared)
+    stream = bursty_stream(rng, hashing.ENCODE_CHUNK + 3000, 30)
+    cfg = SketchConfig(rows=2, width=16, counter_bits=bits, shared_bits=shared, seeds=(5, 6))
+    whole, pieces, scalar = (SiameseSketch(cfg) for _ in range(3))
+    whole.encode_stream(stream)
+    for cut in np.split(stream, [1, 1000, hashing.ENCODE_CHUNK - 7]):
+        pieces.encode_stream(cut)
+    for key in stream.tolist():
+        scalar.encode_u64(key)
+    assert_same(whole, scalar)
+    assert_same(pieces, scalar)
+
+
+def test_empty_stream_changes_nothing():
+    cfg = SketchConfig(rows=2, width=8, seeds=(1, 2))
+    sk, fresh = SiameseSketch(cfg), SiameseSketch(cfg)
+    sk.encode_stream(np.empty(0, dtype=np.uint64))
+    sk.encode_stream([])
+    assert_same(sk, fresh)

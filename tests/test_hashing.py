@@ -20,6 +20,9 @@ from siamsketch.hashing import (
     index_batch,
     mix64,
 )
+from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
+
+from conftest import plant_state
 
 
 def test_width_one_always_zero():
@@ -116,21 +119,31 @@ def test_invalid_width():
 
 
 def test_query_many_matches_query_u64_for_every_scheme():
-    # the shared front door places whole rows with index_batch; answers must
-    # equal the scalar per-key path, keys above 2**63 included
+    # the shared front door decodes whole rows and gathers; answers must
+    # equal the scalar per-key path, keys above 2**63 included, at every
+    # counter width and in every group state (codes 9 and 10 included)
     rng = np.random.default_rng(12)
     keys = rng.integers(0, 1 << 64, size=300, dtype=np.uint64)
     stream = rng.choice(keys[:40], size=30_000)
-    cfg = SketchConfig(rows=3, width=32, counter_bits=4, shared_bits=2, seeds=(1, 2, 3))
-    sketches = [
-        SiameseSketch(cfg),
-        InstantMergeSketch(cfg),
-        CountMinSketch(CountMinConfig(rows=3, width=9, seeds=(1, 2, 3))),
-    ]
     probe = keys.tolist()
     assert max(probe) >= 1 << 63
-    for sk in sketches:
-        sk.encode_stream(stream)
-        assert sk.query_many(probe) == [sk.query_u64(k) for k in probe]
-        assert sk.query_many(keys) == sk.query_many(probe)
-        assert sk.query_many([]) == []
+    for bits, shared, planted in ((4, 2, False), (4, 2, True), (8, 4, True), (16, 8, True)):
+        cfg = SketchConfig(rows=3, width=32, counter_bits=bits, shared_bits=shared, seeds=(1, 2, 3))
+        sketches = [SiameseSketch(cfg), InstantMergeSketch(cfg)]
+        if not planted:
+            sketches.append(CountMinSketch(CountMinConfig(rows=3, width=9, seeds=(1, 2, 3))))
+        for sk in sketches:
+            if planted:
+                # a short stream from states near every limit
+                plant_state(sk, rng)
+                sk.encode_stream(stream[:500])
+                codes = {c for states in sk._states for c in states}
+                assert GROUP_MERGED_WIDE in codes
+                assert (GROUP_SHARED_WIDE in codes) == bool(sk.config.shared_bits)
+            else:
+                sk.encode_stream(stream)
+            answers = sk.query_many(probe)
+            assert answers == [sk.query_u64(k) for k in probe]
+            assert all(type(v) is int for v in answers)
+            assert sk.query_many(keys) == answers
+            assert sk.query_many([]) == []

@@ -24,7 +24,7 @@ from siamsketch import (
     true_heavy_hitters,
 )
 
-from conftest import collision_free_keys
+from conftest import collision_free_keys, key_bytes
 from reference_impls import ref_are, ref_entropy, ref_f1, ref_re, ref_rmse, ref_wmre
 
 
@@ -198,6 +198,27 @@ def test_change_detection_boundary_and_identity():
     s2.encode_stream(np.full(9, 3, dtype=np.uint64))
     assert detect_changes(s1, s2, [3], 9) == {3}  # grows by exactly phi
     assert detect_changes(s1, s1, [3], 1) == set()
+
+
+def test_apps_treat_int_bytes_and_numpy_keys_alike():
+    # Python ints take one batched query; bytes and numpy scalars are queried
+    # per key, and both must give the same answers
+    rng = np.random.default_rng(4)
+    cfg = SketchConfig(rows=2, width=16, counter_bits=4, shared_bits=2, seeds=(1, 2))
+    s1, s2 = SiameseSketch(cfg), SiameseSketch(cfg)
+    ints = rng.integers(0, 1 << 64, size=30, dtype=np.uint64).tolist()
+    s1.encode_stream(rng.choice(ints, size=3000))
+    s2.encode_stream(rng.choice(ints[:10], size=3000))
+    forms = (ints, [key_bytes(k) for k in ints], [np.uint64(k) for k in ints])
+    for keys in forms:
+        back = dict(zip(keys, ints))
+        assert estimate_fsd(s1, keys) == estimate_fsd(s1, ints)
+        assert {back[k] for k in detect_heavy_hitters(s1, keys, 150)} == detect_heavy_hitters(
+            s1, ints, 150
+        )
+        assert {back[k] for k in detect_changes(s1, s2, keys, 60)} == detect_changes(
+            s1, s2, ints, 60
+        )
 
 
 def test_change_detection_config_mismatch():

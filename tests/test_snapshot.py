@@ -117,6 +117,19 @@ def test_illegal_state_code_rejected():
     assert err.value.code == "bad-state"
 
 
+@pytest.mark.parametrize("counter_bits, value", [(4, 200), (4, 16), (12, 4096)])
+def test_slot_above_counter_range_rejected(counter_bits, value):
+    # a slot holds at most counter_bits bits; a larger value would decode as
+    # a count the counter can never reach
+    sk = SiameseSketch(SketchConfig(rows=1, width=8, counter_bits=counter_bits, shared_bits=2))
+    sk._rows[0][0] = value
+    with pytest.raises(SnapshotError) as err:
+        load_bytes(dump_bytes(sk))
+    assert err.value.code == "bad-state"
+    sk._rows[0][0] = (1 << counter_bits) - 1
+    assert load_bytes(dump_bytes(sk))._rows == sk._rows
+
+
 def test_header_too_short():
     with pytest.raises(SnapshotError) as err:
         load_bytes(b"SK")
