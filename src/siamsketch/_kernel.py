@@ -1,0 +1,109 @@
+"""Build and load the C encode kernel, ``_encode.c``, once per machine.
+
+The kernel is compiled with the C compiler Python was built with
+(``sysconfig``'s ``CC``, else ``cc``) into a shared library under
+``$XDG_CACHE_HOME/siamsketch/`` (``~/.cache/siamsketch/`` by default; a
+private directory under the system temporary directory when that one is not
+writable), and loaded with ctypes. The file name is keyed by the sha256 of the
+C source, the compile command and the platform, so a changed source or
+compiler builds a new library and an unchanged one is reused without running
+the compiler. A library is written under a temporary name and moved into
+place, so a concurrent process never loads a partial file.
+
+Without a compiler, or when the build or the load fails, :func:`load` returns
+None after one ``RuntimeWarning`` per process, and the engine counts packets
+with its scalar ``_encode``.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import warnings
+from pathlib import Path
+from typing import Sequence
+
+SOURCE = Path(__file__).with_name("_encode.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+
+def compile_command() -> list[str]:
+    """Compiler and flags, without the input and output files."""
+    return [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *FLAGS]
+
+
+def cache_dir() -> Path:
+    """The directory built libraries are cached in (see the module docstring)."""
+    base = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "siamsketch"
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+        if os.access(base, os.W_OK):
+            return base
+    except OSError:
+        pass
+    private = Path(tempfile.gettempdir()) / f"siamsketch-{os.getuid()}"
+    private.mkdir(mode=0o700, exist_ok=True)
+    # Another user could have made this name first, and a library found
+    # there would be loaded and run.
+    if private.stat().st_uid != os.getuid():
+        raise PermissionError(f"{private} belongs to another user")
+    return private
+
+
+def library_path(source: bytes, command: Sequence[str]) -> Path:
+    """Where the library built from ``source`` by ``command`` is cached."""
+    digest = hashlib.sha256()
+    for part in (source, "\0".join(command).encode(), sysconfig.get_platform().encode()):
+        digest.update(hashlib.sha256(part).digest())
+    return cache_dir() / f"encode-{digest.hexdigest()[:16]}.so"
+
+
+def _build(path: Path, command: Sequence[str]) -> None:
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, "-o", tmp, str(SOURCE)], check=True, capture_output=True, text=True
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load():
+    """The kernel's ``encode_row``, built first if needed; None if it cannot
+    be built or loaded."""
+    try:
+        command = compile_command()
+        path = library_path(SOURCE.read_bytes(), command)
+        if not path.exists():
+            _build(path, command)
+        fn = ctypes.CDLL(str(path)).encode_row
+    except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        warnings.warn(
+            f"siamsketch: no C encode kernel ({detail}); encoding packet by packet",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    fn.argtypes = [
+        ctypes.c_void_p,  # row slots
+        ctypes.c_int,  # slots are uint16
+        ctypes.c_void_p,  # group codes
+        ctypes.c_void_p,  # int64 slot indices
+        ctypes.c_size_t,
+        ctypes.c_int,  # counter_bits
+        ctypes.c_int,  # shared_bits
+        ctypes.c_int,  # sum mode
+    ]
+    fn.restype = ctypes.c_uint64
+    return fn

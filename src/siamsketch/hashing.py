@@ -15,17 +15,21 @@ row is decoded once, whatever the number of keys.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from typing import Sequence
 
 import numpy as np
 
 MASK64 = (1 << 64) - 1
 
-# Packets hashed and counted per step of ``RowSketch.encode_stream``. On a
-# 1.23 M-packet attacked stream (3 x 4096 slots), chunks of 16k, 32k, 64k and
-# 128k packets took 0.52, 0.36, 0.31 and 0.41 s for sc-lsb: smaller chunks
-# repeat the whole-row work of a chunk more often, larger ones carry more
-# packets into later rounds and outgrow the cache.
+# Packets hashed and counted per step of ``RowSketch.encode_stream``. The
+# dynamic engine's encode kernel makes one pass over a chunk whatever its
+# size, so the size only bounds the arrays that hashing a chunk allocates. On
+# a 1.23 M-packet attacked stream (3 x 4096 slots, sc-lsb, best of 5, two
+# sweeps on a 2-core x86-64 host), chunks of 16k to 64k packets took 0.064 to
+# 0.084 s in no steady order, 128k took 0.079 to 0.090 s and 256k 0.14 to
+# 0.16 s, once the 8-byte temporaries of hashing outgrow the cache.
 ENCODE_CHUNK = 1 << 16
 
 _PHI = 0x9E3779B97F4A7C15
@@ -108,6 +112,19 @@ def hash_batch(keys: np.ndarray, seed: int) -> np.ndarray:
     return z
 
 
+def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Integer keys as a contiguous uint64 array, each Python int masked to 64
+    bits as ``encode_u64`` and ``query_u64`` mask it. A sequence holding
+    anything that is not an integer (``bytes``, a float) raises TypeError;
+    a numpy array is cast as numpy casts it."""
+    if isinstance(keys, np.ndarray):
+        return np.ascontiguousarray(keys, dtype=np.uint64)
+    try:
+        return np.frombuffer(array("Q", keys), dtype=np.uint64)
+    except OverflowError:
+        return np.array([operator.index(k) & MASK64 for k in keys], dtype=np.uint64)
+
+
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     """Vectorized multiply-shift placement; matches the scalar path exactly."""
     h = hash_batch(keys, seed)
@@ -143,8 +160,9 @@ class RowSketch:
         self.packet_count = 0
 
     def encode_stream(self, keys: np.ndarray) -> None:
-        """Count every packet of a uint64 key array, in stream order."""
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        """Count every packet of a key array (see :func:`u64_keys`), in stream
+        order."""
+        keys = u64_keys(keys)
         for start in range(0, len(keys), ENCODE_CHUNK):
             chunk = keys[start : start + ENCODE_CHUNK]
             for r, seed in enumerate(self.config.seeds):
@@ -185,7 +203,7 @@ class RowSketch:
 
     def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
         """:meth:`query_u64` of every key, as a list of Python ints."""
-        keys = np.asarray(keys, dtype=np.uint64)
+        keys = u64_keys(keys)
         best = None
         for r, seed in enumerate(self.config.seeds):
             vals = self._decode_row(r)[index_batch(keys, seed, self._w)]

@@ -2,7 +2,7 @@
 
 All applications enumerate the key universe from the exact oracle (sketches
 are not invertible) and query the sketch for every key: in one
-``query_many`` call when the keys are 64-bit integers, per key otherwise.
+``query_many`` call when the keys are integers, per key when some are bytes.
 Detection thresholds are inclusive: a flow whose value reaches the threshold
 is reported.
 """
@@ -13,17 +13,21 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
-from .hashing import MASK64
+from .hashing import u64_keys
 from .oracle import ExactCounter
 
 
 def _query_keys(sketch, keys: Sequence[Hashable]) -> list[int]:
-    """The sketch's value for every key, in order. Python ints in the 64-bit
-    range go through one ``query_many``; any other key (``bytes``, numpy
-    scalars) is queried on its own."""
-    if all(type(k) is int and 0 <= k <= MASK64 for k in keys):
-        return sketch.query_many(keys)
-    return [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in keys]
+    """The sketch's value for every key, in order. Integer keys (Python ints,
+    numpy integers) go through one ``query_many``; keys with any ``bytes``
+    among them are queried one by one."""
+    try:
+        batch = u64_keys(keys)
+    except TypeError:
+        return [
+            sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in keys
+        ]
+    return sketch.query_many(batch)
 
 
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:

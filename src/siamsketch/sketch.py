@@ -52,25 +52,24 @@ counters, ``'H'`` above) and each row's group codes an ``array('B')``. The
 per-slot state machine ``_encode`` / ``_decode`` is the specification; it
 reads and writes the arrays as Python ints (numpy rows would hand it
 fixed-width scalars, and shifts such as ``slots[b + 1] << s`` would wrap).
-The batched paths work on zero-copy numpy views of the same buffers, so
-their writes land in the rows the scalar code reads.
+The batched paths use the same buffers in place (the encode kernel through
+their addresses, ``_decode_row`` through zero-copy numpy views), so the
+kernel's writes land in the rows the scalar code reads.
 
-Batched encode (``_encode_batch``, one chunk of slot indices per row): a
-group's state changes only at an event, the first packet one of its units
-cannot simply absorb. A unit is what a packet counts into: an independent
-slot, which takes an event at its maximum; a fused pair, at the double-width
-maximum; a shared pair or a code-9 group, at a joint-counter wrap that would
-push the receiving member's prefix past its maximum (wraps fall at fixed
-positions of the unit's packet sequence, ``(joint + ordinal) % 2**K ==
-2**K - 1``); a quad counter never takes one and saturates. Every packet
-before its group's first event is added in bulk with ``bincount`` (wrap
-credits go to each shared member), the event goes through ``_encode``, and
-the group's later packets form the next round. The group, not the pair, is
-the unit of replay because an event in one pair can change its sibling: a
-fused pair that overflows fuses the sibling and shares the group. A group
-changes state at most six times, and only the packets that change it go
-through ``_encode``. ``_decode_row`` decodes a whole row at once for
-``query_many``.
+Batched encode (``_encode_batch``, one chunk of slot indices per row): the
+state machine is inherently sequential, since a packet can change its
+group's state and so how the next packet to that group counts. A C kernel
+(``_encode.c``, built and loaded by ``_kernel``) therefore walks the chunk in
+stream order and runs a line-for-line port of ``_encode`` and its four
+transitions on the row buffers, returning the content its share
+initializations dropped, so rows, group codes and ``lsb_discard`` end
+exactly as per-packet ``_encode`` leaves them. ``_encode`` stays the
+specification: it is the readable form of the lifecycle above, the tests
+compare the kernel against it, and it is the fallback. Where the kernel
+cannot be built (no C compiler), ``_encode_batch`` calls ``_encode`` for each
+packet, after one ``RuntimeWarning``: the same result, about 25 times
+slower on an attacked stream. ``_decode_row`` decodes a whole row at once
+with numpy for ``query_many``.
 """
 
 from __future__ import annotations
@@ -81,6 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernel
 from .hashing import RowSketch, derive_seeds
 
 MERGE_SUM = "sum"
@@ -111,8 +111,8 @@ GROUP_COUNTER_COUNT = tuple(
 ) + (2, 1)
 
 
-# Slot kinds of the batched paths, by the unit a packet to the slot counts
-# into: the slot itself, its pair, or its group.
+# Slot kinds of ``_decode_row``, by the unit a slot's value comes from: the
+# slot itself, its pair, or its group.
 _INDEP, _SHARED, _FUSED, _SHARED_GROUP, _QUAD = range(5)
 _PAIR_KIND = (_INDEP, _SHARED, _FUSED)
 # Kind of a slot, indexed by ``2 * group code + pair bit``.
@@ -122,23 +122,6 @@ _KIND_OF = np.array(
     + [_QUAD] * 2,
     dtype=np.uint8,
 )
-# Per kind: mask from a slot to its unit's first slot, and from a slot to the
-# first slot of the member whose prefix a wrap advances.
-_UNIT_MASK = np.array([-1, -2, -2, -4, -4], dtype=np.int64)
-_MEMBER_MASK = np.array([-1, -1, -2, -2, -4], dtype=np.int64)
-
-
-def _ordinals(ids: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Each entry's 0-based rank among the equal entries before it, given
-    ``counts = np.bincount(ids)``."""
-    n = len(ids)
-    bits = max(n - 1, 1).bit_length()
-    dtype = np.int32 if len(counts) << bits < 1 << 31 else np.int64
-    # Sorting (id, position) keys ranks each id's entries in stream order.
-    key = np.sort((ids.astype(dtype) << bits) | np.arange(n, dtype=dtype))
-    out = np.empty(n, dtype=np.int64)
-    out[key & ((1 << bits) - 1)] = np.arange(n) - (np.cumsum(counts) - counts)[key >> bits]
-    return out
 
 
 def group_code(state_a: int, state_b: int) -> int:
@@ -231,109 +214,31 @@ class DynamicSketch(RowSketch):
         self._rows = [array(self._typecode, [0]) * self._w for _ in range(self._d)]
         self._states = [array("B", [0]) * (self._w >> 2) for _ in range(self._d)]
         self._lsb_discards = [0] * self._d
-        # Per-kind constants and per-slot geometry of the batched paths.
-        self._limit = np.array(
-            [self._max_base, 0, self._max_wide, 0, self._max_quad], dtype=np.uint64
-        )
-        self._pmax = np.array([0, self._pmax_base, 0, self._pmax_wide, 0], dtype=np.uint64)
-        self._slot_ids = np.arange(self._w, dtype=np.int64)
-        self._pair_bit = (self._slot_ids >> 1) & 1
-        # Per position in a group: the shift of a fused pair's part, of a
-        # quad's part, and of the joint half a shared pair or group member
-        # holds.
-        s, hk = self._s, self._hk
-        self._shifts = np.array(
-            [[0, s, 0, s], [0, s, 2 * s, 3 * s], [hk, 0, hk, 0], [hk, hk, 0, 0]],
-            dtype=np.uint64,
-        )
+        self._pair_bit = (np.arange(self._w) >> 1) & 1
 
     # -- encoding ---------------------------------------------------------
 
     def _encode_batch(self, row_idx: int, idx: np.ndarray) -> None:
-        """Count a chunk of packets, given by slot, as ``_encode`` would.
-
-        Until a group's first event (the packet that changes its state), each
-        of its units (an independent slot, a pair or the whole group) only
-        advances by one per packet, so :meth:`_absorb` adds those packets in
-        bulk. The event itself goes through ``_encode``, and the group's later
-        packets start the next round. A group changes state at most six
-        times, so the rounds are few. A chunk that leaves every slot it
-        touches independent and below its maximum is a plain sum.
-        """
-        row = np.frombuffer(self._rows[row_idx], dtype=self._typecode)
-        codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
-        hits = np.bincount(idx, minlength=self._w)
-        if not codes[hits.reshape(-1, 4).any(axis=1)].any():
-            total = row + hits
-            if total.max() <= self._max_base:
-                row[:] = total
-                return
-        while len(idx):
-            idx = idx[self._absorb(row, codes, idx)]
-            first = np.unique(idx >> 2, return_index=True)[1]
-            for slot in idx[first].tolist():
+        """Count a chunk of packets, given by slot (each in ``[0, width)``),
+        in stream order, exactly as ``_encode`` would one by one: with the C
+        kernel when it could be built, else with ``_encode`` itself."""
+        encode_row = _kernel.load()
+        if encode_row is None:
+            for slot in idx.tolist():
                 self._encode(row_idx, slot)
-            idx = np.delete(idx, first)
-
-    def _absorb(self, row: np.ndarray, codes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Add each group's packets before its first event; return the
-        positions in ``idx`` of the rest, whose first per group is its event."""
-        n = len(idx)
-        touched = np.bincount(idx >> 2, minlength=len(codes)) > 0
-        groups = np.flatnonzero(touched)
-        local, part = idx, (row, codes)
-        if 2 * len(groups) <= len(codes):
-            # Few groups: work on those alone, in local slot numbers.
-            local = ((np.cumsum(touched) - 1)[idx >> 2] << 2) | (idx & 3)
-            part = (row.reshape(-1, 4)[groups].ravel(), codes[groups])
-        span = len(part[0])
-        kind, dec = self._decoded(*part)
-        slot_ids = self._slot_ids[:span]
-        unit = slot_ids & _UNIT_MASK[kind]
-        u = unit[local]
-        count = np.bincount(u, minlength=span)
-        limited = (kind == _INDEP) | (kind == _FUSED)
-        shared = (kind == _SHARED) | (kind == _SHARED_GROUP)
-        head = np.where(limited, self._limit[kind] - dec, n).astype(np.int64)
-        kmask = self._kmask
-        joint = (dec & np.uint64(kmask)).astype(np.int64)
-        # Only units that reach their limit or wrap their joint sub-counter
-        # in this chunk need each packet's rank within the unit.
-        ranked = (count[unit] > head) | (shared & (joint + count[unit] > kmask))
-        sel = np.flatnonzero(ranked[local])
-        ordinal = _ordinals(u[sel], np.bincount(u[sel], minlength=span))
-        events = [sel[ordinal >= head[local[sel]]]]
-        if self._k:
-            # The joint sub-counter wraps at fixed positions of the unit's
-            # packet sequence; a wrap is an event once its member's prefix
-            # is at its maximum.
-            at = local[sel]
-            wraps = sel[shared[at] & ((joint[at] + ordinal) & kmask == kmask)]
-            member = slot_ids & _MEMBER_MASK[kind]
-            m = member[local[wraps]]
-            room = (self._pmax[kind] - (dec >> np.uint64(self._k))).astype(np.int64)
-            events.append(wraps[_ordinals(m, np.bincount(m, minlength=span)) >= room[m]])
-        events = np.concatenate(events)
-        late = events
-        if len(events):
-            first = np.full(span >> 2, n, dtype=np.int64)
-            np.minimum.at(first, local[events] >> 2, events)
-            late = np.flatnonzero(np.arange(n) >= first[local >> 2])
-            count -= np.bincount(u[late], minlength=span)
-            if self._k:
-                wraps = wraps[wraps < first[local[wraps] >> 2]]
-        count = count.astype(np.uint64)[unit]
-        # Value units: add, saturating only at the quad level.
-        new = dec + np.minimum(count, self._limit[kind] - dec)
-        if self._k:
-            won = np.bincount(member[local[wraps]], minlength=span).astype(np.uint64)[member]
-            k = np.uint64(self._k)
-            joint = (dec + count) & np.uint64(kmask)
-            np.copyto(new, (((dec >> k) + won) << k) | joint, where=shared)
-        changed = np.flatnonzero(count)
-        slots = changed if local is idx else (groups[changed >> 2] << 2) | (changed & 3)
-        row[slots] = self._slot_values(kind[changed], new[changed], changed)
-        return late
+            return
+        row = self._rows[row_idx]
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        self._lsb_discards[row_idx] += encode_row(
+            row.buffer_info()[0],
+            row.itemsize == 2,
+            self._states[row_idx].buffer_info()[0],
+            idx.ctypes.data,
+            len(idx),
+            self._s,
+            self._k,
+            self._mode_sum,
+        )
 
     def _encode(self, row_idx: int, slot: int) -> None:
         slots = self._rows[row_idx]
@@ -566,13 +471,10 @@ class DynamicSketch(RowSketch):
         )
 
     def _decode_row(self, row_idx: int) -> np.ndarray:
+        """``_decode`` of every slot of one row, as a uint64 array."""
         row = np.frombuffer(self._rows[row_idx], dtype=self._typecode)
         codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
-        return self._decoded(row, codes)[1]
-
-    def _decoded(self, row: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(kind, ``_decode`` value) of every slot of whole groups."""
-        kind = _KIND_OF[(np.repeat(codes, 4) << 1) | self._pair_bit[: len(row)]]
+        kind = _KIND_OF[(np.repeat(codes, 4) << 1) | self._pair_bit]
         s, hk, k, hmask = (np.uint64(x) for x in (self._s, self._hk, self._k, self._hmask))
         r = row.astype(np.uint64)
         lo, hi = r[0::2], r[1::2]
@@ -583,22 +485,7 @@ class DynamicSketch(RowSketch):
         shared = ((r >> hk) << k) | np.repeat(joint, 2)
         joint = ((pair[0::2] & hmask) << hk) | (pair[1::2] & hmask)
         wide = ((fused >> hk) << k) | np.repeat(joint, 4)
-        return kind, np.choose(kind, (r, shared, fused, wide, quad))
-
-    def _slot_values(self, kind: np.ndarray, dec: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Contents of ``slots`` that :meth:`_decoded` reads back as ``dec``."""
-        hk, k, hmask = (np.uint64(x) for x in (self._hk, self._k, self._hmask))
-        mask = np.uint64(self._max_base)
-        pos = slots & 3
-        shift = self._shifts[:, pos]
-        prefix = (dec >> k) << hk
-        joint = dec & np.uint64(self._kmask)
-        # Pair A's slot (a shared pair's even slot) holds the joint's high half.
-        shared = prefix | ((joint >> shift[2]) & hmask)
-        wide = ((prefix | ((joint >> shift[3]) & hmask)) >> shift[0]) & mask
-        fused = (dec >> shift[0]) & mask
-        quad = (dec >> shift[1]) & mask
-        return np.choose(kind, (dec, shared, fused, wide, quad))
+        return np.choose(kind, (r, shared, fused, wide, quad))
 
     # -- inspection -------------------------------------------------------
 

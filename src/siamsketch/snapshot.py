@@ -3,7 +3,7 @@
 Layout, little-endian throughout::
 
     magic        4 bytes   SKSC | SKIM | SKCM (scheme tag)
-    version      u16       1
+    version      u16       2 (1 is still read)
     rows         u16
     width        u32       base slots per row (Count-Min: counters per row)
     counter_bits u8        base counter width (Count-Min: 32)
@@ -11,6 +11,9 @@ Layout, little-endian throughout::
     merge_mode   u8        0 = sum, 1 = max (Count-Min: 0)
     reserved     u8        0
     seeds        rows * u64
+    packets      u64       packets encoded (version 2 only)
+    discards     rows * u64  each row's ``lsb_discard`` (version 2 only;
+                           absent for Count-Min)
     body, per row:
         counters  width * ceil(counter_bits / 8) bytes, one slot each
         states    width / 4 packed nibbles, low nibble first
@@ -26,8 +29,9 @@ The body is a copy of the sketch's row buffers (``array.array``), byte-swapped
 to little-endian on a big-endian host, and the state nibbles are packed and
 unpacked with numpy; nothing is converted slot by slot.
 
-Diagnostics that are not part of counter state (packet totals, share-time
-discards) are not serialized.
+The packet total and the share-time discards are carried too, so that the
+sum-mode ``row_total + lsb_discard == packets`` check holds on a loaded
+sketch. A version 1 snapshot has neither and loads with both at 0.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .sketch import (
     SketchConfig,
 )
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sHHIBBBB")
 
 MAGIC_SIAMESE = b"SKSC"
@@ -105,19 +109,21 @@ def dump_bytes(sketch) -> bytes:
     if magic is None:
         raise TypeError(f"cannot snapshot {type(sketch).__name__}")
     cfg = sketch.config
+    counts = [sketch.packet_count]
     if magic == MAGIC_COUNT_MIN:
         shape = (cfg.rows, cfg.width, 32, 0, 0, 0)
         body = [_row_bytes(row) for row in sketch._rows]
     else:
         mode = 0 if cfg.merge_mode == MERGE_SUM else 1
         shape = (cfg.rows, cfg.width, cfg.counter_bits, cfg.shared_bits, mode, 0)
+        counts += sketch._lsb_discards
         body = [
             part
             for row, states in zip(sketch._rows, sketch._states)
             for part in (_row_bytes(row), _pack_states(states))
         ]
-    seeds = struct.pack(f"<{cfg.rows}Q", *cfg.seeds)
-    return b"".join([_HEADER.pack(magic, SNAPSHOT_VERSION, *shape), seeds, *body])
+    words = struct.pack(f"<{cfg.rows}Q{len(counts)}Q", *cfg.seeds, *counts)
+    return b"".join([_HEADER.pack(magic, SNAPSHOT_VERSION, *shape), words, *body])
 
 
 def load_bytes(raw: bytes):
@@ -128,13 +134,19 @@ def load_bytes(raw: bytes):
     )
     if magic not in (MAGIC_SIAMESE, MAGIC_INSTANT, MAGIC_COUNT_MIN):
         raise SnapshotError("bad-magic", f"unknown magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
+    if version not in (1, SNAPSHOT_VERSION):
         raise SnapshotError("bad-version", f"unsupported version {version}")
     off = _HEADER.size
     if off + 8 * rows > len(raw):
         raise SnapshotError("truncated", "seed table truncated")
     seeds = struct.unpack_from(f"<{rows}Q", raw, off)
     off += 8 * rows
+    counts = [0] * (1 if magic == MAGIC_COUNT_MIN else 1 + rows)
+    if version > 1:
+        if off + 8 * len(counts) > len(raw):
+            raise SnapshotError("truncated", "packet and discard counts truncated")
+        counts = list(struct.unpack_from(f"<{len(counts)}Q", raw, off))
+        off += 8 * len(counts)
     if magic == MAGIC_COUNT_MIN:
         if counter_bits != 32:
             raise SnapshotError("bad-config", f"Count-Min counter_bits {counter_bits}, not 32")
@@ -146,6 +158,7 @@ def load_bytes(raw: bytes):
             sketch._rows[r] = _read_row("I", raw, off, width)
             off += row_bytes
         _expect_end(raw, off)
+        sketch.packet_count = counts[0]
         return sketch
     if magic == MAGIC_INSTANT and shared_bits:
         raise SnapshotError("bad-config", f"instant-merge shared_bits {shared_bits}, not 0")
@@ -182,6 +195,8 @@ def load_bytes(raw: bytes):
         sketch._states[r] = array("B", states.tobytes())
         off += state_bytes
     _expect_end(raw, off)
+    sketch.packet_count = counts[0]
+    sketch._lsb_discards = counts[1:]
     return sketch
 
 

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
-from siamsketch import SketchConfig, SiameseSketch
+from siamsketch import SketchConfig, SiameseSketch, _kernel
 from siamsketch.sketch import LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 
@@ -60,6 +65,28 @@ def plant_state(sketch, rng: np.random.Generator) -> None:
             sketch._states[r][g] = int(rng.choice(legal))
         for i in range(cfg.width):
             sketch._rows[r][i] = int(rng.choice([0, top, top, top - 1, rng.integers(0, top + 1)]))
+
+
+@contextmanager
+def kernel_unbuildable(active: bool = True):
+    """Make the encode kernel's loader fail inside the block, as it does on a
+    machine with no compiler: an empty library cache and a compiler that does
+    not exist. Yields the warnings raised in the block. With ``active``
+    false the kernel loads as usual."""
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        tempfile.TemporaryDirectory() as cache,
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        if active:
+            mp.setenv("XDG_CACHE_HOME", cache)
+            mp.setattr(_kernel, "compile_command", lambda: [os.path.join(cache, "no-cc")])
+        _kernel.load.cache_clear()
+        try:
+            yield caught
+        finally:
+            _kernel.load.cache_clear()
 
 
 @pytest.fixture

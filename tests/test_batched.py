@@ -1,9 +1,12 @@
 """The batched paths against the scalar state machine, which is the spec.
 
-``encode_stream`` counts whole chunks with numpy and replays only state
-changes through ``_encode``; ``query_many`` reads decoded-row tables. Both must
-leave and report exactly what per-packet ``encode_u64`` and per-key
-``query_u64`` do, in every group state and at every counter width.
+``encode_stream`` hashes each chunk with numpy and counts it with the C
+encode kernel, a port of ``_encode``, or, where the kernel cannot be built,
+with ``_encode`` itself; ``query_many`` reads decoded-row tables. Both
+encode paths and the query must leave and report exactly what per-packet
+``encode_u64`` and per-key ``query_u64`` do, in every group state and at
+every counter width. The kernel's build, cache and fallback are tested here
+too.
 """
 
 import numpy as np
@@ -11,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, hashing
+from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, _kernel, hashing
 
-from conftest import plant_state
+from conftest import kernel_unbuildable, plant_state
 
 
 def bursty_stream(rng: np.random.Generator, length: int, pool: int) -> np.ndarray:
@@ -58,13 +61,14 @@ def scenarios(draw):
         draw(st.integers(1, 40)),  # key pool
         draw(st.sampled_from([5, 64, 700])),  # chunk size
         draw(st.integers(0, 2**32)),
+        draw(st.booleans()),  # encode with the scalar fallback
     )
 
 
 @settings(max_examples=80, deadline=None)
 @given(scenarios())
 def test_encode_stream_matches_per_packet_encode(scenario):
-    cls, cfg, planted, length, pool, chunk, seed = scenario
+    cls, cfg, planted, length, pool, chunk, seed, fallback = scenario
     rng = np.random.default_rng(seed)
     batched, scalar = cls(cfg), cls(cfg)
     if planted:
@@ -72,7 +76,7 @@ def test_encode_stream_matches_per_packet_encode(scenario):
         plant_state(scalar, np.random.default_rng(seed))
     stream = bursty_stream(rng, length, pool)
     # a small chunk makes short streams cross many chunk boundaries
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, kernel_unbuildable(fallback):
         mp.setattr(hashing, "ENCODE_CHUNK", chunk)
         batched.encode_stream(stream)
     for key in stream.tolist():
@@ -89,14 +93,17 @@ def test_encode_stream_crosses_the_chunk_size(bits, shared):
     rng = np.random.default_rng(bits + shared)
     stream = bursty_stream(rng, hashing.ENCODE_CHUNK + 3000, 30)
     cfg = SketchConfig(rows=2, width=16, counter_bits=bits, shared_bits=shared, seeds=(5, 6))
-    whole, pieces, scalar = (SiameseSketch(cfg) for _ in range(3))
-    whole.encode_stream(stream)
-    for cut in np.split(stream, [1, 1000, hashing.ENCODE_CHUNK - 7]):
-        pieces.encode_stream(cut)
+    scalar = SiameseSketch(cfg)
     for key in stream.tolist():
         scalar.encode_u64(key)
-    assert_same(whole, scalar)
-    assert_same(pieces, scalar)
+    for fallback in (False, True):
+        whole, pieces = SiameseSketch(cfg), SiameseSketch(cfg)
+        with kernel_unbuildable(fallback):
+            whole.encode_stream(stream)
+            for cut in np.split(stream, [1, 1000, hashing.ENCODE_CHUNK - 7]):
+                pieces.encode_stream(cut)
+        assert_same(whole, scalar)
+        assert_same(pieces, scalar)
 
 
 def test_empty_stream_changes_nothing():
@@ -105,3 +112,47 @@ def test_empty_stream_changes_nothing():
     sk.encode_stream(np.empty(0, dtype=np.uint64))
     sk.encode_stream([])
     assert_same(sk, fresh)
+
+
+def test_unbuildable_kernel_warns_once_and_falls_back():
+    cfg = SketchConfig(rows=2, width=16, counter_bits=4, shared_bits=2, seeds=(5, 6))
+    stream = np.arange(3 * 700, dtype=np.uint64) % 50
+    with pytest.MonkeyPatch.context() as mp, kernel_unbuildable() as caught:
+        mp.setattr(hashing, "ENCODE_CHUNK", 700)
+        for _ in range(2):
+            SiameseSketch(cfg).encode_stream(stream)
+        assert _kernel.load() is None
+    warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(warned) == 1
+    assert "no C encode kernel" in str(warned[0].message)
+
+
+def test_second_load_reuses_the_cached_library(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.load.cache_clear()
+    try:
+        if _kernel.load() is None:
+            pytest.skip("no working C compiler")
+        built = list((tmp_path / "siamsketch").iterdir())
+        assert [p.suffix for p in built] == [".so"]
+
+        def compiler_ran(*args, **kwargs):
+            raise AssertionError("the compiler ran again")
+
+        monkeypatch.setattr(_kernel.subprocess, "run", compiler_ran)
+        _kernel.load.cache_clear()
+        assert _kernel.load() is not None
+        assert list((tmp_path / "siamsketch").iterdir()) == built
+    finally:
+        _kernel.load.cache_clear()
+
+
+def test_library_name_follows_source_and_command(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    source = _kernel.SOURCE.read_bytes()
+    command = _kernel.compile_command()
+    path = _kernel.library_path(source, command)
+    assert path.parent == tmp_path / "siamsketch"
+    assert _kernel.library_path(source, command) == path
+    assert _kernel.library_path(source + b"\n", command) != path
+    assert _kernel.library_path(source, [*command, "-g"]) != path

@@ -147,3 +147,20 @@ def test_query_many_matches_query_u64_for_every_scheme():
             assert all(type(v) is int for v in answers)
             assert sk.query_many(keys) == answers
             assert sk.query_many([]) == []
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
+def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
+    # encode_u64/query_u64 take any int modulo 2**64; the batched entry points
+    # take the same keys, and bytes in a key list are refused, not parsed
+    cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
+    keys = [-1, 1 << 64, (1 << 64) + 5, 5, np.uint64(7), np.int64(-2)]
+    batched, scalar = cls(cfg), cls(cfg)
+    batched.encode_stream(keys)
+    for k in keys:
+        scalar.encode_u64(int(k))
+    assert batched._rows == scalar._rows
+    assert batched.query_many(keys) == [scalar.query_u64(int(k)) for k in keys]
+    assert batched.query_many([-1]) == [1]
+    with pytest.raises(TypeError):
+        batched.query_many([5, b"12"])

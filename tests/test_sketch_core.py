@@ -203,15 +203,27 @@ def test_crafted_stream_reaches_wide_share_and_quad():
 
 
 def test_quad_counter_saturates():
-    sk = SiameseSketch(SketchConfig(rows=1, width=4, shared_bits=4, seeds=(42,)))
-    key = key_bytes(keys_for_slots(sk, 0, [0])[0])
-    sk._states[0][0] = GROUP_MERGED_WIDE
-    sk._write_quad(sk._rows[0], 0, (1 << 32) - 2)
-    sk.encode(key)
-    assert sk.query(key) == (1 << 32) - 1
-    sk.encode(key)
-    sk.encode(key)
-    assert sk.query(key) == (1 << 32) - 1  # saturating, never wraps
+    # per packet and batched; at 16 bits the quad maximum is 2**64 - 1
+    for bits in (8, 16):
+        top = (1 << (4 * bits)) - 1
+        cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=4, seeds=(42,))
+        sk = SiameseSketch(cfg)
+        key = key_bytes(keys_for_slots(sk, 0, [0])[0])
+        sk._states[0][0] = GROUP_MERGED_WIDE
+        sk._write_quad(sk._rows[0], 0, top - 1)
+        sk.encode(key)
+        assert sk.query(key) == top
+        sk.encode(key)
+        sk.encode(key)
+        assert sk.query(key) == top  # saturating, never wraps
+        stream = np.full(3, int.from_bytes(key, "little"), dtype=np.uint64)
+        sk._write_quad(sk._rows[0], 0, top - 1)
+        sk.encode_stream(stream)
+        assert sk.query(key) == top
+        # a carry out of the lowest slot is not a saturation
+        sk._write_quad(sk._rows[0], 0, (1 << bits) - 1)
+        sk.encode_stream(stream)
+        assert sk.query(key) == (1 << bits) + 2
 
 
 def test_wide_share_force_merges_lagging_sibling():
