@@ -9,6 +9,8 @@ every counter width. The kernel's build, cache and fallback are tested here
 too.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,15 @@ def test_unbuildable_kernel_warns_once_and_falls_back():
     warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(warned) == 1
     assert "no C encode kernel" in str(warned[0].message)
+
+
+def test_kernel_builds_where_the_compiler_is_on_the_path():
+    # a kernel that does not compile would leave every differential test
+    # above comparing the scalar fallback with itself
+    if shutil.which(_kernel.compile_command()[0]) is None:
+        pytest.skip("no C compiler on PATH")
+    _kernel.load.cache_clear()
+    assert _kernel.load() is not None
 
 
 def test_second_load_reuses_the_cached_library(tmp_path, monkeypatch):

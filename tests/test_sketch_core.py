@@ -113,6 +113,55 @@ def test_find_counter_levels():
     assert adj.start == 4
 
 
+# The module docstring's table of the 11 group codes, as (pair A, pair B):
+# "i" independent, "s" shared, "f" fused, "S" both pairs fused and sharing
+# low bits at double width (code 9), "q" one quad-width counter (code 10).
+STATE_TABLE = [(a, b) for a in "isf" for b in "isf"] + [("S", "S"), ("q", "q")]
+
+
+@pytest.mark.parametrize("code", range(11))
+def test_inspection_follows_the_state_table(code):
+    # 8-bit slots, K = 4: a shared member decodes to
+    # prefix * 2**4 + joint, with the joint's high half in the low 2 bits of
+    # the first member and its low half in those of the second
+    sk = SiameseSketch(SketchConfig(rows=1, width=4, shared_bits=4, seeds=(0,)))
+    sk._states[0][0] = code
+    cells = [0xA5, 0x3C, 0x5A, 0xC3]
+    for i, v in enumerate(cells):
+        sk._rows[0][i] = v
+    quad = cells[0] | cells[1] << 8 | cells[2] << 16 | cells[3] << 24
+    wide = [cells[0] | cells[1] << 8, cells[2] | cells[3] << 8]
+    for slot in range(4):
+        pair = slot >> 1
+        kind = STATE_TABLE[code][pair]
+        other = STATE_TABLE[code][pair ^ 1]
+        ref, peer = sk.find_counter_at(0, slot)
+        view = sk.counter_view_at(0, slot)
+        if kind in "is":
+            assert ref == (8, slot, 1, kind == "s")
+            assert peer == (8, slot ^ 1, 1, kind == "s")
+            joint = (cells[2 * pair] & 3) << 2 | cells[2 * pair + 1] & 3
+            value = cells[slot] if kind == "i" else (cells[slot] >> 2) << 4 | joint
+        elif kind in "fS":
+            assert ref == (16, 2 * pair, 2, kind == "S")
+            # a fused pair's peer is its sibling pair, shared only while that
+            # pair is still sharing at the base level
+            assert peer == (16, 2 * (pair ^ 1), 2, other in "sS")
+            joint = (wide[0] & 3) << 2 | wide[1] & 3
+            value = wide[pair] if kind == "f" else (wide[pair] >> 2) << 4 | joint
+        else:
+            assert ref == (32, 0, 4, False)
+            assert peer is None
+            value = quad
+        assert view.level_bits == ref.level_bits
+        assert view.shared == ref.shared
+        assert view.value == value
+        if ref.shared:
+            assert (view.msb_value, view.lsb_value) == (value >> 4, value & 15)
+        else:
+            assert (view.msb_value, view.lsb_value) == (value, None)
+
+
 # -- lifecycle ----------------------------------------------------------------
 
 
