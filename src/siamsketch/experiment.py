@@ -31,7 +31,7 @@ from .baselines import (
     count_min_width_for,
     equal_memory_widths,
 )
-from .hashing import derive_seeds
+from .hashing import derive_seeds, u64_keys
 from .metrics import (
     FlowSizeDistribution,
     detect_changes,
@@ -227,6 +227,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for k, c in oracle.flows():
         flow_keys.append(k)
         truths.append(c)
+    flow_batch = u64_keys(flow_keys)
     if "heavy-hitter" in spec.apps and threshold:
         truth_set = true_heavy_hitters(oracle, threshold)
     if "fsd" in spec.apps or "entropy" in spec.apps:
@@ -267,7 +268,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
         if not flow_keys:
             continue
-        estimates = sketch.query_many(flow_keys)
+        estimates = sketch.query_many(flow_batch)
         if "size" in spec.apps:
             emit("are", metric_are(truths, estimates))
             emit("rmse", metric_rmse(truths, estimates))

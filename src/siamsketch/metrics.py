@@ -17,17 +17,21 @@ from .hashing import u64_keys
 from .oracle import ExactCounter
 
 
-def _query_keys(sketch, keys: Sequence[Hashable]) -> list[int]:
-    """The sketch's value for every key, in order. Integer keys (Python ints,
-    numpy integers) go through one ``query_many``; keys with any ``bytes``
-    among them are queried one by one."""
+def _as_batch(keys: list) -> Sequence[Hashable]:
+    """Integer keys (Python ints, numpy integers) converted once to the uint64
+    array ``query_many`` takes; a list with any ``bytes`` among them as is."""
     try:
-        batch = u64_keys(keys)
+        return u64_keys(keys)
     except TypeError:
-        return [
-            sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in keys
-        ]
-    return sketch.query_many(batch)
+        return keys
+
+
+def _query_keys(sketch, batch) -> list[int]:
+    """The sketch's value for every key of an ``_as_batch`` result, in order:
+    one ``query_many`` for an array, key by key for a list."""
+    if not isinstance(batch, list):
+        return sketch.query_many(batch)
+    return [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in batch]
 
 
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:
@@ -73,7 +77,7 @@ def detect_heavy_hitters(sketch, keys: Iterable[Hashable], threshold: int) -> se
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     keys = list(keys)
-    return {k for k, v in zip(keys, _query_keys(sketch, keys)) if v >= threshold}
+    return {k for k, v in zip(keys, _query_keys(sketch, _as_batch(keys))) if v >= threshold}
 
 
 def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
@@ -89,8 +93,9 @@ def detect_changes(
     if type(sketch_t1) is not type(sketch_t2) or sketch_t1.config != sketch_t2.config:
         raise ValueError("window sketches must share scheme and config")
     keys = list(keys)
-    before = _query_keys(sketch_t1, keys)
-    after = _query_keys(sketch_t2, keys)
+    batch = _as_batch(keys)
+    before = _query_keys(sketch_t1, batch)
+    after = _query_keys(sketch_t2, batch)
     return {k for k, a, b in zip(keys, before, after) if abs(b - a) >= threshold}
 
 
@@ -127,7 +132,7 @@ class FlowSizeDistribution:
 
 
 def estimate_fsd(sketch, keys: Iterable[Hashable]) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(_query_keys(sketch, list(keys)))
+    return FlowSizeDistribution.from_sizes(_query_keys(sketch, _as_batch(list(keys))))
 
 
 def true_fsd(oracle: ExactCounter) -> FlowSizeDistribution:

@@ -4,30 +4,35 @@ The structure is ``rows`` arrays of ``width`` small base counters
 (``counter_bits`` wide, 8 by default), queried like Count-Min: encode into one
 slot per row, report the minimum decoded value over the rows.
 
-Counter lifecycle, per aligned group of four base slots:
+Counter lifecycle. Each aligned group of four base slots holds counters at
+three levels: a level-``L`` counter spans ``2**L`` slots, so level 0 is one
+slot, level 1 a pair (slots ``2m``, ``2m+1``) and level 2 the whole group.
+Levels 0 and 1 follow one rule. Two sibling counters of a level (the two
+slots of a pair, or the two fused pairs of a group) go::
 
-* per pair (slots ``2m``, ``2m+1``)::
+    independent -> low-bits-shared -> fused into one counter of the next level
 
-      independent -> low-bits-shared -> fused double-width
+so a group goes 8 -> 16 -> 32 bits wide at the default ``counter_bits``.
 
-* per group, once both pairs are fused::
+In the shared state the two members jointly maintain one ``shared_bits``-wide
+sub-counter, the joint: its high half sits in the low bits of the first
+member, its low half in those of the second. Each member keeps its other
+bits as a private prefix and decodes to ``prefix * 2**shared_bits + joint``.
+Every packet for either member advances the joint; when it wraps, only the
+member that received the wrapping packet advances its prefix
+(winner-take-all), so a pair survives far beyond the raw capacity of its
+members before it must fuse. Fusing combines the two members with ``sum`` or
+``max``; a shared pair's joint becomes the fused counter's low bits.
 
-      (fused, fused) -> double-width low-bits-shared -> one quad-width counter
-
-In the shared state the two members of a pair jointly maintain one
-``shared_bits``-wide sub-counter (each member physically stores half of its
-bits) and keep a private ``counter_bits - shared_bits/2`` prefix each. A
-member decodes to ``prefix * 2**shared_bits + joint``. Every packet for
-either member advances the joint sub-counter; when it wraps, only the member
-that received the wrapping packet advances its prefix (winner-take-all), so a
-pair survives far beyond the raw capacity of its slots before it must fuse.
-Fusing combines the two members with ``sum`` or ``max`` and the fused counter
-repeats the same lifecycle at double width.
-
-State transitions fire on the first increment a counter cannot absorb; that
-increment is then applied in the post-transition state, so no packet is
-skipped. Transitions never reverse. Group state is tracked in a side array of
-4-bit codes, eleven of which are legal:
+A counter transitions on the first increment it cannot absorb: an unshared
+counter at its maximum shares with its sibling (with ``shared_bits == 0`` it
+fuses with it at once), and a shared counter whose prefix is at its maximum
+fuses. Before a fused pair shares or fuses, its
+sibling pair is fused up to the same level. The quad-width counter of level 2
+saturates at its maximum. The increment that caused a transition is then
+applied in the post-transition state, so no packet is skipped. Transitions
+never reverse. Group state is tracked in a side array of 4-bit codes, eleven
+of which are legal:
 
 ====  =======================================
 code  meaning (pair A, pair B)
@@ -40,6 +45,24 @@ code  meaning (pair A, pair B)
 With ``shared_bits == 0`` sharing is disabled and a full counter fuses
 immediately: that is the instant-merge baseline, and only codes 0, 2, 6, 8
 and 10 occur.
+
+The counter a slot belongs to is its unit, ``2 * level + shared``, read from
+one table, ``_UNIT``, indexed by ``2 * code + pair bit`` (the pair bit is
+``(slot >> 1) & 1``). Below code 9 a pair's unit is its state:
+
+====  =======================================
+unit  counter
+====  =======================================
+0     independent slot (level 0)
+1     shared slot, one member of a shared pair (level 0)
+2     fused pair (level 1)
+3     shared fused pair, one member of code 9 (level 1)
+4     quad-width counter, code 10 (level 2)
+====  =======================================
+
+The state machine is written once over ``level`` with this table: one bump
+path per unit kind, one ``_share`` and one ``_fuse``, all reading and writing
+counters through one ``_read`` / ``_write`` pair.
 
 :class:`DynamicSketch` is the one engine for this lifecycle. The schemes
 are its leaf classes: :class:`SiameseSketch` (``sc-lsb``) here, and
@@ -60,8 +83,8 @@ Batched encode (``_encode_batch``, one chunk of slot indices per row): the
 state machine is inherently sequential, since a packet can change its
 group's state and so how the next packet to that group counts. A C kernel
 (``_encode.c``, built and loaded by ``_kernel``) therefore walks the chunk in
-stream order and runs a line-for-line port of ``_encode`` and its four
-transitions on the row buffers, returning the content its share
+stream order and runs a line-for-line port of ``_encode``, ``_share`` and
+``_fuse`` on the row buffers, returning the content its share
 initializations dropped, so rows, group codes and ``lsb_discard`` end
 exactly as per-packet ``_encode`` leaves them. ``_encode`` stays the
 specification: it is the readable form of the lifecycle above, the tests
@@ -111,17 +134,14 @@ GROUP_COUNTER_COUNT = tuple(
 ) + (2, 1)
 
 
-# Slot kinds of ``_decode_row``, by the unit a slot's value comes from: the
-# slot itself, its pair, or its group.
-_INDEP, _SHARED, _FUSED, _SHARED_GROUP, _QUAD = range(5)
-_PAIR_KIND = (_INDEP, _SHARED, _FUSED)
-# Kind of a slot, indexed by ``2 * group code + pair bit``.
-_KIND_OF = np.array(
-    [_PAIR_KIND[(_PAIR_A if bit == 0 else _PAIR_B)[c]] for c in range(9) for bit in (0, 1)]
-    + [_SHARED_GROUP] * 2
-    + [_QUAD] * 2,
-    dtype=np.uint8,
+# Unit of a slot (see the module docstring), indexed by ``2 * group code +
+# pair bit``, and the group code of each (pair A unit, pair B unit).
+_UNIT = tuple(
+    [(_PAIR_A if bit == 0 else _PAIR_B)[c] for c in range(9) for bit in (0, 1)]
+    + [3, 3, 4, 4]
 )
+_CODE_OF = {(_UNIT[2 * c], _UNIT[2 * c + 1]): c for c in range(11)}
+_UNITS = np.array(_UNIT, dtype=np.uint8)
 
 
 def group_code(state_a: int, state_b: int) -> int:
@@ -199,22 +219,32 @@ class DynamicSketch(RowSketch):
         self._s = config.counter_bits
         self._k = config.shared_bits
         self._mode_sum = config.merge_mode == MERGE_SUM
-        self._max_base = (1 << self._s) - 1
-        self._max_wide = (1 << (2 * self._s)) - 1
-        self._max_quad = (1 << (4 * self._s)) - 1
+        # Largest value of a counter at each level.
+        self._max = tuple((1 << (self._s << level)) - 1 for level in range(3))
         # With sharing disabled these are all 0 and no shared state occurs.
         self._hk = self._k >> 1
         self._kmask = (1 << self._k) - 1
         self._hmask = (1 << self._hk) - 1
-        self._clr_base = self._max_base ^ self._hmask
-        self._clr_wide = self._max_wide ^ self._hmask
-        self._pmax_base = (1 << (self._s - self._hk)) - 1
-        self._pmax_wide = (1 << (2 * self._s - self._hk)) - 1
         self._typecode = "B" if self._s <= 8 else "H"
         self._rows = [array(self._typecode, [0]) * self._w for _ in range(self._d)]
         self._states = [array("B", [0]) * (self._w >> 2) for _ in range(self._d)]
         self._lsb_discards = [0] * self._d
         self._pair_bit = (np.arange(self._w) >> 1) & 1
+
+    def _unit(self, row_idx: int, slot: int) -> int:
+        return _UNIT[(self._states[row_idx][slot >> 2] << 1) | ((slot >> 1) & 1)]
+
+    def _read(self, slots: array, base: int, span: int) -> int:
+        """The counter held in ``span`` slots from ``base``, lowest slot first."""
+        value = slots[base]
+        for i in range(1, span):
+            value |= slots[base + i] << (i * self._s)
+        return value
+
+    def _write(self, slots: array, base: int, span: int, value: int) -> None:
+        for i in range(base, base + span):
+            slots[i] = value & self._max[0]
+            value >>= self._s
 
     # -- encoding ---------------------------------------------------------
 
@@ -242,239 +272,120 @@ class DynamicSketch(RowSketch):
 
     def _encode(self, row_idx: int, slot: int) -> None:
         slots = self._rows[row_idx]
-        states = self._states[row_idx]
-        g = slot >> 2
-        code = states[g]
-        if code < GROUP_SHARED_WIDE:
-            pair = (slot >> 1) & 1
-            ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-            if ps == PAIR_INDEPENDENT:
-                v = slots[slot]
-                if v < self._max_base:
-                    slots[slot] = v + 1
-                    return
-                if self._k:
-                    self._share_pair(row_idx, g, pair)
-                else:
-                    self._fuse_pair(row_idx, g, pair)
-                self._encode(row_idx, slot)
+        unit = self._unit(row_idx, slot)
+        level = unit >> 1
+        span = 1 << level
+        if unit & 1:
+            first = slot & -(2 * span)
+            second = first + span
+            hmask = self._hmask
+            low = slots[second]
+            if low & hmask != hmask:
+                # the joint's low half has room: single-slot bump
+                slots[second] = low + 1
                 return
-            if ps == PAIR_SHARED:
-                base = (g << 2) | (pair << 1)
-                lo = base + 1
-                hmask = self._hmask
-                low = slots[lo]
-                if low & hmask != hmask:
-                    # joint sub-counter's low half has room: single-slot bump
-                    slots[lo] = low + 1
-                    return
-                hk = self._hk
-                joint = ((slots[base] & hmask) << hk) | hmask
-                if joint < self._kmask:
-                    # carry into the high half, clear the low half
-                    slots[base] += 1
-                    slots[lo] = low & self._clr_base
-                    return
-                prefix = slots[slot] >> hk
-                if prefix < self._pmax_base:
-                    slots[base] &= self._clr_base
-                    slots[lo] &= self._clr_base
-                    slots[slot] = (prefix + 1) << hk
-                    return
-                self._fuse_pair(row_idx, g, pair)
-                self._encode(row_idx, slot)
+            high = slots[first]
+            if high & hmask != hmask:
+                # carry into the high half, clear the low half
+                slots[first] = high + 1
+                slots[second] = low & ~hmask
                 return
-            base = (g << 2) | (pair << 1)
+            # the joint wraps: the receiving member's prefix takes the carry
+            own = slot & -span
+            prefix = self._read(slots, own, span) >> self._hk
+            if prefix < self._max[level] >> self._hk:
+                slots[first] = high & ~hmask
+                slots[second] = low & ~hmask
+                self._write(slots, own, span, (prefix + 1) << self._hk)
+                return
+            self._fuse(row_idx, slot, level, True)
+        else:
+            base = slot & -span
             low = slots[base]
-            if low < self._max_base:
+            if low < self._max[0]:
                 slots[base] = low + 1
                 return
-            v = low | (slots[base + 1] << self._s)
-            if v < self._max_wide:
-                v += 1
-                slots[base] = v & self._max_base
-                slots[base + 1] = v >> self._s
+            value = self._read(slots, base, span)
+            if value < self._max[level]:
+                self._write(slots, base, span, value + 1)
                 return
-            sibling = pair ^ 1
-            sib_state = _PAIR_A[code] if sibling == 0 else _PAIR_B[code]
-            if sib_state != PAIR_MERGED:
-                self._fuse_pair(row_idx, g, sibling)
+            if level == 2:
+                return  # the quad-width counter saturates
+            sibling = base ^ span
+            sib_unit = self._unit(row_idx, sibling)
+            # fuse the sibling up to this level first
+            if sib_unit >> 1 < level:
+                self._fuse(row_idx, sibling, sib_unit >> 1, bool(sib_unit & 1))
             if self._k:
-                self._share_group(row_idx, g)
+                self._share(row_idx, slot, level)
             else:
-                self._fuse_group(row_idx, g)
-            self._encode(row_idx, slot)
-            return
-        base = g << 2
-        s_bits = self._s
-        if code == GROUP_SHARED_WIDE:
-            hmask = self._hmask
-            low = slots[base + 2]
-            if low & hmask != hmask:
-                # low half of the joint sub-counter lives in pair B's low slot
-                slots[base + 2] = low + 1
-                return
-            hk = self._hk
-            qa = slots[base] | (slots[base + 1] << s_bits)
-            qb = low | (slots[base + 3] << s_bits)
-            joint = ((qa & hmask) << hk) | hmask
-            pair = (slot >> 1) & 1
-            if joint < self._kmask:
-                self._write_wide(slots, base, qa + 1)
-                slots[base + 2] = low & self._clr_base
-                return
-            prefix = (qa if pair == 0 else qb) >> hk
-            if prefix < self._pmax_wide:
-                qa &= self._clr_wide
-                qb &= self._clr_wide
-                if pair == 0:
-                    qa = (prefix + 1) << hk
-                else:
-                    qb = (prefix + 1) << hk
-                self._write_wide(slots, base, qa)
-                self._write_wide(slots, base + 2, qb)
-                return
-            self._fuse_group(row_idx, g)
-            self._encode(row_idx, slot)
-            return
-        low = slots[base]
-        if low < self._max_base:
-            slots[base] = low + 1
-            return
-        v = (
-            low
-            | (slots[base + 1] << s_bits)
-            | (slots[base + 2] << (2 * s_bits))
-            | (slots[base + 3] << (3 * s_bits))
-        )
-        if v < self._max_quad:
-            self._write_quad(slots, base, v + 1)
+                self._fuse(row_idx, slot, level, False)
+        self._encode(row_idx, slot)
 
-    def _write_wide(self, slots: array, base: int, value: int) -> None:
-        slots[base] = value & self._max_base
-        slots[base + 1] = value >> self._s
-
-    def _write_quad(self, slots: array, base: int, value: int) -> None:
-        m = self._max_base
-        s = self._s
-        slots[base] = value & m
-        slots[base + 1] = (value >> s) & m
-        slots[base + 2] = (value >> (2 * s)) & m
-        slots[base + 3] = value >> (3 * s)
-
-    def _set_pair_state(self, row_idx: int, group: int, pair: int, state: int) -> None:
-        code = self._states[row_idx][group]
-        if pair == 0:
-            code = group_code(state, _PAIR_B[code])
-        else:
-            code = group_code(_PAIR_A[code], state)
-        self._states[row_idx][group] = code
-
-    def _share_pair(self, row_idx: int, group: int, pair: int) -> None:
+    def _share(self, row_idx: int, slot: int, level: int) -> None:
+        """Make ``slot``'s level-``level`` counter and its sibling share low
+        bits; the joint starts at the larger of their low parts."""
         slots = self._rows[row_idx]
-        base = (group << 2) | (pair << 1)
-        lo = base + 1
-        ve, vo = slots[base], slots[lo]
-        le = ve & self._kmask
-        lr = vo & self._kmask
-        joint = le if le >= lr else lr
-        # The smaller low part is dropped by the max initialization.
-        self._lsb_discards[row_idx] += le + lr - joint
-        slots[base] = ((ve >> self._k) << self._hk) | (joint >> self._hk)
-        slots[lo] = ((vo >> self._k) << self._hk) | (joint & self._hmask)
-        self._set_pair_state(row_idx, group, pair, PAIR_SHARED)
-
-    def _fuse_pair(self, row_idx: int, group: int, pair: int) -> None:
-        slots = self._rows[row_idx]
-        base = (group << 2) | (pair << 1)
-        lo = base + 1
-        code = self._states[row_idx][group]
-        ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-        if ps == PAIR_INDEPENDENT:
-            a, b = slots[base], slots[lo]
-            value = a + b if self._mode_sum else (a if a >= b else b)
-        else:
-            pa = slots[base] >> self._hk
-            pb = slots[lo] >> self._hk
-            joint = ((slots[base] & self._hmask) << self._hk) | (slots[lo] & self._hmask)
-            if self._mode_sum:
-                value = ((pa + pb) << self._k) | joint
-            else:
-                value = ((pa if pa >= pb else pb) << self._k) | joint
-        self._write_wide(slots, base, value)
-        self._set_pair_state(row_idx, group, pair, PAIR_MERGED)
-
-    def _share_group(self, row_idx: int, group: int) -> None:
-        slots = self._rows[row_idx]
-        base = group << 2
-        qa = slots[base] | (slots[base + 1] << self._s)
-        qb = slots[base + 2] | (slots[base + 3] << self._s)
-        la = qa & self._kmask
-        lb = qb & self._kmask
+        span = 1 << level
+        first = slot & -(2 * span)
+        a = self._read(slots, first, span)
+        b = self._read(slots, first + span, span)
+        la = a & self._kmask
+        lb = b & self._kmask
         joint = la if la >= lb else lb
+        # The smaller low part is dropped by the max initialization.
         self._lsb_discards[row_idx] += la + lb - joint
-        qa = ((qa >> self._k) << self._hk) | (joint >> self._hk)
-        qb = ((qb >> self._k) << self._hk) | (joint & self._hmask)
-        self._write_wide(slots, base, qa)
-        self._write_wide(slots, base + 2, qb)
-        self._states[row_idx][group] = GROUP_SHARED_WIDE
+        k, hk = self._k, self._hk
+        self._write(slots, first, span, ((a >> k) << hk) | (joint >> hk))
+        self._write(slots, first + span, span, ((b >> k) << hk) | (joint & self._hmask))
+        self._set_unit(row_idx, first, level, 2 * level + 1)
 
-    def _fuse_group(self, row_idx: int, group: int) -> None:
+    def _fuse(self, row_idx: int, slot: int, level: int, shared: bool) -> None:
+        """Fuse ``slot``'s level-``level`` counter and its sibling into one
+        counter of the next level: their prefixes (``shared``) or values
+        combined by ``sum`` or ``max``, above the joint if there is one."""
         slots = self._rows[row_idx]
-        base = group << 2
-        qa = slots[base] | (slots[base + 1] << self._s)
-        qb = slots[base + 2] | (slots[base + 3] << self._s)
-        if self._states[row_idx][group] == GROUP_SHARED_WIDE:
-            pa = qa >> self._hk
-            pb = qb >> self._hk
-            joint = ((qa & self._hmask) << self._hk) | (qb & self._hmask)
-            if self._mode_sum:
-                value = ((pa + pb) << self._k) | joint
-            else:
-                value = ((pa if pa >= pb else pb) << self._k) | joint
-        else:
-            value = qa + qb if self._mode_sum else (qa if qa >= qb else qb)
-        self._write_quad(slots, base, value)
-        self._states[row_idx][group] = GROUP_MERGED_WIDE
+        span = 1 << level
+        first = slot & -(2 * span)
+        a = self._read(slots, first, span)
+        b = self._read(slots, first + span, span)
+        h = self._hk if shared else 0
+        pa = a >> h
+        pb = b >> h
+        top = pa + pb if self._mode_sum else (pa if pa >= pb else pb)
+        mask = (1 << h) - 1
+        joint = ((a & mask) << h) | (b & mask)
+        self._write(slots, first, 2 * span, (top << (2 * h)) | joint)
+        self._set_unit(row_idx, first, level, 2 * level + 2)
+
+    def _set_unit(self, row_idx: int, first: int, level: int, unit: int) -> None:
+        """Give ``unit`` to what a level-``level`` transition at ``first``
+        covers: one pair at level 0, both pairs at level 1."""
+        states = self._states[row_idx]
+        g = first >> 2
+        pair = (first >> 1) & 1
+        a, b = (unit if level or p == pair else _UNIT[2 * states[g] + p] for p in (0, 1))
+        states[g] = _CODE_OF[a, b]
 
     # -- decoding ---------------------------------------------------------
 
     def _decode(self, row_idx: int, slot: int) -> int:
         slots = self._rows[row_idx]
-        g = slot >> 2
-        code = self._states[row_idx][g]
-        if code < GROUP_SHARED_WIDE:
-            pair = (slot >> 1) & 1
-            ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-            if ps == PAIR_INDEPENDENT:
-                return slots[slot]
-            base = (g << 2) | (pair << 1)
-            if ps == PAIR_SHARED:
-                joint = ((slots[base] & self._hmask) << self._hk) | (
-                    slots[base + 1] & self._hmask
-                )
-                return ((slots[slot] >> self._hk) << self._k) | joint
-            return slots[base] | (slots[base + 1] << self._s)
-        base = g << 2
-        s_bits = self._s
-        if code == GROUP_SHARED_WIDE:
-            qa = slots[base] | (slots[base + 1] << s_bits)
-            qb = slots[base + 2] | (slots[base + 3] << s_bits)
-            joint = ((qa & self._hmask) << self._hk) | (qb & self._hmask)
-            own = qa if (slot >> 1) & 1 == 0 else qb
-            return ((own >> self._hk) << self._k) | joint
-        return (
-            slots[base]
-            | (slots[base + 1] << s_bits)
-            | (slots[base + 2] << (2 * s_bits))
-            | (slots[base + 3] << (3 * s_bits))
-        )
+        unit = self._unit(row_idx, slot)
+        span = 1 << (unit >> 1)
+        value = self._read(slots, slot & -span, span)
+        if not unit & 1:
+            return value
+        first = slot & -(2 * span)
+        hmask, hk = self._hmask, self._hk
+        joint = ((slots[first] & hmask) << hk) | (slots[first + span] & hmask)
+        return ((value >> hk) << self._k) | joint
 
     def _decode_row(self, row_idx: int) -> np.ndarray:
         """``_decode`` of every slot of one row, as a uint64 array."""
         row = np.frombuffer(self._rows[row_idx], dtype=self._typecode)
         codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
-        kind = _KIND_OF[(np.repeat(codes, 4) << 1) | self._pair_bit]
+        unit = _UNITS[(np.repeat(codes, 4) << 1) | self._pair_bit]
         s, hk, k, hmask = (np.uint64(x) for x in (self._s, self._hk, self._k, self._hmask))
         r = row.astype(np.uint64)
         lo, hi = r[0::2], r[1::2]
@@ -485,7 +396,7 @@ class DynamicSketch(RowSketch):
         shared = ((r >> hk) << k) | np.repeat(joint, 2)
         joint = ((pair[0::2] & hmask) << hk) | (pair[1::2] & hmask)
         wide = ((fused >> hk) << k) | np.repeat(joint, 4)
-        return np.choose(kind, (r, shared, fused, wide, quad))
+        return np.choose(unit, (r, shared, fused, wide, quad))
 
     # -- inspection -------------------------------------------------------
 
@@ -506,48 +417,26 @@ class DynamicSketch(RowSketch):
         return self.find_counter_at(row, self.slot_of(row, key))
 
     def find_counter_at(self, row: int, slot: int) -> tuple[CounterRef, CounterRef | None]:
-        g = slot >> 2
-        code = self._states[row][g]
-        s = self._s
-        if code == GROUP_MERGED_WIDE:
-            return CounterRef(4 * s, g << 2, 4, False), None
-        if code == GROUP_SHARED_WIDE:
-            base = (g << 2) | (slot & 2)
-            peer = (g << 2) | ((slot & 2) ^ 2)
-            return CounterRef(2 * s, base, 2, True), CounterRef(2 * s, peer, 2, True)
-        pair = (slot >> 1) & 1
-        ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-        if ps == PAIR_MERGED:
-            base = (g << 2) | (pair << 1)
-            sib = (g << 2) | ((pair ^ 1) << 1)
-            sib_state = _PAIR_A[code] if pair == 1 else _PAIR_B[code]
-            return (
-                CounterRef(2 * s, base, 2, False),
-                CounterRef(2 * s, sib, 2, sib_state == PAIR_SHARED),
-            )
-        shared = ps == PAIR_SHARED
-        return CounterRef(s, slot, 1, shared), CounterRef(s, slot ^ 1, 1, shared)
+        unit = self._unit(row, slot)
+        level = unit >> 1
+        span = 1 << level
+        start = slot & -span
+        ref = CounterRef(self._s << level, start, span, bool(unit & 1))
+        if level == 2:
+            return ref, None
+        peer = start ^ span
+        return ref, CounterRef(self._s << level, peer, span, bool(self._unit(row, peer) & 1))
 
     def counter_view(self, row: int, key: bytes) -> CounterView:
         return self.counter_view_at(row, self.slot_of(row, key))
 
     def counter_view_at(self, row: int, slot: int) -> CounterView:
-        slots = self._rows[row]
-        g = slot >> 2
-        code = self._states[row][g]
+        unit = self._unit(row, slot)
+        level_bits = self._s << (unit >> 1)
         value = self._decode(row, slot)
-        if code == GROUP_MERGED_WIDE:
-            return CounterView(4 * self._s, False, value, None, value)
-        if code == GROUP_SHARED_WIDE:
-            return CounterView(
-                2 * self._s, True, value >> self._k, value & self._kmask, value
-            )
-        pair = (slot >> 1) & 1
-        ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-        if ps == PAIR_SHARED:
-            return CounterView(self._s, True, value >> self._k, value & self._kmask, value)
-        level = self._s if ps == PAIR_INDEPENDENT else 2 * self._s
-        return CounterView(level, False, value, None, value)
+        if unit & 1:
+            return CounterView(level_bits, True, value >> self._k, value & self._kmask, value)
+        return CounterView(level_bits, False, value, None, value)
 
     def counter_count(self) -> list[int]:
         """Logical counters remaining per row (fused counters count once)."""
@@ -560,39 +449,15 @@ class DynamicSketch(RowSketch):
         packets encoded, exactly: the only content ever dropped is the smaller
         low part at each share initialization.
         """
-        slots = self._rows[row]
-        s = self._s
         total = 0
-        for g, code in enumerate(self._states[row]):
-            base = g << 2
-            if code < GROUP_SHARED_WIDE:
-                for pair in (0, 1):
-                    pbase = base | (pair << 1)
-                    ps = _PAIR_A[code] if pair == 0 else _PAIR_B[code]
-                    if ps == PAIR_INDEPENDENT:
-                        total += slots[pbase] + slots[pbase + 1]
-                    elif ps == PAIR_SHARED:
-                        joint = ((slots[pbase] & self._hmask) << self._hk) | (
-                            slots[pbase + 1] & self._hmask
-                        )
-                        total += (
-                            ((slots[pbase] >> self._hk) + (slots[pbase + 1] >> self._hk))
-                            << self._k
-                        ) | joint
-                    else:
-                        total += slots[pbase] | (slots[pbase + 1] << s)
-            elif code == GROUP_SHARED_WIDE:
-                qa = slots[base] | (slots[base + 1] << s)
-                qb = slots[base + 2] | (slots[base + 3] << s)
-                joint = ((qa & self._hmask) << self._hk) | (qb & self._hmask)
-                total += (((qa >> self._hk) + (qb >> self._hk)) << self._k) | joint
-            else:
-                total += (
-                    slots[base]
-                    | (slots[base + 1] << s)
-                    | (slots[base + 2] << (2 * s))
-                    | (slots[base + 3] << (3 * s))
-                )
+        slot = 0
+        while slot < self._w:
+            unit = self._unit(row, slot)
+            span = 1 << (unit >> 1)
+            value = self._decode(row, slot)
+            # both members of a shared pair decode with the joint; count it once
+            total += value & ~self._kmask if unit & 1 and slot & span else value
+            slot += span
         return total
 
     def lsb_discard(self, row: int) -> int:

@@ -23,7 +23,8 @@ Layout, little-endian throughout::
 engine at ``shared_bits == 0``, whose groups never hold a shared pair (codes
 1, 3, 4, 5, 7) or code 9. A header that no config accepts, a state code the
 header's scheme cannot reach, or a slot above ``2**counter_bits - 1`` is
-rejected on load.
+rejected on load. So is a body shorter or longer than the header implies,
+before the sketch it describes is allocated.
 
 The body is a copy of the sketch's row buffers (``array.array``), byte-swapped
 to little-endian on a big-endian host, and the state nibbles are packed and
@@ -150,14 +151,12 @@ def load_bytes(raw: bytes):
     if magic == MAGIC_COUNT_MIN:
         if counter_bits != 32:
             raise SnapshotError("bad-config", f"Count-Min counter_bits {counter_bits}, not 32")
-        sketch = CountMinSketch(_config(CountMinConfig, rows=rows, width=width, seeds=seeds))
-        row_bytes = width * 4
+        config = _config(CountMinConfig, rows=rows, width=width, seeds=seeds)
+        _expect_body(raw, off, rows * width * 4)
+        sketch = CountMinSketch(config)
         for r in range(rows):
-            if off + row_bytes > len(raw):
-                raise SnapshotError("truncated", f"row {r} truncated")
             sketch._rows[r] = _read_row("I", raw, off, width)
-            off += row_bytes
-        _expect_end(raw, off)
+            off += width * 4
         sketch.packet_count = counts[0]
         return sketch
     if magic == MAGIC_INSTANT and shared_bits:
@@ -173,17 +172,16 @@ def load_bytes(raw: bytes):
         merge_mode=MERGE_SUM if mode == 0 else MERGE_MAX,
         seeds=seeds,
     )
+    row_bytes = width * ((counter_bits + 7) // 8)
+    group_count = width // 4
+    state_bytes = (group_count + 1) // 2
+    _expect_body(raw, off, rows * (row_bytes + state_bytes))
     sketch = SiameseSketch(config) if magic == MAGIC_SIAMESE else InstantMergeSketch(config)
     legal = np.zeros(16, dtype=bool)
     legal[list(LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES)] = True
     max_slot = (1 << counter_bits) - 1
     typecode = sketch._rows[0].typecode
-    row_bytes = width * sketch._rows[0].itemsize
-    group_count = width // 4
-    state_bytes = (group_count + 1) // 2
     for r in range(rows):
-        if off + row_bytes + state_bytes > len(raw):
-            raise SnapshotError("truncated", f"row {r} truncated")
         row = _read_row(typecode, raw, off, width)
         if np.frombuffer(row, dtype=typecode).max() > max_slot:
             raise SnapshotError("bad-state", f"row {r} has a slot above {max_slot}")
@@ -194,7 +192,6 @@ def load_bytes(raw: bytes):
             raise SnapshotError("bad-state", f"row {r} has an illegal state code")
         sketch._states[r] = array("B", states.tobytes())
         off += state_bytes
-    _expect_end(raw, off)
     sketch.packet_count = counts[0]
     sketch._lsb_discards = counts[1:]
     return sketch
@@ -207,9 +204,13 @@ def _config(cls, **fields):
         raise SnapshotError("bad-config", str(exc)) from exc
 
 
-def _expect_end(raw: bytes, off: int) -> None:
-    if off != len(raw):
-        raise SnapshotError("trailing-bytes", f"{len(raw) - off} bytes past the body")
+def _expect_body(raw: bytes, off: int, size: int) -> None:
+    """Check that the body the header describes, ``size`` bytes from ``off``,
+    is exactly what is left, before a sketch of that size is built."""
+    if off + size > len(raw):
+        raise SnapshotError("truncated", f"body has {len(raw) - off} of {size} bytes")
+    if off + size < len(raw):
+        raise SnapshotError("trailing-bytes", f"{len(raw) - off - size} bytes past the body")
 
 
 def save_sketch(path: str | Path, sketch) -> None:

@@ -215,7 +215,7 @@ def test_share_initialization_bounds():
         sk._rows[0][0] = 255
         sk._rows[0][1] = adj_value
         before = (sk.counter_view_at(0, 0).value, sk.counter_view_at(0, 1).value)
-        sk._share_pair(0, 0, 0)
+        sk._share(0, 0, 0)
         after = (sk.counter_view_at(0, 0).value, sk.counter_view_at(0, 1).value)
         for v, v2 in zip(before, after):
             assert v <= v2 < v + 16
@@ -259,18 +259,18 @@ def test_quad_counter_saturates():
         sk = SiameseSketch(cfg)
         key = key_bytes(keys_for_slots(sk, 0, [0])[0])
         sk._states[0][0] = GROUP_MERGED_WIDE
-        sk._write_quad(sk._rows[0], 0, top - 1)
+        sk._write(sk._rows[0], 0, 4, top - 1)
         sk.encode(key)
         assert sk.query(key) == top
         sk.encode(key)
         sk.encode(key)
         assert sk.query(key) == top  # saturating, never wraps
         stream = np.full(3, int.from_bytes(key, "little"), dtype=np.uint64)
-        sk._write_quad(sk._rows[0], 0, top - 1)
+        sk._write(sk._rows[0], 0, 4, top - 1)
         sk.encode_stream(stream)
         assert sk.query(key) == top
         # a carry out of the lowest slot is not a saturation
-        sk._write_quad(sk._rows[0], 0, (1 << bits) - 1)
+        sk._write(sk._rows[0], 0, 4, (1 << bits) - 1)
         sk.encode_stream(stream)
         assert sk.query(key) == (1 << bits) + 2
 
@@ -281,7 +281,7 @@ def test_wide_share_force_merges_lagging_sibling():
     sk = SiameseSketch(SketchConfig(rows=1, width=4, shared_bits=4, seeds=(42,)))
     k0, k2 = keys_for_slots(sk, 0, [0, 2])
     sk._states[0][0] = group_code(PAIR_MERGED, PAIR_INDEPENDENT)
-    sk._write_wide(sk._rows[0], 0, 65535)
+    sk._write(sk._rows[0], 0, 2, 65535)
     sk._rows[0][2] = 37
     sk._rows[0][3] = 11
     sk.encode(key_bytes(k0))

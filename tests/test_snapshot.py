@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,32 @@ def test_trailing_bytes():
     with pytest.raises(SnapshotError) as err:
         load_bytes(raw + b"\x00")
     assert err.value.code == "trailing-bytes"
+
+
+@pytest.mark.parametrize("magic", [b"SKSC", b"SKIM", b"SKCM"])
+def test_short_body_rejected_before_allocating(magic):
+    # a 272-byte snapshot whose header claims 4 rows of 2**24 slots is
+    # rejected from its length, without building the sketch it describes
+    bits, shared = {b"SKSC": (8, 4), b"SKIM": (8, 0), b"SKCM": (32, 0)}[magic]
+    header = struct.pack("<4sHHIBBBB", magic, 2, 4, 1 << 24, bits, shared, 0, 0)
+    raw = header + bytes(272 - len(header))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotError) as err:
+            load_bytes(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == "truncated"
+    assert peak < 1 << 20
+
+
+def test_count_min_body_length_errors_are_typed():
+    raw = dump_bytes(CountMinSketch(CountMinConfig(rows=2, width=37, seeds=(9, 10))))
+    for cut, code in ((raw[:-1], "truncated"), (raw + bytes(3), "trailing-bytes")):
+        with pytest.raises(SnapshotError) as err:
+            load_bytes(cut)
+        assert err.value.code == code
 
 
 def test_illegal_state_code_rejected():
