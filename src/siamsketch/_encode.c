@@ -1,11 +1,15 @@
-/* Batched encode of the dynamic-counter engine: one row, one chunk of slot
- * indices, in stream order.
+/* The kernel library: batched row placement and batched encode.
  *
- * This is a line-for-line port of ``DynamicSketch._encode`` and its two
- * transitions, ``_share`` and ``_fuse``, in ``sketch.py``, which stay the
- * specification; keep the two in step. The row and its group codes are the
- * sketch's own ``array.array`` buffers, updated in place. The caller
- * guarantees that every index is in ``[0, width)``.
+ * ``place`` maps a chunk of keys to their slots in one row, as
+ * ``hashing.RowHasher.index_u64`` does key by key.
+ *
+ * ``encode_row`` counts one chunk of slot indices into one row of the
+ * dynamic-counter engine, in stream order. It is a line-for-line port of
+ * ``DynamicSketch._encode`` and its two transitions, ``_share`` and
+ * ``_fuse``, in ``sketch.py``, which stay the specification; keep the two in
+ * step. The row and its group codes are the sketch's own ``array.array``
+ * buffers, updated in place. The caller guarantees that every index is in
+ * ``[0, width)``.
  *
  * Built by ``_kernel.py`` with the system C compiler and loaded with ctypes.
  */
@@ -199,4 +203,18 @@ uint64_t encode_row(void *row, int wide, uint8_t *states, const int64_t *idx, si
     for (size_t i = 0; i < n; i++)
         encode(&m, (size_t)idx[i]);
     return m.discarded;
+}
+
+/* ``n`` keys to their slots in ``[0, width)``: ``mix64(key ^ seed_state)``
+ * (``hashing.mix64``), then the high 64 bits of ``hash * width``, taken in
+ * 32-bit halves so that no product overflows; exact for ``width <= 2**32``. */
+void place(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t width, int64_t *out)
+{
+    for (size_t i = 0; i < n; i++) {
+        uint64_t z = keys[i] ^ seed_state;
+        z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+        z ^= z >> 31;
+        out[i] = (int64_t)(((z >> 32) * width + (((z & 0xFFFFFFFF) * width) >> 32)) >> 32);
+    }
 }

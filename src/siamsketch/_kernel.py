@@ -1,4 +1,9 @@
-"""Build and load the C encode kernel, ``_encode.c``, once per machine.
+"""Build and load the C kernel library, ``_encode.c``, once per machine.
+
+The library has two entry points: ``place`` hashes a chunk of keys to their
+slots in one row (``hashing.index_batch``), and ``encode_row`` counts a chunk
+of slots into one row of the dynamic-counter engine
+(``DynamicSketch._encode_batch``).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -11,8 +16,9 @@ the compiler. A library is written under a temporary name and moved into
 place, so a concurrent process never loads a partial file.
 
 Without a compiler, or when the build or the load fails, :func:`load` returns
-None after one ``RuntimeWarning`` per process, and the engine counts packets
-with its scalar ``_encode``.
+None after one ``RuntimeWarning`` per process: rows are then placed key by key
+with the scalar ``mix64`` and the engine counts packets with its scalar
+``_encode``.
 """
 
 from __future__ import annotations
@@ -79,23 +85,32 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel's ``encode_row``, built first if needed; None if it cannot
-    be built or loaded."""
+    """The kernel library, with ``place`` and ``encode_row`` declared, built
+    first if needed; None if it cannot be built or loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
         if not path.exists():
             _build(path, command)
-        fn = ctypes.CDLL(str(path)).encode_row
+        lib = ctypes.CDLL(str(path))
+        place, encode_row = lib.place, lib.encode_row
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
-            f"siamsketch: no C encode kernel ({detail}); encoding packet by packet",
+            f"siamsketch: no C encode kernel ({detail}); hashing and encoding packet by packet",
             RuntimeWarning,
             stacklevel=2,
         )
         return None
-    fn.argtypes = [
+    place.argtypes = [
+        ctypes.c_void_p,  # uint64 keys
+        ctypes.c_size_t,
+        ctypes.c_uint64,  # seed state
+        ctypes.c_uint64,  # width
+        ctypes.c_void_p,  # int64 slot indices, written
+    ]
+    place.restype = None
+    encode_row.argtypes = [
         ctypes.c_void_p,  # row slots
         ctypes.c_int,  # slots are uint16
         ctypes.c_void_p,  # group codes
@@ -105,5 +120,5 @@ def load():
         ctypes.c_int,  # shared_bits
         ctypes.c_int,  # sum mode
     ]
-    fn.restype = ctypes.c_uint64
-    return fn
+    encode_row.restype = ctypes.c_uint64
+    return lib

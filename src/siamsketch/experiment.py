@@ -297,15 +297,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     return result
 
 
-def _change_truth(keys: np.ndarray, threshold: int) -> tuple[list[int], set[int]]:
-    """(every key of the stream, the keys whose exact count changes by at
-    least ``threshold`` between the stream's two halves)."""
+def _change_truth(keys: np.ndarray, threshold: int) -> tuple[np.ndarray, set[int]]:
+    """(every key of the stream as a uint64 array, the keys whose exact count
+    changes by at least ``threshold`` between the stream's two halves)."""
     universe, inverse = np.unique(keys, return_inverse=True)
     half = len(keys) // 2
     before = np.bincount(inverse[:half], minlength=len(universe))
     after = np.bincount(inverse[half:], minlength=len(universe))
     changed = universe[np.abs(after - before) >= threshold]
-    return universe.tolist(), set(changed.tolist())
+    return universe, set(changed.tolist())
 
 
 # -- throughput ---------------------------------------------------------------

@@ -5,6 +5,11 @@ comparisons use identical placements: one seed per row, one reduction per
 table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
 
+Placement has two implementations: the scalar :class:`RowHasher`, which is
+the specification and serves the per-key entry points, and the C kernel
+library's ``place`` (``_encode.c``, loaded by ``_kernel``) behind
+:func:`index_batch`, which falls back to the scalar one without a compiler.
+
 :class:`RowSketch` is the base of every scheme. It owns the row seeds and
 hashers, the packet total, and the entry points (``encode``, ``query``
 and their ``u64`` forms, ``encode_stream``, ``query_many``, ``slot_of``); a
@@ -21,15 +26,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
+
 MASK64 = (1 << 64) - 1
 
-# Packets hashed and counted per step of ``RowSketch.encode_stream``. The
-# dynamic engine's encode kernel makes one pass over a chunk whatever its
-# size, so the size only bounds the arrays that hashing a chunk allocates. On
-# a 1.23 M-packet attacked stream (3 x 4096 slots, sc-lsb, best of 5, two
-# sweeps on a 2-core x86-64 host), chunks of 16k to 64k packets took 0.064 to
-# 0.084 s in no steady order, 128k took 0.079 to 0.090 s and 256k 0.14 to
-# 0.16 s, once the 8-byte temporaries of hashing outgrow the cache.
+# Packets placed and counted per step of ``RowSketch.encode_stream``. Both
+# kernel passes, placement and encode, make one pass over a chunk whatever its
+# size, so the size only bounds the chunk's int64 index array (8 bytes per
+# packet, 512 KB here). On a 1.23 M-packet attacked stream (3 x 4096 slots,
+# sc-lsb, best of 15, two sweeps on a 2-core x86-64 host), chunks of 8k
+# packets up to the whole stream took 0.044 to 0.054 s in no steady order.
 ENCODE_CHUNK = 1 << 16
 
 _PHI = 0x9E3779B97F4A7C15
@@ -101,23 +107,14 @@ class RowHasher:
         return (mix64((key & MASK64) ^ self._state) * self.width) >> 64
 
 
-def hash_batch(keys: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized :func:`hash_u64` over a uint64 key array."""
-    z = np.asarray(keys, dtype=np.uint64) ^ np.uint64(seed_state(seed))
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Integer keys as a contiguous uint64 array, each Python int masked to 64
-    bits as ``encode_u64`` and ``query_u64`` mask it. A sequence holding
-    anything that is not an integer (``bytes``, a float) raises TypeError;
-    a numpy array is cast as numpy casts it."""
-    if isinstance(keys, np.ndarray):
+    """Integer keys as a contiguous uint64 array, each masked to 64 bits as
+    ``encode_u64`` and ``query_u64`` mask it. Keys that are not integers
+    raise TypeError: anything but an int in a sequence (``bytes``, a float),
+    and an array whose dtype is not an integer one (float, complex, string)."""
+    if isinstance(keys, np.ndarray) and keys.dtype != object:
+        if keys.dtype.kind not in "iu":
+            raise TypeError(f"keys must be integers, not {keys.dtype}")
         return np.ascontiguousarray(keys, dtype=np.uint64)
     try:
         return np.frombuffer(array("Q", keys), dtype=np.uint64)
@@ -126,12 +123,21 @@ def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
-    """Vectorized multiply-shift placement; matches the scalar path exactly."""
-    h = hash_batch(keys, seed)
-    w = np.uint64(width)
-    hi = h >> np.uint64(32)
-    lo = h & np.uint64(0xFFFFFFFF)
-    return ((hi * w + ((lo * w) >> np.uint64(32))) >> np.uint64(32)).astype(np.int64)
+    """The slot of every key (see :func:`u64_keys`) in a row of ``width``
+    slots hashed with ``seed``, as an int64 array: ``RowHasher(seed,
+    width).index_u64`` of each key, exactly. The kernel library's ``place``
+    computes it; where the library cannot be built, every key goes through
+    the scalar ``index_u64``, after the loader's one ``RuntimeWarning``."""
+    if not 0 < width <= 1 << 32:
+        raise ValueError("width must be in [1, 2**32]")
+    keys = u64_keys(keys)
+    lib = _kernel.load()
+    if lib is None:
+        index = RowHasher(seed, width).index_u64
+        return np.array([index(k) for k in keys.tolist()], dtype=np.int64)
+    out = np.empty(len(keys), dtype=np.int64)
+    lib.place(keys.ctypes.data, len(keys), seed_state(seed), width, out.ctypes.data)
+    return out
 
 
 class RowSketch:
@@ -145,10 +151,10 @@ class RowSketch:
     slot as a uint64 array. ``config`` needs ``rows``, ``width`` and one seed
     per row.
 
-    ``encode_stream`` hashes and counts the stream ``ENCODE_CHUNK`` packets at
-    a time, so no whole-stream index array is ever held. ``query_many``
-    decodes each row once into a table, answers every key with one gather per
-    row and takes the minimum over rows.
+    ``encode_stream`` places (:func:`index_batch`) and counts the stream
+    ``ENCODE_CHUNK`` packets at a time, so no whole-stream index array is
+    ever held. ``query_many`` decodes each row once into a table, answers
+    every key with one gather per row and takes the minimum over rows.
     """
 
     def __init__(self, config) -> None:

@@ -13,11 +13,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .hashing import u64_keys
 from .oracle import ExactCounter
 
 
-def _as_batch(keys: list) -> Sequence[Hashable]:
+def _as_batch(keys: list | np.ndarray) -> Sequence[Hashable]:
     """Integer keys (Python ints, numpy integers) converted once to the uint64
     array ``query_many`` takes; a list with any ``bytes`` among them as is."""
     try:
@@ -87,16 +89,21 @@ def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
 def detect_changes(
     sketch_t1, sketch_t2, keys: Iterable[Hashable], threshold: int
 ) -> set:
-    """Keys whose value changed by at least ``threshold`` across two windows."""
+    """Keys whose value changed by at least ``threshold`` across two windows.
+    Keys given as a numpy array come back as Python ints."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if type(sketch_t1) is not type(sketch_t2) or sketch_t1.config != sketch_t2.config:
         raise ValueError("window sketches must share scheme and config")
-    keys = list(keys)
+    if not isinstance(keys, np.ndarray):
+        keys = list(keys)
     batch = _as_batch(keys)
     before = _query_keys(sketch_t1, batch)
     after = _query_keys(sketch_t2, batch)
-    return {k for k, a, b in zip(keys, before, after) if abs(b - a) >= threshold}
+    hits = [i for i, (a, b) in enumerate(zip(before, after)) if abs(b - a) >= threshold]
+    if isinstance(keys, np.ndarray):
+        return set(keys[hits].tolist())
+    return {keys[i] for i in hits}
 
 
 def threshold_from_fraction(fraction: float, total_packets: int) -> int:

@@ -79,20 +79,24 @@ The batched paths use the same buffers in place (the encode kernel through
 their addresses, ``_decode_row`` through zero-copy numpy views), so the
 kernel's writes land in the rows the scalar code reads.
 
-Batched encode (``_encode_batch``, one chunk of slot indices per row): the
-state machine is inherently sequential, since a packet can change its
-group's state and so how the next packet to that group counts. A C kernel
-(``_encode.c``, built and loaded by ``_kernel``) therefore walks the chunk in
-stream order and runs a line-for-line port of ``_encode``, ``_share`` and
-``_fuse`` on the row buffers, returning the content its share
-initializations dropped, so rows, group codes and ``lsb_discard`` end
-exactly as per-packet ``_encode`` leaves them. ``_encode`` stays the
-specification: it is the readable form of the lifecycle above, the tests
-compare the kernel against it, and it is the fallback. Where the kernel
-cannot be built (no C compiler), ``_encode_batch`` calls ``_encode`` for each
-packet, after one ``RuntimeWarning``: the same result, about 25 times
-slower on an attacked stream. ``_decode_row`` decodes a whole row at once
-with numpy for ``query_many``.
+Batched encode (``encode_stream``): per chunk and row, ``hashing.index_batch``
+places the keys and ``_encode_batch`` counts the slots, both in the C kernel
+library (``_encode.c``, built and loaded by ``_kernel``); placement stays its
+own pass because ``query_many`` and Count-Min use it too, and fusing it into
+the count was no faster. The state machine is inherently sequential, since a
+packet can change its group's state and so how the next packet to that group
+counts. The library's ``encode_row`` therefore walks the chunk in stream
+order and runs a line-for-line port of ``_encode``, ``_share`` and ``_fuse``
+on the row buffers, returning the content its share initializations dropped,
+so rows, group codes and ``lsb_discard`` end exactly as per-packet
+``_encode`` leaves them. ``_encode`` stays the specification: it is the
+readable form of the lifecycle above, the tests compare the kernel against
+it, and it is the fallback. Where the library cannot be built (no C
+compiler), placement goes key by key through the scalar ``mix64`` and
+``_encode_batch`` calls ``_encode`` per packet, after one ``RuntimeWarning``:
+the same result, about 100 times slower on an attacked stream.
+``_decode_row`` decodes a whole row at once with numpy for ``query_many``
+and ``row_total``.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel
-from .hashing import RowSketch, derive_seeds
+from .hashing import MASK64, RowSketch, derive_seeds
 
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
@@ -252,14 +256,14 @@ class DynamicSketch(RowSketch):
         """Count a chunk of packets, given by slot (each in ``[0, width)``),
         in stream order, exactly as ``_encode`` would one by one: with the C
         kernel when it could be built, else with ``_encode`` itself."""
-        encode_row = _kernel.load()
-        if encode_row is None:
+        lib = _kernel.load()
+        if lib is None:
             for slot in idx.tolist():
                 self._encode(row_idx, slot)
             return
         row = self._rows[row_idx]
         idx = np.ascontiguousarray(idx, dtype=np.int64)
-        self._lsb_discards[row_idx] += encode_row(
+        self._lsb_discards[row_idx] += lib.encode_row(
             row.buffer_info()[0],
             row.itemsize == 2,
             self._states[row_idx].buffer_info()[0],
@@ -381,11 +385,15 @@ class DynamicSketch(RowSketch):
         joint = ((slots[first] & hmask) << hk) | (slots[first + span] & hmask)
         return ((value >> hk) << self._k) | joint
 
+    def _unit_row(self, row_idx: int) -> np.ndarray:
+        """``_unit`` of every slot of one row."""
+        codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
+        return _UNITS[(np.repeat(codes, 4) << 1) | self._pair_bit]
+
     def _decode_row(self, row_idx: int) -> np.ndarray:
         """``_decode`` of every slot of one row, as a uint64 array."""
         row = np.frombuffer(self._rows[row_idx], dtype=self._typecode)
-        codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
-        unit = _UNITS[(np.repeat(codes, 4) << 1) | self._pair_bit]
+        unit = self._unit_row(row_idx)
         s, hk, k, hmask = (np.uint64(x) for x in (self._s, self._hk, self._k, self._hmask))
         r = row.astype(np.uint64)
         lo, hi = r[0::2], r[1::2]
@@ -449,16 +457,16 @@ class DynamicSketch(RowSketch):
         packets encoded, exactly: the only content ever dropped is the smaller
         low part at each share initialization.
         """
-        total = 0
-        slot = 0
-        while slot < self._w:
-            unit = self._unit(row, slot)
-            span = 1 << (unit >> 1)
-            value = self._decode(row, slot)
-            # both members of a shared pair decode with the joint; count it once
-            total += value & ~self._kmask if unit & 1 and slot & span else value
-            slot += span
-        return total
+        unit = self._unit_row(row)
+        span = 1 << (unit >> 1)
+        slot = np.arange(self._w)
+        values = self._decode_row(row)
+        # both members of a shared pair decode with the joint; count it once,
+        # with the first member
+        second = (unit & 1 == 1) & (slot & span != 0)
+        values[second] &= np.uint64(~self._kmask & MASK64)
+        # a counter is counted at its first slot; the sum is exact in Python ints
+        return sum(values[slot & (span - 1) == 0].tolist())
 
     def lsb_discard(self, row: int) -> int:
         """Content dropped in this row by share initializations (diagnostic)."""

@@ -69,10 +69,11 @@ def plant_state(sketch, rng: np.random.Generator) -> None:
 
 @contextmanager
 def kernel_unbuildable(active: bool = True):
-    """Make the encode kernel's loader fail inside the block, as it does on a
-    machine with no compiler: an empty library cache and a compiler that does
-    not exist. Yields the warnings raised in the block. With ``active``
-    false the kernel loads as usual."""
+    """Make the kernel library's loader fail inside the block, as it does on
+    a machine with no compiler, so that placement and encode both take their
+    scalar fallbacks: an empty library cache and a compiler that does not
+    exist. Yields the warnings raised in the block. With ``active`` false the
+    library loads as usual."""
     with (
         pytest.MonkeyPatch.context() as mp,
         tempfile.TemporaryDirectory() as cache,

@@ -1,8 +1,9 @@
 """The batched paths against the scalar state machine, which is the spec.
 
-``encode_stream`` hashes each chunk with numpy and counts it with the C
-encode kernel, a port of ``_encode``, or, where the kernel cannot be built,
-with ``_encode`` itself; ``query_many`` reads decoded-row tables. Both
+``encode_stream`` places each chunk with the kernel library's ``place`` and
+counts it with its ``encode_row``, a port of ``_encode``, or, where the
+library cannot be built, with the scalar ``mix64`` and ``_encode`` itself;
+``query_many`` reads decoded-row tables. Both
 encode paths and the query must leave and report exactly what per-packet
 ``encode_u64`` and per-key ``query_u64`` do, in every group state and at
 every counter width. The kernel's build, cache and fallback are tested here

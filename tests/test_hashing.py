@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,7 +14,6 @@ from siamsketch import (
 from siamsketch.hashing import (
     RowHasher,
     derive_seeds,
-    hash_batch,
     hash_bytes,
     hash_u64,
     index_batch,
@@ -22,7 +21,7 @@ from siamsketch.hashing import (
 )
 from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 
-from conftest import plant_state
+from conftest import kernel_unbuildable, plant_state
 
 
 def test_width_one_always_zero():
@@ -68,13 +67,25 @@ def test_long_keys_fold():
     seed=st.integers(0, 2**32),
     width=st.integers(1, 100_000),
 )
+@example(keys=[1], seed=0, width=1)
+@example(keys=[1], seed=0, width=100_000)
+@example(keys=[1], seed=3, width=65_536)
+@example(keys=[1], seed=3, width=99_991)
+@example(keys=list(range(64)), seed=3, width=2**32 - 1)
 def test_batch_matches_scalar(keys, seed, width):
+    # with the kernel library's place and with the scalar fallback; the
+    # extreme keys go into every draw. The reduction's carry from the low
+    # half of the product changes about width / 2**32 of the slots, so the
+    # widest row is drawn too.
+    keys = [0, *keys, 2**64 - 1]
     arr = np.array(keys, dtype=np.uint64)
     h = RowHasher(seed, width)
-    batched = index_batch(arr, seed, width).tolist()
-    assert batched == [h.index_u64(k) for k in keys]
-    hashed = hash_batch(arr, seed).tolist()
-    assert hashed == [hash_u64(k, seed) for k in keys]
+    expected = [h.index_u64(k) for k in keys]
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            batched = index_batch(arr, seed, width)
+        assert batched.dtype == np.int64
+        assert batched.tolist() == expected
 
 
 def test_uniformity_chi_square():
@@ -116,6 +127,13 @@ def test_mix64_avalanche_smoke():
 def test_invalid_width():
     with pytest.raises(ValueError):
         RowHasher(seed=0, width=0)
+    # the batched reduction is exact up to 2**32 slots
+    for width in (0, -4, 2**32 + 1):
+        with pytest.raises(ValueError):
+            index_batch(np.arange(3, dtype=np.uint64), 0, width)
+    assert index_batch(np.array([2**64 - 1], dtype=np.uint64), 5, 2**32).tolist() == [
+        RowHasher(5, 2**32).index_u64(2**64 - 1)
+    ]
 
 
 def test_query_many_matches_query_u64_for_every_scheme():
@@ -164,3 +182,10 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     assert batched.query_many([-1]) == [1]
     with pytest.raises(TypeError):
         batched.query_many([5, b"12"])
+    # an array of non-integers is refused, not cast: floats would truncate
+    for bad in (np.array([1.5, 1.9, 2.2]), np.array([1 + 2j]), np.array(["1", "2"])):
+        with pytest.raises(TypeError):
+            batched.encode_stream(bad)
+        with pytest.raises(TypeError):
+            batched.query_many(bad)
+    assert batched._rows == scalar._rows

@@ -206,10 +206,11 @@ def test_apps_treat_int_bytes_and_numpy_keys_alike():
     rng = np.random.default_rng(4)
     cfg = SketchConfig(rows=2, width=16, counter_bits=4, shared_bits=2, seeds=(1, 2))
     s1, s2 = SiameseSketch(cfg), SiameseSketch(cfg)
-    ints = rng.integers(0, 1 << 64, size=30, dtype=np.uint64).tolist()
-    s1.encode_stream(rng.choice(ints, size=3000))
-    s2.encode_stream(rng.choice(ints[:10], size=3000))
-    forms = (ints, [key_bytes(k) for k in ints], [np.uint64(k) for k in ints])
+    pool = rng.integers(0, 1 << 64, size=30, dtype=np.uint64)
+    ints = pool.tolist()
+    s1.encode_stream(rng.choice(pool, size=3000))
+    s2.encode_stream(rng.choice(pool[:10], size=3000))
+    forms = (ints, [key_bytes(k) for k in ints], [np.uint64(k) for k in ints], pool)
     for keys in forms:
         back = dict(zip(keys, ints))
         assert estimate_fsd(s1, keys) == estimate_fsd(s1, ints)
@@ -219,6 +220,9 @@ def test_apps_treat_int_bytes_and_numpy_keys_alike():
         assert {back[k] for k in detect_changes(s1, s2, keys, 60)} == detect_changes(
             s1, s2, ints, 60
         )
+    # an array universe is queried as it is and the detected keys come back as
+    # Python ints
+    assert all(type(k) is int for k in detect_changes(s1, s2, pool, 60))
 
 
 def test_change_detection_config_mismatch():

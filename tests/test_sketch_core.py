@@ -8,14 +8,15 @@ from siamsketch import (
     PAIR_MERGED,
     PAIR_SHARED,
     ExactCounter,
+    InstantMergeSketch,
     SiameseSketch,
     SketchConfig,
     group_code,
     pair_states,
 )
-from siamsketch.sketch import GROUP_COUNTER_COUNT
+from siamsketch.sketch import GROUP_COUNTER_COUNT, LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
-from conftest import collision_free_keys, key_bytes, keys_for_slots
+from conftest import collision_free_keys, key_bytes, keys_for_slots, plant_state
 
 
 # -- configuration ------------------------------------------------------------
@@ -343,6 +344,38 @@ def test_row_total_conservation_with_tracked_discards():
         if mode == "sum":
             for r in range(2):
                 assert sk.row_total(r) + sk.lsb_discard(r) == n
+
+
+def walked_row_total(sk, row: int) -> int:
+    """A row's total summed counter by counter through ``counter_view_at``:
+    the joint of a shared pair goes with its first member."""
+    total, slot = 0, 0
+    while slot < sk.config.width:
+        ref, _ = sk.find_counter_at(row, slot)
+        view = sk.counter_view_at(row, slot)
+        second = ref.shared and ref.start & ref.span
+        total += view.msb_value << sk.config.shared_bits if second else view.value
+        slot = ref.start + ref.span
+    return total
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch])
+@pytest.mark.parametrize("mode", ["sum", "max"])
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_row_total_matches_a_counter_walk(bits, mode, cls):
+    rng = np.random.default_rng(bits)
+    cfg = SketchConfig(
+        rows=2, width=512, counter_bits=bits, shared_bits=bits // 2, merge_mode=mode, seeds=(3, 4)
+    )
+    sk = cls(cfg)
+    plant_state(sk, rng)
+    legal = LEGAL_GROUP_STATES if sk.config.shared_bits else UNSHARED_GROUP_STATES
+    assert all(set(states) == legal for states in sk._states)
+    # as planted, then after packets that cross counter limits at every level
+    for _ in range(2):
+        for r in range(cfg.rows):
+            assert sk.row_total(r) == walked_row_total(sk, r)
+        sk.encode_stream(rng.integers(0, 1 << 64, size=2000, dtype=np.uint64))
 
 
 def test_states_monotone_and_legal():
