@@ -154,7 +154,10 @@ class RowSketch:
     ``encode_stream`` places (:func:`index_batch`) and counts the stream
     ``ENCODE_CHUNK`` packets at a time, so no whole-stream index array is
     ever held. ``query_many`` decodes each row once into a table, answers
-    every key with one gather per row and takes the minimum over rows.
+    every key with one gather per row and takes the minimum over rows; the
+    private ``_query_array`` returns that minimum as a uint64 array, for
+    callers that go on computing on it (the experiment's metrics), and
+    ``query_many`` is its ``tolist()``.
     """
 
     def __init__(self, config) -> None:
@@ -209,12 +212,16 @@ class RowSketch:
 
     def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
         """:meth:`query_u64` of every key, as a list of Python ints."""
+        return self._query_array(keys).tolist()
+
+    def _query_array(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+        """:meth:`query_u64` of every key, as a uint64 array."""
         keys = u64_keys(keys)
         best = None
         for r, seed in enumerate(self.config.seeds):
             vals = self._decode_row(r)[index_batch(keys, seed, self._w)]
             best = vals if best is None else np.minimum(best, vals)
-        return best.tolist()
+        return best.astype(np.uint64, copy=False)
 
     def slot_of(self, row: int, key: bytes) -> int:
         return self._hashers[row].index(key)

@@ -2,13 +2,28 @@
 
 All applications enumerate the key universe from the exact oracle (sketches
 are not invertible) and query the sketch for every key: in one
-``query_many`` call when the keys are integers, per key when some are bytes.
-Detection thresholds are inclusive: a flow whose value reaches the threshold
-is reported.
+``_query_array`` call when the keys are integers, per key when some are
+bytes. Detection thresholds are inclusive: a flow whose value reaches the
+threshold is reported. Keys given as a numpy array come back as Python ints.
+
+The error metrics take lists or numpy arrays alike and give the same value
+for both; for integers it is the one the per-flow Python arithmetic gives,
+bit for bit. Integers whose magnitudes all stay below 2**30 are computed in
+int64, so every difference and every square is exact (larger integers are
+computed on Python ints). Converting such an int64 to float64 is exact too,
+and float64 division is correctly rounded, as Python's ``int / int`` is. The
+per-flow terms are then summed with ``math.fsum``, which is correctly
+rounded and so independent of order.
+
+``FlowSizeDistribution.from_sizes`` keeps its size classes in the order each
+size first occurs, as a dict filled flow by flow does: ``metric_wmre`` and
+``estimate_entropy`` add floats in that order, so the order is part of the
+value they return.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
@@ -18,92 +33,154 @@ import numpy as np
 from .hashing import u64_keys
 from .oracle import ExactCounter
 
+# Integers of smaller magnitude are computed in int64: their differences
+# stay below 2**31 and the squares of those below 2**62.
+_INT64_SAFE = 1 << 30
 
-def _as_batch(keys: list | np.ndarray) -> Sequence[Hashable]:
-    """Integer keys (Python ints, numpy integers) converted once to the uint64
-    array ``query_many`` takes; a list with any ``bytes`` among them as is."""
+
+def _exact_arrays(*values) -> tuple[np.ndarray, ...]:
+    """``values`` as arrays whose element-wise arithmetic matches Python's:
+    integers of magnitude below 2**30 as int64, floats as they are, and
+    everything as Python numbers (object arrays) should any input hold larger
+    integers or Python objects already."""
+    arrays = [v if isinstance(v, np.ndarray) else _sequence_array(v) for v in values]
+    ints = [a.dtype.kind in "biu" for a in arrays]
+    if any(
+        a.dtype == object or (i and a.size and not (-_INT64_SAFE < a.min() and a.max() < _INT64_SAFE))
+        for a, i in zip(arrays, ints)
+    ):
+        return tuple(a.astype(object) for a in arrays)
+    return tuple(a.astype(np.int64, copy=False) if i else a for a, i in zip(arrays, ints))
+
+
+def _sequence_array(values: Sequence) -> np.ndarray:
+    """A sequence as an array, or as Python numbers (an object array) where
+    numpy would turn integers into floats: it does for a mix of ints and
+    floats, and for ints on both sides of 2**63."""
+    a = np.asarray(values)
+    if a.dtype.kind == "f" and any(isinstance(v, (int, np.integer)) for v in values):
+        return np.array(values, dtype=object)
+    return a
+
+
+def _flow_arrays(truths, estimates) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_exact_arrays` of one value per flow, checked to be non-empty
+    and of equal length."""
+    t, e = _exact_arrays(truths, estimates)
+    if len(t) != len(e):
+        raise ValueError("length mismatch")
+    if not len(t):
+        raise ValueError("empty input")
+    return t, e
+
+
+def _as_batch(keys: Iterable[Hashable]) -> tuple[list | np.ndarray, list | np.ndarray]:
+    """(the keys, as the numpy array they came in or as a list; the batch
+    that queries them: integer keys (Python ints, numpy integers) converted
+    once to the uint64 array ``_query_array`` takes, or the list itself when
+    some are ``bytes``)."""
+    if not isinstance(keys, np.ndarray):
+        keys = list(keys)
     try:
-        return u64_keys(keys)
+        return keys, u64_keys(keys)
     except TypeError:
-        return keys
+        return keys, keys
 
 
-def _query_keys(sketch, batch) -> list[int]:
-    """The sketch's value for every key of an ``_as_batch`` result, in order:
-    one ``query_many`` for an array, key by key for a list."""
+def _query_keys(sketch, batch: list | np.ndarray) -> np.ndarray:
+    """The sketch's value for every key of an ``_as_batch`` batch, in order,
+    as a uint64 array: one ``_query_array`` for an array, key by key for a
+    list."""
     if not isinstance(batch, list):
-        return sketch.query_many(batch)
-    return [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in batch]
+        return sketch._query_array(batch)
+    values = [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in batch]
+    return np.array(values, dtype=np.uint64)
+
+
+def _selected(keys: list | np.ndarray, mask: np.ndarray) -> set:
+    """The keys where ``mask`` holds: Python ints for a numpy array of keys,
+    the given objects for a list."""
+    if isinstance(keys, np.ndarray):
+        return set(keys[mask].tolist())
+    return set(itertools.compress(keys, mask.tolist()))
 
 
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:
     """Average relative error: mean of ``|f - f_hat| / f``."""
-    if len(truths) != len(estimates):
-        raise ValueError("length mismatch")
-    if not truths:
-        raise ValueError("empty input")
-    if any(t <= 0 for t in truths):
+    t, e = _flow_arrays(truths, estimates)
+    if (t <= 0).any():
         raise ValueError("truths must be positive")
-    return math.fsum(abs(t - e) / t for t, e in zip(truths, estimates)) / len(truths)
+    return math.fsum((abs(t - e) / t).tolist()) / len(t)
 
 
 def metric_rmse(truths: Sequence[float], estimates: Sequence[float]) -> float:
     """Root of the mean squared error."""
-    if len(truths) != len(estimates):
-        raise ValueError("length mismatch")
-    if not truths:
-        raise ValueError("empty input")
-    return math.sqrt(
-        math.fsum((t - e) ** 2 for t, e in zip(truths, estimates)) / len(truths)
+    t, e = _flow_arrays(truths, estimates)
+    d = t - e
+    return math.sqrt(math.fsum((d * d).tolist()) / len(t))
+
+
+def _scores(hit: int, detected: int, truth: int) -> tuple[float, float]:
+    """(F1, recall) of ``hit`` correct detections among ``detected`` against
+    ``truth`` true items. Recall is 1 when nothing is true; F1 is 0 then, and
+    whenever nothing correct is detected."""
+    precision = hit / detected if detected else 0.0
+    recall = hit / truth if truth else 1.0
+    if precision == 0.0:
+        return 0.0, recall
+    return 2.0 * precision * recall / (precision + recall), recall
+
+
+def _mask_scores(detected: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """:func:`_scores` of two boolean masks over one key array."""
+    return _scores(
+        int(np.count_nonzero(detected & truth)),
+        int(np.count_nonzero(detected)),
+        int(np.count_nonzero(truth)),
     )
 
 
 def metric_f1(detected: set, truth: set) -> float:
     """F1 of a detected set against the true set; 0 when both are undefined."""
-    hit = len(detected & truth)
-    precision = hit / len(detected) if detected else 0.0
-    recall = hit / len(truth) if truth else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return _scores(len(detected & truth), len(detected), len(truth))[0]
 
 
 def recall_of(detected: set, truth: set) -> float:
-    if not truth:
-        return 1.0
-    return len(detected & truth) / len(truth)
+    """Share of the true set that is detected; 1 when the true set is empty."""
+    return _scores(len(detected & truth), len(detected), len(truth))[1]
 
 
 def detect_heavy_hitters(sketch, keys: Iterable[Hashable], threshold: int) -> set:
     """Keys whose sketch value reaches ``threshold`` (inclusive)."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    keys = list(keys)
-    return {k for k, v in zip(keys, _query_keys(sketch, _as_batch(keys))) if v >= threshold}
+    keys, batch = _as_batch(keys)
+    return _selected(keys, _query_keys(sketch, batch) >= threshold)
 
 
 def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
     return {k for k, c in oracle.flows() if c >= threshold}
 
 
+def _changed(before: np.ndarray, after: np.ndarray, threshold: int) -> np.ndarray:
+    """Mask of the places where ``after`` differs from ``before`` by at least
+    ``threshold``."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    before, after = _exact_arrays(before, after)
+    return abs(after - before) >= threshold
+
+
 def detect_changes(
     sketch_t1, sketch_t2, keys: Iterable[Hashable], threshold: int
 ) -> set:
-    """Keys whose value changed by at least ``threshold`` across two windows.
-    Keys given as a numpy array come back as Python ints."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    """Keys whose value changed by at least ``threshold`` across two windows."""
     if type(sketch_t1) is not type(sketch_t2) or sketch_t1.config != sketch_t2.config:
         raise ValueError("window sketches must share scheme and config")
-    if not isinstance(keys, np.ndarray):
-        keys = list(keys)
-    batch = _as_batch(keys)
-    before = _query_keys(sketch_t1, batch)
-    after = _query_keys(sketch_t2, batch)
-    hits = [i for i, (a, b) in enumerate(zip(before, after)) if abs(b - a) >= threshold]
-    if isinstance(keys, np.ndarray):
-        return set(keys[hits].tolist())
-    return {keys[i] for i in hits}
+    keys, batch = _as_batch(keys)
+    return _selected(
+        keys, _changed(_query_keys(sketch_t1, batch), _query_keys(sketch_t2, batch), threshold)
+    )
 
 
 def threshold_from_fraction(fraction: float, total_packets: int) -> int:
@@ -120,11 +197,16 @@ class FlowSizeDistribution:
     counts: dict[int, int] = field(default_factory=dict)
 
     @classmethod
-    def from_sizes(cls, sizes: Iterable[int]) -> "FlowSizeDistribution":
-        counts: dict[int, int] = {}
-        for s in sizes:
-            counts[s] = counts.get(s, 0) + 1
-        return cls(counts)
+    def from_sizes(cls, sizes: Iterable[int] | np.ndarray) -> "FlowSizeDistribution":
+        """Histogram of a sequence or array of sizes, its sizes (Python
+        numbers) in the order each first occurs."""
+        if not isinstance(sizes, np.ndarray):
+            sizes = _sequence_array(list(sizes))
+        uniq, inverse, counts = np.unique(sizes, return_inverse=True, return_counts=True)
+        first = np.full(len(uniq), len(sizes), dtype=np.intp)
+        np.minimum.at(first, inverse, np.arange(len(sizes)))
+        order = np.argsort(first)
+        return cls(dict(zip(uniq[order].tolist(), counts[order].tolist())))
 
     @property
     def total_flows(self) -> int:
@@ -139,7 +221,7 @@ class FlowSizeDistribution:
 
 
 def estimate_fsd(sketch, keys: Iterable[Hashable]) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(_query_keys(sketch, _as_batch(list(keys))))
+    return FlowSizeDistribution.from_sizes(_query_keys(sketch, _as_batch(keys)[1]))
 
 
 def true_fsd(oracle: ExactCounter) -> FlowSizeDistribution:

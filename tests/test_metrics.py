@@ -23,6 +23,7 @@ from siamsketch import (
     true_fsd,
     true_heavy_hitters,
 )
+from siamsketch.metrics import _mask_scores, recall_of
 
 from conftest import collision_free_keys, key_bytes
 from reference_impls import ref_are, ref_entropy, ref_f1, ref_re, ref_rmse, ref_wmre
@@ -55,8 +56,78 @@ def test_rmse_cases():
 def test_f1_cases():
     assert metric_f1({1, 2}, {1, 2}) == 1.0
     assert metric_f1(set(), set()) == 0.0
+    assert metric_f1({1}, set()) == 0.0
     assert metric_f1({1}, {2}) == 0.0
     assert metric_f1({1, 2, 3, 4}, {1, 2}) == pytest.approx(2 * (1 / 2) / (3 / 2))
+    assert recall_of(set(), set()) == recall_of({1}, set()) == 1.0
+    assert recall_of({1, 5}, {1, 2, 3, 4}) == 0.25
+
+
+def test_mask_scores_match_the_set_scores():
+    # the experiment scores boolean masks over one key array
+    rng = np.random.default_rng(11)
+    keys = np.arange(40)
+    for _ in range(200):
+        detected, truth = rng.random(40) < rng.random(), rng.random(40) < rng.random()
+        sets = set(keys[detected].tolist()), set(keys[truth].tolist())
+        assert _mask_scores(detected, truth) == (metric_f1(*sets), recall_of(*sets))
+
+
+def test_error_metrics_take_lists_and_arrays_alike():
+    rng = np.random.default_rng(5)
+    truths = rng.integers(1, 5000, size=400)
+    estimates = np.maximum(truths + rng.integers(-40, 300, size=400), 0)
+    # integer input gives exactly what per-flow Python arithmetic gives
+    tl, el = truths.tolist(), estimates.tolist()
+    assert metric_are(truths, estimates.astype(np.uint64)) == math.fsum(
+        abs(a - b) / a for a, b in zip(tl, el)
+    ) / len(tl)
+    assert metric_rmse(truths, estimates.astype(np.uint64)) == math.sqrt(
+        math.fsum((a - b) ** 2 for a, b in zip(tl, el)) / len(tl)
+    )
+    for t, e in ((truths, estimates), (truths.astype(float), estimates.astype(float))):
+        forms = [
+            (t.tolist(), e.tolist()),
+            (t, e),
+            (t.tolist(), e),
+            (t, e.astype(np.uint64) if e.dtype.kind == "i" else e),
+        ]
+        want = (ref_are(t.tolist(), e.tolist()), ref_rmse(t.tolist(), e.tolist()))
+        for ft, fe in forms:
+            assert (metric_are(ft, fe), metric_rmse(ft, fe)) == pytest.approx(want, rel=1e-12)
+        got = {(metric_are(ft, fe), metric_rmse(ft, fe)) for ft, fe in forms}
+        assert len(got) == 1
+    # values past int64's exact range are computed on Python ints
+    big = [2**62, 2**63 + 5]
+    assert metric_are(big, [2**62 + 1, 2**63]) == (1 / 2**62 + 5 / (2**63 + 5)) / 2
+    assert metric_are(np.array(big, dtype=np.uint64), [2**62 + 1, 2**63]) == metric_are(
+        big, [2**62 + 1, 2**63]
+    )
+    assert metric_rmse([0], [2**40]) == 2.0**40
+    for args in (([], []), (np.array([]), np.array([]))):
+        for metric in (metric_are, metric_rmse):
+            with pytest.raises(ValueError, match="empty"):
+                metric(*args)
+    for metric in (metric_are, metric_rmse):
+        with pytest.raises(ValueError, match="length"):
+            metric(np.array([1, 2]), np.array([1]))
+    with pytest.raises(ValueError, match="positive"):
+        metric_are(np.array([1, 0]), np.array([1, 3]))
+
+
+def test_fsd_from_lists_and_arrays_alike():
+    sizes = [3, 1, 3, 7, 1, 3, 2]
+    want = {3: 3, 1: 2, 7: 1, 2: 1}
+    for form in (sizes, np.array(sizes), np.array(sizes, dtype=np.uint64), iter(sizes)):
+        fsd = FlowSizeDistribution.from_sizes(form)
+        assert fsd.counts == want
+        assert list(fsd.counts) == [3, 1, 7, 2]  # first-seen order
+        assert all(type(k) is int and type(c) is int for k, c in fsd.counts.items())
+    floats = FlowSizeDistribution.from_sizes(np.array(sizes, dtype=float))
+    assert floats.counts == want and list(floats.counts) == [3, 1, 7, 2]
+    assert FlowSizeDistribution.from_sizes(np.array([], dtype=np.int64)).counts == {}
+    assert FlowSizeDistribution.from_sizes([2**63 + 1, 5, 2**63 + 1]).counts == {2**63 + 1: 2, 5: 1}
+    assert FlowSizeDistribution.from_sizes([]).counts == {}
 
 
 def test_wmre_cases():
@@ -221,8 +292,10 @@ def test_apps_treat_int_bytes_and_numpy_keys_alike():
             s1, s2, ints, 60
         )
     # an array universe is queried as it is and the detected keys come back as
-    # Python ints
-    assert all(type(k) is int for k in detect_changes(s1, s2, pool, 60))
+    # Python ints, from every app that returns keys
+    for detected in (detect_changes(s1, s2, pool, 60), detect_heavy_hitters(s1, pool, 150)):
+        assert detected and all(type(k) is int for k in detected)
+    assert all(type(k) is int for k in detect_heavy_hitters(s1, np.arange(5, dtype=np.uint64), 1))
 
 
 def test_change_detection_config_mismatch():
