@@ -24,10 +24,17 @@ from .baselines import (
 from .experiment import (
     ExperimentSpec,
     ExperimentResult,
-    bench_throughput,
     run_experiment,
 )
-from .hashing import RowHasher, derive_seeds, hash_bytes, hash_u64, index_batch, mix64
+from .hashing import (
+    RowHasher,
+    derive_seeds,
+    hash_batch,
+    hash_bytes,
+    hash_u64,
+    index_batch,
+    mix64,
+)
 from .metrics import (
     FlowSizeDistribution,
     detect_changes,

@@ -1,7 +1,10 @@
-/* The kernel library: batched row placement and batched encode.
+/* The kernel library: batched hashing, batched row placement and batched
+ * encode.
  *
- * ``place`` maps a chunk of keys to their slots in one row, as
- * ``hashing.RowHasher.index_u64`` does key by key.
+ * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
+ * does key by key. ``place`` maps a chunk of keys to their slots in one row,
+ * as ``hashing.RowHasher.index_u64`` does key by key. Both share one
+ * ``mix64``.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It is a line-for-line port of
@@ -205,16 +208,28 @@ uint64_t encode_row(void *row, int wide, uint8_t *states, const int64_t *idx, si
     return m.discarded;
 }
 
-/* ``n`` keys to their slots in ``[0, width)``: ``mix64(key ^ seed_state)``
- * (``hashing.mix64``), then the high 64 bits of ``hash * width``, taken in
- * 32-bit halves so that no product overflows; exact for ``width <= 2**32``. */
+/* ``hashing.mix64``: the finalising avalanche over 64 bits. */
+static inline uint64_t mix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
+    return z ^ (z >> 31);
+}
+
+/* ``n`` keys to their 64-bit hashes, ``mix64(key ^ seed_state)``. */
+void hash_keys(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t *out)
+{
+    for (size_t i = 0; i < n; i++)
+        out[i] = mix64(keys[i] ^ seed_state);
+}
+
+/* ``n`` keys to their slots in ``[0, width)``: ``mix64(key ^ seed_state)``,
+ * then the high 64 bits of ``hash * width``, taken in 32-bit halves so that
+ * no product overflows; exact for ``width <= 2**32``. */
 void place(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t width, int64_t *out)
 {
     for (size_t i = 0; i < n; i++) {
-        uint64_t z = keys[i] ^ seed_state;
-        z = (z ^ (z >> 30)) * UINT64_C(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)) * UINT64_C(0x94D049BB133111EB);
-        z ^= z >> 31;
+        uint64_t z = mix64(keys[i] ^ seed_state);
         out[i] = (int64_t)(((z >> 32) * width + (((z & 0xFFFFFFFF) * width) >> 32)) >> 32);
     }
 }

@@ -1,8 +1,9 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has two entry points: ``place`` hashes a chunk of keys to their
-slots in one row (``hashing.index_batch``), and ``encode_row`` counts a chunk
-of slots into one row of the dynamic-counter engine
+The library has three entry points: ``hash_keys`` hashes a chunk of keys
+under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
+their slots in one row (``hashing.index_batch``), and ``encode_row`` counts a
+chunk of slots into one row of the dynamic-counter engine
 (``DynamicSketch._encode_batch``).
 
 The kernel is compiled with the C compiler Python was built with
@@ -16,9 +17,9 @@ the compiler. A library is written under a temporary name and moved into
 place, so a concurrent process never loads a partial file.
 
 Without a compiler, or when the build or the load fails, :func:`load` returns
-None after one ``RuntimeWarning`` per process: rows are then placed key by key
-with the scalar ``mix64`` and the engine counts packets with its scalar
-``_encode``.
+None after one ``RuntimeWarning`` per process: keys are then hashed and
+placed key by key with the scalar ``mix64`` and the engine counts packets with
+its scalar ``_encode``.
 """
 
 from __future__ import annotations
@@ -85,15 +86,15 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel library, with ``place`` and ``encode_row`` declared, built
-    first if needed; None if it cannot be built or loaded."""
+    """The kernel library, with ``hash_keys``, ``place`` and ``encode_row``
+    declared, built first if needed; None if it cannot be built or loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
         if not path.exists():
             _build(path, command)
         lib = ctypes.CDLL(str(path))
-        place, encode_row = lib.place, lib.encode_row
+        hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
@@ -102,6 +103,13 @@ def load():
             stacklevel=2,
         )
         return None
+    hash_keys.argtypes = [
+        ctypes.c_void_p,  # uint64 keys
+        ctypes.c_size_t,
+        ctypes.c_uint64,  # seed state
+        ctypes.c_void_p,  # uint64 hashes, written
+    ]
+    hash_keys.restype = None
     place.argtypes = [
         ctypes.c_void_p,  # uint64 keys
         ctypes.c_size_t,

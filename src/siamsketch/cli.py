@@ -5,7 +5,6 @@ Subcommands:
 * ``generate`` — write a Zipf-distributed binary trace
 * ``attack``   — size and write a slot-saturation attack trace
 * ``run``      — drive schemes over traces, write metric/counter reports
-* ``bench``    — throughput comparison over an in-memory stream
 * ``theory``   — print closed-form attack and wrap-split numbers
 
 Failures exit nonzero and print one JSON object ``{"error": <class>,
@@ -24,7 +23,6 @@ from .experiment import (
     ALL_APPS,
     SCHEMES,
     ExperimentSpec,
-    bench_throughput,
     resolve_widths,
     run_experiment,
 )
@@ -37,7 +35,6 @@ from .traffic import (
     gen_attack,
     gen_zipf,
     plan_attack,
-    read_trace,
     write_trace,
 )
 
@@ -117,28 +114,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
-    if args.trace:
-        trace = read_trace(args.trace)
-    else:
-        trace = gen_zipf(
-            ZipfConfig(skew=1.0, flows=args.flows, packets=args.packets, seed=spec.seed)
-        )
-    results = bench_throughput(spec, trace, runs=args.runs)
-    print(f"{'scheme':<12} {'runs':>5} {'packets':>9} {'mean Mpps':>10} {'std':>8}")
-    for r in results:
-        print(
-            f"{r.scheme:<12} {r.runs:>5} {r.packets:>9} "
-            f"{r.mean_mpps:>10.4f} {r.std_mpps:>8.4f}"
-        )
-    if args.out:
-        rows = [r.__dict__ for r in results]
-        Path(args.out).write_text(json.dumps(rows, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_theory(args: argparse.Namespace) -> int:
     if args.theory_cmd == "coupon":
         width = args.width
@@ -208,15 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(run)
     run.add_argument("--out", required=True, help="report directory")
     run.set_defaults(func=cmd_run)
-
-    bench = sub.add_parser("bench", help="throughput comparison")
-    add_spec_args(bench)
-    bench.add_argument("--trace", help="trace path; default synthetic")
-    bench.add_argument("--flows", type=int, default=20000)
-    bench.add_argument("--packets", type=int, default=100_000)
-    bench.add_argument("--runs", type=int, default=50)
-    bench.add_argument("--out", help="JSON output path")
-    bench.set_defaults(func=cmd_bench)
 
     theory = sub.add_parser("theory", help="closed-form numbers")
     tsub = theory.add_subparsers(dest="theory_cmd", required=True)

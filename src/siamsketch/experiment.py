@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Sequence
@@ -307,52 +306,3 @@ def _change_truth(keys: np.ndarray, threshold: int) -> tuple[np.ndarray, np.ndar
     before[np.searchsorted(universe, k0)] = c0
     after[np.searchsorted(universe, k1)] = c1
     return universe, np.abs(after - before) >= threshold
-
-
-# -- throughput ---------------------------------------------------------------
-
-
-@dataclass
-class BenchResult:
-    scheme: str
-    runs: int
-    packets: int
-    mean_mpps: float
-    std_mpps: float
-    mean_seconds: float
-
-
-def bench_throughput(
-    spec: ExperimentSpec, trace: Trace, runs: int = 50, warmup: int = 2
-) -> list[BenchResult]:
-    """Mean packets-per-second per scheme over repeated full-stream encodes.
-
-    Each run re-encodes the warmed, in-memory stream into a fresh sketch so
-    every run does identical work.
-    """
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    keys = trace.as_u64()
-    results = []
-    for scheme in spec.schemes:
-        for _ in range(warmup):
-            build_sketch(scheme, spec).encode_stream(keys)
-        mpps = []
-        for _ in range(runs):
-            sketch = build_sketch(scheme, spec)
-            t0 = time.perf_counter()
-            sketch.encode_stream(keys)
-            elapsed = time.perf_counter() - t0
-            mpps.append(len(keys) / elapsed / 1e6)
-        arr = np.asarray(mpps)
-        results.append(
-            BenchResult(
-                scheme=scheme,
-                runs=runs,
-                packets=len(keys),
-                mean_mpps=float(arr.mean()),
-                std_mpps=float(arr.std()),
-                mean_seconds=float(len(keys) / 1e6 / arr.mean()),
-            )
-        )
-    return results

@@ -5,10 +5,12 @@ comparisons use identical placements: one seed per row, one reduction per
 table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
 
-Placement has two implementations: the scalar :class:`RowHasher`, which is
-the specification and serves the per-key entry points, and the C kernel
-library's ``place`` (``_encode.c``, loaded by ``_kernel``) behind
-:func:`index_batch`, which falls back to the scalar one without a compiler.
+Hashing and placement each have two implementations: the scalar
+:func:`hash_u64` and :class:`RowHasher`, which are the specification and
+serve the per-key entry points, and the C kernel library (``_encode.c``,
+loaded by ``_kernel``) behind the batched :func:`hash_batch` (``hash_keys``)
+and :func:`index_batch` (``place``), which fall back to the scalar ones
+without a compiler.
 
 :class:`RowSketch` is the base of every scheme. It owns the row seeds and
 hashers, the packet total, and the entry points (``encode``, ``query``
@@ -120,6 +122,21 @@ def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
         return np.frombuffer(array("Q", keys), dtype=np.uint64)
     except OverflowError:
         return np.array([operator.index(k) & MASK64 for k in keys], dtype=np.uint64)
+
+
+def hash_batch(keys: Sequence[int] | np.ndarray, seed: int) -> np.ndarray:
+    """:func:`hash_u64` of every key (see :func:`u64_keys`) under ``seed``, as
+    a uint64 array. The kernel library's ``hash_keys`` computes it; where the
+    library cannot be built, every key goes through the scalar ``mix64``,
+    after the loader's one ``RuntimeWarning``."""
+    keys = u64_keys(keys)
+    state = seed_state(seed)
+    lib = _kernel.load()
+    if lib is None:
+        return np.array([mix64(k ^ state) for k in keys.tolist()], dtype=np.uint64)
+    out = np.empty(len(keys), dtype=np.uint64)
+    lib.hash_keys(keys.ctypes.data, len(keys), state, out.ctypes.data)
+    return out
 
 
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:

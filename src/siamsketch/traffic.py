@@ -25,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import coupon_expect
-from .hashing import hash_u64
+from .hashing import hash_batch, hash_u64
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -84,7 +84,8 @@ class Trace:
 
 @dataclass(frozen=True)
 class ZipfConfig:
-    """Zipf-distributed stream: ``P(rank k) ~ k**-skew`` over ``flows`` ranks."""
+    """Zipf-distributed stream: ``P(rank k) ~ k**-skew`` over ``flows`` ranks,
+    with keys of ``key_len`` bytes, at most 8."""
 
     skew: float
     flows: int
@@ -93,24 +94,32 @@ class ZipfConfig:
     key_len: int = 8
 
     def __post_init__(self) -> None:
-        if self.skew < 0:
-            raise ValueError("skew must be non-negative")
+        if not (math.isfinite(self.skew) and self.skew >= 0):
+            raise ValueError("skew must be finite and non-negative")
+        if not 1 <= self.key_len <= 8:
+            raise ValueError("key_len must be in [1, 8]")
         if self.flows < 1:
             raise ValueError("flows must be at least 1")
         if self.packets < 0:
             raise ValueError("packets must be non-negative")
 
 
+_FLOW_SALT = 0x5A1F_0000
+
+
 def flow_key(rank: int, seed: int) -> int:
     """Stable 64-bit key of a flow rank within one stream's key space."""
-    return hash_u64(rank, seed ^ 0x5A1F_0000)
+    return hash_u64(rank, seed ^ _FLOW_SALT)
 
 
 def gen_zipf(cfg: ZipfConfig) -> Trace:
     """Deterministic Zipf stream; rank 1 is the most frequent flow.
 
     Sampling inverts a precomputed CDF, so equal seeds give byte-identical
-    streams.
+    streams. The key of rank ``r`` is ``flow_key(r, cfg.seed)``, all ranks
+    hashed in one :func:`~siamsketch.hashing.hash_batch` call, cut to its low
+    ``key_len`` bytes as :func:`read_trace` reads a short key back; shorter
+    keys can make distinct ranks one flow.
     """
     weights = np.arange(1, cfg.flows + 1, dtype=np.float64) ** -cfg.skew
     cdf = np.cumsum(weights)
@@ -119,9 +128,8 @@ def gen_zipf(cfg: ZipfConfig) -> Trace:
     draws = rng.random(cfg.packets)
     ranks = np.searchsorted(cdf, draws, side="right")
     np.minimum(ranks, cfg.flows - 1, out=ranks)
-    rank_keys = np.array(
-        [flow_key(rank, cfg.seed) for rank in range(1, cfg.flows + 1)], dtype=np.uint64
-    )
+    rank_keys = hash_batch(np.arange(1, cfg.flows + 1, dtype=np.uint64), cfg.seed ^ _FLOW_SALT)
+    rank_keys &= np.uint64((1 << 8 * cfg.key_len) - 1)
     return Trace(rank_keys[ranks], key_len=cfg.key_len)
 
 

@@ -137,13 +137,3 @@ def test_run_config_file_with_flag_override(tmp_path):
                  "--out", str(out2)]) == 0
     rows2 = (out2 / "metrics.csv").read_text().splitlines()
     assert all(",instant," in r for r in rows2[1:])
-
-
-def test_bench_smoke(tmp_path, capsys):
-    assert main(["bench", "--width", "256", "--flows", "200",
-                 "--packets", "3000", "--runs", "2", "--seed", "1",
-                 "--out", str(tmp_path / "bench.json")]) == 0
-    out = capsys.readouterr().out
-    assert "count-min" in out and "sc-lsb" in out
-    data = json.loads((tmp_path / "bench.json").read_text())
-    assert {d["scheme"] for d in data} == {"sc-lsb", "instant", "count-min"}

@@ -8,7 +8,6 @@ from siamsketch import (
     ExperimentSpec,
     Trace,
     ZipfConfig,
-    bench_throughput,
     gen_attack,
     gen_zipf,
     plan_attack,
@@ -149,12 +148,3 @@ def test_build_sketch_shares_row_seeds():
     im = build_sketch("instant", spec)
     cm = build_sketch("count-min", spec)
     assert sc.config.seeds == im.config.seeds == cm.config.seeds
-
-
-def test_bench_smoke():
-    spec = _small_spec(schemes=("count-min", "instant"))
-    trace = gen_zipf(ZipfConfig(skew=1.0, flows=100, packets=5000, seed=0))
-    results = bench_throughput(spec, trace, runs=2, warmup=1)
-    assert [r.scheme for r in results] == ["count-min", "instant"]
-    assert all(r.mean_mpps > 0 for r in results)
-    assert all(r.packets == 5000 for r in results)

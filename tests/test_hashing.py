@@ -14,6 +14,7 @@ from siamsketch import (
 from siamsketch.hashing import (
     RowHasher,
     derive_seeds,
+    hash_batch,
     hash_bytes,
     hash_u64,
     index_batch,
@@ -85,6 +86,25 @@ def test_batch_matches_scalar(keys, seed, width):
         with kernel_unbuildable(fallback):
             batched = index_batch(arr, seed, width)
         assert batched.dtype == np.int64
+        assert batched.tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=50),
+    seed=st.integers(0, 2**80),
+)
+@example(keys=[], seed=0)
+@example(keys=[1], seed=2**64)
+def test_hash_batch_matches_scalar(keys, seed):
+    # with the kernel library's hash_keys and with the scalar fallback; seeds
+    # above 2**64 are masked by seed_state as hash_u64 masks them
+    keys = [0, *keys, 2**64 - 1]
+    expected = [hash_u64(k, seed) for k in keys]
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            batched = hash_batch(np.array(keys, dtype=np.uint64), seed)
+        assert batched.dtype == np.uint64
         assert batched.tolist() == expected
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from siamsketch import (
 )
 from siamsketch.hashing import index_batch
 from siamsketch.traffic import ROUND_ROBIN
+
+from conftest import kernel_unbuildable
 
 
 # -- zipf ---------------------------------------------------------------------
@@ -71,6 +75,59 @@ def test_zipf_validation():
         ZipfConfig(skew=-0.1, flows=10, packets=10, seed=0)
     with pytest.raises(ValueError):
         ZipfConfig(skew=1.0, flows=0, packets=10, seed=0)
+    # a NaN skew passed ``skew < 0`` and gave a stream of one distinct key
+    for skew in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="skew"):
+            ZipfConfig(skew=skew, flows=100, packets=10, seed=0)
+    for key_len in (0, 9, 13):
+        with pytest.raises(ValueError, match="key_len"):
+            ZipfConfig(skew=1.0, flows=100, packets=10, seed=0, key_len=key_len)
+
+
+@pytest.mark.parametrize("key_len", range(1, 9))
+def test_zipf_short_keys_round_trip(tmp_path, key_len):
+    # rank keys are cut to their low key_len bytes, as read_trace pads them
+    tr = gen_zipf(ZipfConfig(skew=1.0, flows=300, packets=2000, seed=4, key_len=key_len))
+    assert tr.key_len == key_len
+    assert int(tr.as_u64().max()) < 1 << 8 * key_len
+    path = tmp_path / "z.sktr"
+    write_trace(path, tr)
+    assert read_trace(path) == tr
+
+
+# Leading 16 hex digits of the sha256 of ``gen_zipf(cfg).as_u64().tobytes()``,
+# recorded when rank keys were still hashed one ``flow_key`` call at a time.
+# The first two are the benchmark's benign streams (``many-flows``, and the
+# Zipf part of ``attack``) at seed 5.
+ZIPF_DIGESTS = {
+    "many-flows": (
+        ZipfConfig(skew=0.6, flows=500_000, packets=300_000, seed=5),
+        "de03ab4886d0aeb1",
+    ),
+    "attack": (
+        ZipfConfig(skew=1.0, flows=20_000, packets=500_000, seed=5),
+        "633ee4a56c939a8e",
+    ),
+    "one-flow": (ZipfConfig(skew=1.0, flows=1, packets=1000, seed=3), "160492f4e564fd51"),
+    "uniform": (ZipfConfig(skew=0.0, flows=5000, packets=50_000, seed=7), "e8a5b278339c4390"),
+    "seed-above-2**64": (
+        ZipfConfig(skew=1.5, flows=3000, packets=40_000, seed=2**70 + 9),
+        "40d8275a09fbae17",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, fallback",
+    # the scalar fallback hashes key by key, so only the small streams run there
+    [(name, False) for name in ZIPF_DIGESTS]
+    + [(name, True) for name, (cfg, _) in ZIPF_DIGESTS.items() if cfg.flows <= 5000],
+)
+def test_zipf_stream_matches_golden_digest(name, fallback):
+    cfg, digest = ZIPF_DIGESTS[name]
+    with kernel_unbuildable(fallback):
+        keys = gen_zipf(cfg).as_u64()
+    assert hashlib.sha256(keys.tobytes()).hexdigest()[:16] == digest
 
 
 # -- attack planning ----------------------------------------------------------
