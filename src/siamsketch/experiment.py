@@ -17,14 +17,23 @@ array and the exact count of each, in the order an ``ExactCounter`` fed the
 same array lists its flows, and no per-flow dict is built. Each scheme's
 estimates are one uint64 array from ``_query_array``. Heavy hitters and
 changes are boolean masks over one key array, scored by counting.
+
+Each packet is encoded once per window it belongs to. A scheme's main sketch
+is fed the whole stream in segments cut at every snapshot interval (where
+the census is taken) and at ``half = len(stream) // 2``. The change app
+compares two windows, the stream's halves: the first is a copy of the main
+sketch taken at ``half``, the second a fresh sketch fed the rest. Encoding
+is sequential and does not depend on where a stream is cut, so the copy is
+exactly a fresh sketch fed the first half.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -167,10 +176,12 @@ def build_sketch(scheme: str, spec: ExperimentSpec):
 
 
 def config_hash(spec: ExperimentSpec) -> str:
+    # Read the fields directly: ``dataclasses.asdict`` would deep-copy the
+    # inline traces only for them to be dropped.
     payload = {
-        k: v
-        for k, v in asdict(spec).items()
-        if k not in ("benign", "attack", "experiment_id")
+        f.name: getattr(spec, f.name)
+        for f in fields(spec)
+        if f.name not in ("benign", "attack", "experiment_id")
     }
     payload["benign"] = _trace_tag(spec.benign)
     payload["attack"] = _trace_tag(spec.attack)
@@ -229,23 +240,34 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         heavy = truths >= threshold
     if "fsd" in spec.apps or "entropy" in spec.apps:
         act_fsd = FlowSizeDistribution.from_sizes(truths)
-    if "change" in spec.apps and threshold:
+    # the change app's two windows are the stream's halves (module docstring)
+    half = len(keys) // 2
+    need_windows = bool("change" in spec.apps and threshold and len(flow_keys))
+    if need_windows:
         universe, changed = _change_truth(keys, threshold)
 
+    interval = spec.snapshot_interval
+    cuts = sorted({*range(interval, len(keys), interval), len(keys), half})
     for scheme in spec.schemes:
         sketch = build_sketch(scheme, spec)
-        for start in range(0, len(keys), spec.snapshot_interval):
-            sketch.encode_stream(keys[start : start + spec.snapshot_interval])
-            for row, count in enumerate(sketch.counter_count()):
-                result.counter_rows.append(
-                    {
-                        "experiment_id": exp_id,
-                        "scheme": scheme,
-                        "packets": min(start + spec.snapshot_interval, len(keys)),
-                        "row": row,
-                        "counters": count,
-                    }
-                )
+        start = 0
+        for stop in cuts:
+            if stop > start:
+                sketch.encode_stream(keys[start:stop])
+            start = stop
+            if stop == half and need_windows:
+                first_window = copy.deepcopy(sketch)
+            if stop and (stop % interval == 0 or stop == len(keys)):
+                for row, count in enumerate(sketch.counter_count()):
+                    result.counter_rows.append(
+                        {
+                            "experiment_id": exp_id,
+                            "scheme": scheme,
+                            "packets": stop,
+                            "row": row,
+                            "counters": count,
+                        }
+                    )
 
         def emit(metric: str, value) -> None:
             result.metric_rows.append(
@@ -281,12 +303,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 est_h = estimate_entropy(est_fsd)
                 act_h = estimate_entropy(act_fsd)
                 emit("entropy_re" if act_h else "entropy_re_abs", metric_re(est_h, act_h))
-        if "change" in spec.apps and threshold:
-            windows = [build_sketch(scheme, spec) for _ in range(2)]
-            half = len(keys) // 2
-            windows[0].encode_stream(keys[:half])
-            windows[1].encode_stream(keys[half:])
-            before, after = (w._query_array(universe) for w in windows)
+        if need_windows:
+            second_window = build_sketch(scheme, spec)
+            second_window.encode_stream(keys[half:])
+            before, after = (w._query_array(universe) for w in (first_window, second_window))
             emit("f1_change", _mask_scores(_changed(before, after, threshold), changed)[0])
     return result
 

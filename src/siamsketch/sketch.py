@@ -146,6 +146,7 @@ _UNIT = tuple(
 )
 _CODE_OF = {(_UNIT[2 * c], _UNIT[2 * c + 1]): c for c in range(11)}
 _UNITS = np.array(_UNIT, dtype=np.uint8)
+_COUNTER_COUNTS = np.array(GROUP_COUNTER_COUNT, dtype=np.int64)
 
 
 def group_code(state_a: int, state_b: int) -> int:
@@ -447,8 +448,13 @@ class DynamicSketch(RowSketch):
         return CounterView(level_bits, False, value, None, value)
 
     def counter_count(self) -> list[int]:
-        """Logical counters remaining per row (fused counters count once)."""
-        return [sum(GROUP_COUNTER_COUNT[c] for c in states) for states in self._states]
+        """Logical counters remaining per row, as Python ints: each group
+        contributes ``GROUP_COUNTER_COUNT`` of its code (fused counters count
+        once), gathered for a whole row at a time."""
+        return [
+            int(_COUNTER_COUNTS[np.frombuffer(states, dtype=np.uint8)].sum())
+            for states in self._states
+        ]
 
     def row_total(self, row: int) -> int:
         """Packets represented in one row, counting joint sub-counters once.

@@ -45,7 +45,10 @@ class TraceError(Exception):
 
 @dataclass
 class Trace:
-    """In-memory packet stream; ``keys`` is uint64 when ``key_len <= 8``."""
+    """In-memory packet stream; ``keys`` is uint64 when ``key_len <= 8``.
+
+    A key array is only accepted with ``key_len <= 8`` and keys that fit in
+    ``key_len`` bytes, so every trace written reads back equal."""
 
     keys: np.ndarray | list[bytes]
     key_len: int = 8
@@ -54,7 +57,13 @@ class Trace:
         if self.key_len < 1:
             raise ValueError("key_len must be at least 1")
         if isinstance(self.keys, np.ndarray):
+            if self.key_len > 8:
+                raise ValueError("a uint64 key array needs key_len <= 8")
             self.keys = np.ascontiguousarray(self.keys, dtype=np.uint64)
+            # every key must fit in key_len bytes, or trace I/O drops its
+            # high bytes; at key_len 8 every uint64 fits, so no scan
+            if self.key_len < 8 and len(self.keys) and int(self.keys.max()) >> (8 * self.key_len):
+                raise ValueError(f"keys wider than key_len={self.key_len} bytes")
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -1,8 +1,12 @@
+import copy
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siamsketch import (
     ExperimentSpec,
@@ -14,6 +18,7 @@ from siamsketch import (
     run_experiment,
 )
 from siamsketch.experiment import assemble_stream, build_sketch, config_hash, resolve_widths
+from siamsketch.snapshot import dump_bytes
 
 
 def _small_spec(**kwargs):
@@ -140,6 +145,66 @@ def test_config_hash_sensitivity():
     assert a == config_hash(_small_spec())
     assert a != config_hash(_small_spec(seed=4))
     assert a != config_hash(_small_spec(shared_bits=6))
+
+
+def test_config_hash_is_pinned():
+    # recorded before the hash stopped going through dataclasses.asdict
+    assert config_hash(_small_spec()) == "cd28cc0d30e9"
+
+
+def test_config_hash_does_not_copy_traces():
+    keys = np.arange(1_000_000, dtype=np.uint64)
+    spec = ExperimentSpec(
+        width=4096, benign=Trace(keys), attack=Trace(keys[::-1].copy()), attack_fraction=0.5, seed=7
+    )
+    tracemalloc.start()
+    try:
+        value = config_hash(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == "a6b782320927"
+    assert peak < 1 << 20  # each inline trace holds 8 MB of keys
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("scheme", ["sc-lsb", "instant", "count-min"])
+def test_window_copied_mid_stream_equals_fresh_encode(scheme, data):
+    # run_experiment takes the change app's first window as a copy of the
+    # main sketch at a cut point, then goes on encoding the main sketch
+    bits = data.draw(st.sampled_from([4, 8]))
+    mode = data.draw(st.sampled_from(["sum", "max"]))
+    spec = ExperimentSpec(width=16, counter_bits=bits, shared_bits=bits // 2, merge_mode=mode, seed=5)
+    pool = np.arange(1, 25, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=800))]
+    cuts = data.draw(st.lists(st.integers(0, len(keys)), max_size=4))
+    kind = data.draw(st.sampled_from(["start", "end", "cut", "any"]))
+    if kind == "start":
+        h = 0
+    elif kind == "end":
+        h = len(keys)
+    elif kind == "cut" and cuts:
+        h = data.draw(st.sampled_from(cuts))
+    else:
+        h = data.draw(st.integers(0, len(keys)))
+
+    sketch = build_sketch(scheme, spec)
+    start = 0
+    for stop in sorted({*cuts, h, len(keys)}):
+        if stop > start:
+            sketch.encode_stream(keys[start:stop])
+        start = stop
+        if stop == h:
+            window = copy.deepcopy(sketch)
+
+    def fresh(part):
+        sk = build_sketch(scheme, spec)
+        sk.encode_stream(part)
+        return dump_bytes(sk)
+
+    assert dump_bytes(window) == fresh(keys[:h])
+    assert dump_bytes(sketch) == fresh(keys)
 
 
 def test_build_sketch_shares_row_seeds():

@@ -6,8 +6,11 @@ F1, plus the counter census at every snapshot interval. These digests pin the
 exact report, every ``repr`` of every float included, for small specs that
 cover each scheme, both merge modes, two counter shapes, both interleave
 modes, no attack, an attack-only stream, app subsets, and thresholds that
-leave no heavy hitter or no threshold at all. A change to how the report is
-computed must leave every digest in place. The constants were recorded once.
+leave no heavy hitter or no threshold at all. The change app's first window
+is cut at half the stream; streams of odd length and of one packet, a half
+on a snapshot, a snapshot interval above the stream length and apps without
+``change`` pin where that cut falls. A change to how the report is computed
+must leave every digest in place. The constants were recorded once.
 """
 
 import functools
@@ -94,6 +97,29 @@ CASES = {
         dict(benign=Trace(np.arange(1, 3001, dtype=np.uint64) * 7919), threshold=2),
         "96dc5701e92a9144",
     ),
+    # The change app's first window is the main sketch at half the stream:
+    # the cases below put that cut between snapshots, on one, before the
+    # first packet, and leave it out.
+    "odd-length": (
+        dict(benign=Trace(benign().keys[:29_999]), attack=attack(), attack_fraction=0.5),
+        "238d4bbcd37b3b3d",
+    ),
+    "one-packet": (
+        dict(benign=Trace(np.array([12345], dtype=np.uint64)), threshold=1),
+        "f466deb60d7a749b",
+    ),
+    "half-on-snapshot": (
+        dict(snapshot_interval=5_000, counter_bits=4, shared_bits=2),
+        "ab80d3e56d44f23f",
+    ),
+    "snapshot-above-stream": (
+        dict(snapshot_interval=10**6, merge_mode="max", attack=attack(), attack_fraction=0.5),
+        "11c95339ecc0ec48",
+    ),
+    "apps-without-change": (
+        dict(apps=("size", "heavy-hitter", "fsd", "entropy"), attack=attack(), attack_fraction=0.5),
+        "48271e5378946c31",
+    ),
 }
 
 
@@ -119,3 +145,12 @@ def test_cases_reach_every_report_path():
     assert any(r["metric"] == "entropy_re_abs" for r in singles)
     only = run_experiment(spec(**CASES["attack-only"][0]))
     assert only.metric_rows == [] and only.counter_rows
+    # the one-packet stream scores change from an empty first window, and
+    # the census is taken at every snapshot and at the end, never at half
+    one = run_experiment(spec(**CASES["one-packet"][0]))
+    assert [r["value"] for r in one.metric_rows if r["metric"] == "f1_change"] == ["1.0"] * 3
+    assert {r["packets"] for r in one.counter_rows} == {1}
+    snaps = run_experiment(spec(**CASES["half-on-snapshot"][0])).counter_rows
+    assert sorted({r["packets"] for r in snaps}) == list(range(5_000, 30_001, 5_000))
+    odd = run_experiment(spec(**CASES["odd-length"][0])).counter_rows
+    assert sorted({r["packets"] for r in odd})[-1] % 2 == 1

@@ -1,3 +1,5 @@
+from array import array
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,19 @@ def test_group_counter_census_table():
     assert GROUP_COUNTER_COUNT[group_code(PAIR_MERGED, PAIR_MERGED)] == 2
     assert GROUP_COUNTER_COUNT[GROUP_SHARED_WIDE] == 2
     assert GROUP_COUNTER_COUNT[GROUP_MERGED_WIDE] == 1
+
+
+@pytest.mark.parametrize("cls, legal", [(SiameseSketch, LEGAL_GROUP_STATES), (InstantMergeSketch, UNSHARED_GROUP_STATES)])
+@pytest.mark.parametrize("seed", range(5))
+def test_counter_count_matches_census_table(cls, legal, seed):
+    rng = np.random.default_rng(seed)
+    sk = cls(SketchConfig(rows=3, width=256, seeds=(1, 2, 3)))
+    codes = rng.choice(sorted(legal), size=(3, 64))
+    for states, row in zip(sk._states, codes):
+        states[:] = array("B", row.tolist())
+    counts = sk.counter_count()
+    assert counts == [sum(GROUP_COUNTER_COUNT[c] for c in row.tolist()) for row in codes]
+    assert all(type(c) is int for c in counts)
 
 
 def test_group_state_bounds():

@@ -239,6 +239,24 @@ def test_binary_round_trip_13_byte_keys(tmp_path):
     assert list(back.iter_bytes()) == keys
 
 
+def test_key_array_wider_than_key_len_is_rejected():
+    # written, the first key would lose its high bytes and read back unequal
+    with pytest.raises(ValueError, match="key_len=4"):
+        Trace(np.array([2**40 + 5, 7], dtype=np.uint64), key_len=4)
+    with pytest.raises(ValueError, match="key_len=1"):
+        Trace(np.array([0, 256], dtype=np.uint64), key_len=1)
+    # the widest key that fits is accepted, as is any uint64 at key_len 8
+    assert len(Trace(np.array([2**32 - 1], dtype=np.uint64), key_len=4)) == 1
+    assert len(Trace(np.array([2**64 - 1], dtype=np.uint64))) == 1
+    assert len(Trace(np.empty(0, dtype=np.uint64), key_len=3)) == 0
+
+
+def test_key_array_with_key_len_above_8_is_rejected():
+    # written, each key would take 8 bytes against a 13-byte header
+    with pytest.raises(ValueError, match="key_len <= 8"):
+        Trace(np.array([5, 7], dtype=np.uint64), key_len=13)
+
+
 def test_empty_trace_round_trip(tmp_path):
     tr = Trace(np.empty(0, dtype=np.uint64))
     path = tmp_path / "empty.sktr"
