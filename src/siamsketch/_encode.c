@@ -7,12 +7,20 @@
  * ``mix64``.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
- * dynamic-counter engine, in stream order. It is a line-for-line port of
+ * dynamic-counter engine, in stream order. It ports
  * ``DynamicSketch._encode`` and its two transitions, ``_share`` and
  * ``_fuse``, in ``sketch.py``, which stay the specification; keep the two in
- * step. The row and its group codes are the sketch's own ``array.array``
- * buffers, updated in place. The caller guarantees that every index is in
- * ``[0, width)``.
+ * step. The port splits ``_encode`` in two. ``bump`` holds its first steps,
+ * the increments nearly every packet ends in: +1 to the lowest slot of an
+ * unshared counter below the slot maximum, or to a shared pair's joint, with
+ * its carry into the high half. ``transition`` holds the rest: the prefix
+ * carry on a joint wrap, the carry across the slots of a fused counter, quad
+ * saturation, and share and fuse, after which ``settle`` retries the bump
+ * where ``_encode`` calls itself again. ``encode_row`` compiles its loop
+ * once per slot type, so the bump runs on a constant width and on locals,
+ * not on ``machine`` fields that every slot store could overwrite. The row
+ * and its group codes are the sketch's own ``array.array`` buffers, updated
+ * in place. The caller guarantees that every index is in ``[0, width)``.
  *
  * Built by ``_kernel.py`` with the system C compiler and loaded with ctypes.
  */
@@ -41,38 +49,38 @@ static uint64_t ones(int bits)
     return bits >= 64 ? UINT64_MAX : (UINT64_C(1) << bits) - 1;
 }
 
-static inline uint64_t get(const machine *m, size_t i)
+static inline uint64_t get(const void *slots, int wide, size_t i)
 {
-    return m->wide ? ((const uint16_t *)m->slots)[i] : ((const uint8_t *)m->slots)[i];
+    return wide ? ((const uint16_t *)slots)[i] : ((const uint8_t *)slots)[i];
 }
 
-static inline void set(machine *m, size_t i, uint64_t v)
+static inline void set(void *slots, int wide, size_t i, uint64_t v)
 {
-    if (m->wide)
-        ((uint16_t *)m->slots)[i] = (uint16_t)v;
+    if (wide)
+        ((uint16_t *)slots)[i] = (uint16_t)v;
     else
-        ((uint8_t *)m->slots)[i] = (uint8_t)v;
+        ((uint8_t *)slots)[i] = (uint8_t)v;
 }
 
-static inline unsigned unit_of(const machine *m, size_t slot)
+static inline unsigned unit_of(const uint8_t *states, size_t slot)
 {
-    return UNIT[(m->states[slot >> 2] << 1) | ((slot >> 1) & 1)];
+    return UNIT[(states[slot >> 2] << 1) | ((slot >> 1) & 1)];
 }
 
 /* ``_read`` and ``_write``: the counter held in ``span`` slots from ``base``,
  * lowest slot first. */
 static uint64_t read_span(const machine *m, size_t base, size_t span)
 {
-    uint64_t value = get(m, base);
+    uint64_t value = get(m->slots, m->wide, base);
     for (size_t i = 1; i < span; i++)
-        value |= get(m, base + i) << (i * m->s);
+        value |= get(m->slots, m->wide, base + i) << (i * m->s);
     return value;
 }
 
 static void write_span(machine *m, size_t base, size_t span, uint64_t value)
 {
     for (size_t i = base; i < base + span; i++) {
-        set(m, i, value & m->max[0]);
+        set(m->slots, m->wide, i, value & m->max[0]);
         value >>= m->s;
     }
 }
@@ -122,66 +130,100 @@ static void fuse(machine *m, size_t slot, unsigned level, int shared)
     set_unit(m, first, level, 2 * level + 2);
 }
 
-/* One packet to one slot. Where ``_encode`` applies a transition and calls
- * itself again, this loops. */
-static void encode(machine *m, size_t slot)
+/* One packet to one slot, if the increment is absorbable: the first steps of
+ * ``_encode``. Returns 0, having written nothing, where ``_encode`` goes on
+ * to a transition. ``count`` passes ``wide`` as a constant. */
+static inline int bump(void *slots, int wide, const uint8_t *states, size_t slot,
+                       uint64_t max0, uint64_t hmask)
 {
-    for (;;) {
-        unsigned unit = unit_of(m, slot);
-        unsigned level = unit >> 1;
-        size_t span = (size_t)1 << level;
-        if (unit & 1) {
-            size_t first = slot & ~(2 * span - 1);
-            size_t second = first + span;
-            uint64_t hmask = m->hmask;
-            uint64_t low = get(m, second);
-            if ((low & hmask) != hmask) {
-                /* the joint's low half has room: single-slot bump */
-                set(m, second, low + 1);
-                return;
-            }
-            uint64_t high = get(m, first);
-            if ((high & hmask) != hmask) {
-                /* carry into the high half, clear the low half */
-                set(m, first, high + 1);
-                set(m, second, low & ~hmask);
-                return;
-            }
-            /* the joint wraps: the receiving member's prefix takes the carry */
-            size_t own = slot & ~(span - 1);
-            uint64_t prefix = read_span(m, own, span) >> m->hk;
-            if (prefix < m->max[level] >> m->hk) {
-                set(m, first, high & ~hmask);
-                set(m, second, low & ~hmask);
-                write_span(m, own, span, (prefix + 1) << m->hk);
-                return;
-            }
-            fuse(m, slot, level, 1);
-        } else {
-            size_t base = slot & ~(span - 1);
-            uint64_t low = get(m, base);
-            if (low < m->max[0]) {
-                set(m, base, low + 1);
-                return;
-            }
-            uint64_t value = read_span(m, base, span);
-            if (value < m->max[level]) {
-                write_span(m, base, span, value + 1);
-                return;
-            }
-            if (level == 2)
-                return; /* the quad-width counter saturates */
-            size_t sibling = base ^ span;
-            unsigned sib_unit = unit_of(m, sibling);
-            /* fuse the sibling up to this level first */
-            if (sib_unit >> 1 < level)
-                fuse(m, sibling, sib_unit >> 1, sib_unit & 1);
-            if (m->k)
-                share(m, slot, level);
-            else
-                fuse(m, slot, level, 0);
+    unsigned unit = unit_of(states, slot);
+    size_t span = (size_t)1 << (unit >> 1);
+    if (unit & 1) {
+        size_t first = slot & ~(2 * span - 1);
+        size_t second = first + span;
+        uint64_t low = get(slots, wide, second);
+        if ((low & hmask) != hmask) {
+            /* the joint's low half has room: single-slot bump */
+            set(slots, wide, second, low + 1);
+            return 1;
         }
+        uint64_t high = get(slots, wide, first);
+        if ((high & hmask) == hmask)
+            return 0;
+        /* carry into the high half, clear the low half */
+        set(slots, wide, first, high + 1);
+        set(slots, wide, second, low & ~hmask);
+        return 1;
     }
+    size_t base = slot & ~(span - 1);
+    uint64_t low = get(slots, wide, base);
+    if (low >= max0)
+        return 0;
+    set(slots, wide, base, low + 1);
+    return 1;
+}
+
+/* The rest of ``_encode``, for a packet ``bump`` could not absorb. Returns 1
+ * when the packet was counted here (or dropped by a saturated quad-width
+ * counter), 0 after a share or fuse, where ``_encode`` calls itself again. */
+static int transition(machine *m, size_t slot)
+{
+    unsigned unit = unit_of(m->states, slot);
+    unsigned level = unit >> 1;
+    size_t span = (size_t)1 << level;
+    if (unit & 1) {
+        /* the joint wraps: the receiving member's prefix takes the carry */
+        size_t first = slot & ~(2 * span - 1);
+        size_t second = first + span;
+        size_t own = slot & ~(span - 1);
+        uint64_t prefix = read_span(m, own, span) >> m->hk;
+        if (prefix < m->max[level] >> m->hk) {
+            set(m->slots, m->wide, first, get(m->slots, m->wide, first) & ~m->hmask);
+            set(m->slots, m->wide, second, get(m->slots, m->wide, second) & ~m->hmask);
+            write_span(m, own, span, (prefix + 1) << m->hk);
+            return 1;
+        }
+        fuse(m, slot, level, 1);
+        return 0;
+    }
+    size_t base = slot & ~(span - 1);
+    uint64_t value = read_span(m, base, span);
+    if (value < m->max[level]) {
+        write_span(m, base, span, value + 1);
+        return 1;
+    }
+    if (level == 2)
+        return 1; /* the quad-width counter saturates */
+    size_t sibling = base ^ span;
+    unsigned sib_unit = unit_of(m->states, sibling);
+    /* fuse the sibling up to this level first */
+    if (sib_unit >> 1 < level)
+        fuse(m, sibling, sib_unit >> 1, sib_unit & 1);
+    if (m->k)
+        share(m, slot, level);
+    else
+        fuse(m, slot, level, 0);
+    return 0;
+}
+
+/* A packet ``bump`` could not absorb: transitions, and after each one that
+ * did not count the packet a retried bump, until the packet is counted. */
+static void settle(machine *m, size_t slot)
+{
+    while (!transition(m, slot))
+        if (bump(m->slots, m->wide, m->states, slot, m->max[0], m->hmask))
+            return;
+}
+
+/* The loop of ``encode_row`` for one slot type, ``wide`` a constant. */
+static inline void count(machine *m, const int64_t *idx, size_t n, int wide)
+{
+    void *slots = m->slots;
+    const uint8_t *states = m->states;
+    uint64_t max0 = m->max[0], hmask = m->hmask;
+    for (size_t i = 0; i < n; i++)
+        if (!bump(slots, wide, states, (size_t)idx[i], max0, hmask))
+            settle(m, (size_t)idx[i]);
 }
 
 /* Count ``n`` packets, given by slot, into one row; returns the content the
@@ -203,8 +245,10 @@ uint64_t encode_row(void *row, int wide, uint8_t *states, const int64_t *idx, si
     m.kmask = ones(shared_bits);
     m.hmask = ones(m.hk);
     m.discarded = 0;
-    for (size_t i = 0; i < n; i++)
-        encode(&m, (size_t)idx[i]);
+    if (wide)
+        count(&m, idx, n, 1);
+    else
+        count(&m, idx, n, 0);
     return m.discarded;
 }
 

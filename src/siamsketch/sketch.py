@@ -86,12 +86,19 @@ own pass because ``query_many`` and Count-Min use it too, and fusing it into
 the count was no faster. The state machine is inherently sequential, since a
 packet can change its group's state and so how the next packet to that group
 counts. The library's ``encode_row`` therefore walks the chunk in stream
-order and runs a line-for-line port of ``_encode``, ``_share`` and ``_fuse``
-on the row buffers, returning the content its share initializations dropped,
-so rows, group codes and ``lsb_discard`` end exactly as per-packet
-``_encode`` leaves them. ``_encode`` stays the specification: it is the
-readable form of the lifecycle above, the tests compare the kernel against
-it, and it is the fallback. Where the library cannot be built (no C
+order and runs a port of ``_encode``, ``_share`` and ``_fuse`` on the row
+buffers, returning the content its share initializations dropped, so rows,
+group codes and ``lsb_discard`` end exactly as per-packet ``_encode`` leaves
+them. The port splits ``_encode`` at its first transition. Its first steps,
+the bump (+1 to an unshared counter's lowest slot below the slot maximum,
+or to a shared pair's joint with its carry into the high half), are the
+whole update for nearly every packet, and run in a loop compiled once per
+slot type. The rest, the transition (prefix carry on a joint wrap, carry
+across a fused counter's slots, quad saturation, share, fuse), runs only
+when the bump cannot absorb the packet, and after a share or fuse the bump
+is retried where ``_encode`` calls itself again. ``_encode`` stays the
+specification: it is the readable form of the lifecycle above, the tests
+compare the kernel against it, and it is the fallback. Where the library cannot be built (no C
 compiler), placement goes key by key through the scalar ``mix64`` and
 ``_encode_batch`` calls ``_encode`` per packet, after one ``RuntimeWarning``:
 the same result, about 100 times slower on an attacked stream.

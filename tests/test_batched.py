@@ -46,7 +46,9 @@ def assert_same(batched, scalar) -> None:
 
 @st.composite
 def scenarios(draw):
-    bits = draw(st.sampled_from([4, 8, 16]))
+    # 2, 6 and 12 bits put the slot maximum below that of the slot type, in
+    # the kernel's uint8 and its uint16 loop
+    bits = draw(st.sampled_from([2, 4, 6, 8, 12, 16]))
     rows = draw(st.integers(1, 3))
     cfg = SketchConfig(
         rows=rows,
@@ -89,10 +91,10 @@ def test_encode_stream_matches_per_packet_encode(scenario):
     assert batched.query_many(probe) == [scalar.query_u64(k) for k in probe]
 
 
-@pytest.mark.parametrize("bits, shared", [(8, 4), (4, 2), (8, 0)])
+@pytest.mark.parametrize("bits, shared", [(8, 4), (4, 2), (8, 0), (6, 2), (12, 6)])
 def test_encode_stream_crosses_the_chunk_size(bits, shared):
     # a stream longer than one chunk, split at several points, at the real
-    # chunk size
+    # chunk size; 6 and 12 bits fill slots below the maximum of their type
     rng = np.random.default_rng(bits + shared)
     stream = bursty_stream(rng, hashing.ENCODE_CHUNK + 3000, 30)
     cfg = SketchConfig(rows=2, width=16, counter_bits=bits, shared_bits=shared, seeds=(5, 6))

@@ -5,7 +5,9 @@ change made the same way to both goes unseen there, and the independent
 reference model covers ``shared_bits=0`` only. These digests pin what the
 engine leaves after one fixed bursty stream: the snapshot bytes and the query
 answers over the stream's keys, from an empty and from a planted start, for
-both schemes, both merge modes and five counter shapes. Per-packet
+both schemes, both merge modes and five counter shapes, and at 12 bits, a
+slot maximum below that of the 16-bit slot type, for sc-lsb 12/6 and
+instant 12/0. Per-packet
 ``encode_u64`` and batched ``encode_stream`` must both reproduce them. The
 constants were recorded once from this engine; a change to any transition
 rule moves them.
@@ -34,6 +36,8 @@ GOLDEN = {
     ("sc-lsb", 8, 4, "max"): "4594c47546484065",
     ("sc-lsb", 8, 6, "sum"): "2506114caff5eec8",
     ("sc-lsb", 8, 6, "max"): "ddd226a2da903f89",
+    ("sc-lsb", 12, 6, "sum"): "d622ced4878eab6c",
+    ("sc-lsb", 12, 6, "max"): "665739154cff0dda",
     ("sc-lsb", 16, 8, "sum"): "f81d00a13745a96b",
     ("sc-lsb", 16, 8, "max"): "27e3dde9750eb9e3",
     ("instant", 4, 2, "sum"): "c2b8e7ad5904a8aa",
@@ -44,6 +48,8 @@ GOLDEN = {
     ("instant", 8, 4, "max"): "14a7b3a96187393d",
     ("instant", 8, 6, "sum"): "9779afc3c1b2f507",
     ("instant", 8, 6, "max"): "14a7b3a96187393d",
+    ("instant", 12, 0, "sum"): "ee385c5c76709214",
+    ("instant", 12, 0, "max"): "5623285893612a27",
     ("instant", 16, 8, "sum"): "c80bfaed6566bb2f",
     ("instant", 16, 8, "max"): "c582f638725f818b",
 }
