@@ -29,8 +29,8 @@ from .experiment import (
 from .hashing import (
     RowHasher,
     derive_seeds,
+    flow_id,
     hash_batch,
-    hash_bytes,
     hash_u64,
     index_batch,
     mix64,

@@ -119,6 +119,10 @@ class ExperimentSpec:
         bad = set(self.apps) - set(ALL_APPS)
         if bad:
             raise ValueError(f"unknown apps: {sorted(bad)}")
+        # None means no threshold; zero or less would detect every flow
+        for name in ("threshold", "threshold_fraction"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -224,7 +228,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if benign is None:
         flow_keys, truths = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     else:
-        flow_keys, truths = np.unique(benign.as_u64(), return_counts=True)
+        benign_keys = keys if benign is stream else benign.as_u64()
+        flow_keys, truths = np.unique(benign_keys, return_counts=True)
 
     chash = config_hash(spec)
     exp_id = spec.experiment_id or f"exp-{chash}"

@@ -5,6 +5,10 @@ comparisons use identical placements: one seed per row, one reduction per
 table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
 
+Sketches see one key type, a 64-bit flow id. An integer key is its own
+flow id, modulo 2**64; a ``bytes`` key is :func:`flow_id` of it, folded once
+and without a seed, whatever its length. :func:`u64_keys` converts a batch.
+
 Hashing and placement each have two implementations: the scalar
 :func:`hash_u64` and :class:`RowHasher`, which are the specification and
 serve the per-key entry points, and the C kernel library (``_encode.c``,
@@ -12,12 +16,12 @@ loaded by ``_kernel``) behind the batched :func:`hash_batch` (``hash_keys``)
 and :func:`index_batch` (``place``), which fall back to the scalar ones
 without a compiler.
 
-:class:`RowSketch` is the base of every scheme. It owns the row seeds and
-hashers, the packet total, and the entry points (``encode``, ``query``
-and their ``u64`` forms, ``encode_stream``, ``query_many``, ``slot_of``); a
-scheme supplies only what one slot does with a packet and what it reads
-back, per slot and per row. ``query_many`` reads a decoded-row table: each
-row is decoded once, whatever the number of keys.
+:class:`RowSketch` is the base of every scheme. It owns the row seeds, the
+packet total, and the entry points (``encode``, ``query`` and their ``u64``
+forms, ``encode_stream``, ``query_many``, ``slot_of``); a scheme supplies
+only what one slot does with a packet and what it reads back, per slot and
+per row. ``query_many`` reads a decoded-row table: each row is decoded once,
+whatever the number of keys.
 """
 
 from __future__ import annotations
@@ -64,23 +68,23 @@ def hash_u64(key: int, seed: int) -> int:
     return mix64((key & MASK64) ^ seed_state(seed))
 
 
-def hash_bytes(key: bytes, seed: int) -> int:
-    """64-bit hash of an arbitrary-length key under a seed.
+def flow_id(key: bytes) -> int:
+    """The 64-bit flow id of a key of any length, with no seed: the one key
+    type below the trace. A key of at most 8 bytes is its little-endian value,
+    so it places exactly as that integer does through ``encode_u64``. A longer
+    key (a 13-byte 5-tuple, say) is folded once, ``mix64`` over its length
+    and then over each 8-byte word, and every row hashes the fold.
 
-    Keys of at most 8 bytes hash identically to their little-endian integer
-    value through :func:`hash_u64`; longer keys are folded 8 bytes at a time.
+    The fold can give two flows one id, which then count as one flow. For
+    ``n`` distinct wide keys the chance that any two collide is about
+    ``n**2 / 2**65``: about 7e-9 at 500k flows.
     """
     if len(key) <= 8:
-        return hash_u64(int.from_bytes(key, "little"), seed)
-    h = seed_state(seed) ^ mix64(len(key))
+        return int.from_bytes(key, "little")
+    h = mix64(len(key))
     for off in range(0, len(key), 8):
         h = mix64(h ^ int.from_bytes(key[off : off + 8], "little"))
     return h
-
-
-def reduce_to_width(hash64: int, width: int) -> int:
-    """Map a 64-bit hash to ``[0, width)`` by multiply-shift."""
-    return (hash64 * width) >> 64
 
 
 def derive_seeds(master: int, count: int) -> tuple[int, ...]:
@@ -100,28 +104,29 @@ class RowHasher:
         self.width = width
         self._state = seed_state(seed)
 
-    def index(self, key: bytes) -> int:
-        if len(key) <= 8:
-            return (mix64(int.from_bytes(key, "little") ^ self._state) * self.width) >> 64
-        return reduce_to_width(hash_bytes(key, self.seed), self.width)
-
     def index_u64(self, key: int) -> int:
         return (mix64((key & MASK64) ^ self._state) * self.width) >> 64
 
 
-def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Integer keys as a contiguous uint64 array, each masked to 64 bits as
-    ``encode_u64`` and ``query_u64`` mask it. Keys that are not integers
-    raise TypeError: anything but an int in a sequence (``bytes``, a float),
-    and an array whose dtype is not an integer one (float, complex, string)."""
+def u64_keys(keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
+    """Keys as a contiguous uint64 array of flow ids: an integer masked to 64
+    bits as ``encode_u64`` and ``query_u64`` mask it, a ``bytes`` key as its
+    :func:`flow_id`, as ``encode`` and ``query`` take it. Other keys raise
+    TypeError: a float or a string in a sequence, and an array whose dtype is
+    not an integer one (float, complex, string)."""
     if isinstance(keys, np.ndarray) and keys.dtype != object:
         if keys.dtype.kind not in "iu":
             raise TypeError(f"keys must be integers, not {keys.dtype}")
         return np.ascontiguousarray(keys, dtype=np.uint64)
+    if not isinstance(keys, (Sequence, np.ndarray)):
+        keys = list(keys)  # the fallback below must see every key again
     try:
         return np.frombuffer(array("Q", keys), dtype=np.uint64)
-    except OverflowError:
-        return np.array([operator.index(k) & MASK64 for k in keys], dtype=np.uint64)
+    except (OverflowError, TypeError):
+        return np.array(
+            [flow_id(k) if isinstance(k, bytes) else operator.index(k) & MASK64 for k in keys],
+            dtype=np.uint64,
+        )
 
 
 def hash_batch(keys: Sequence[int] | np.ndarray, seed: int) -> np.ndarray:
@@ -181,11 +186,10 @@ class RowSketch:
         self.config = config
         self._d = config.rows
         self._w = config.width
-        self._hashers = [RowHasher(seed, self._w) for seed in config.seeds]
         self._seed_states = [seed_state(seed) for seed in config.seeds]
         self.packet_count = 0
 
-    def encode_stream(self, keys: np.ndarray) -> None:
+    def encode_stream(self, keys: Sequence[int | bytes] | np.ndarray) -> None:
         """Count every packet of a key array (see :func:`u64_keys`), in stream
         order."""
         keys = u64_keys(keys)
@@ -196,13 +200,8 @@ class RowSketch:
         self.packet_count += len(keys)
 
     def encode(self, key: bytes) -> None:
-        """Count one packet for ``key`` in every row."""
-        if len(key) <= 8:
-            self.encode_u64(int.from_bytes(key, "little"))
-            return
-        for r, hasher in enumerate(self._hashers):
-            self._encode(r, hasher.index(key))
-        self.packet_count += 1
+        """Count one packet for ``key``: ``encode_u64`` of its :func:`flow_id`."""
+        self.encode_u64(flow_id(key))
 
     def encode_u64(self, key: int) -> None:
         w = self._w
@@ -212,10 +211,9 @@ class RowSketch:
         self.packet_count += 1
 
     def query(self, key: bytes) -> int:
-        """Minimum decoded value for ``key`` over all rows."""
-        if len(key) <= 8:
-            return self.query_u64(int.from_bytes(key, "little"))
-        return min(self._decode(r, h.index(key)) for r, h in enumerate(self._hashers))
+        """Minimum decoded value for ``key`` over all rows: ``query_u64`` of
+        its :func:`flow_id`."""
+        return self.query_u64(flow_id(key))
 
     def query_u64(self, key: int) -> int:
         w = self._w
@@ -227,11 +225,11 @@ class RowSketch:
                 best = v
         return best
 
-    def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
+    def query_many(self, keys: Sequence[int | bytes] | np.ndarray) -> list[int]:
         """:meth:`query_u64` of every key, as a list of Python ints."""
         return self._query_array(keys).tolist()
 
-    def _query_array(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    def _query_array(self, keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
         """:meth:`query_u64` of every key, as a uint64 array."""
         keys = u64_keys(keys)
         best = None
@@ -241,4 +239,4 @@ class RowSketch:
         return best.astype(np.uint64, copy=False)
 
     def slot_of(self, row: int, key: bytes) -> int:
-        return self._hashers[row].index(key)
+        return (mix64(flow_id(key) ^ self._seed_states[row]) * self._w) >> 64

@@ -1,10 +1,10 @@
 """Accuracy metrics and the security applications evaluated over a sketch.
 
-All applications enumerate the key universe from the exact oracle (sketches
-are not invertible) and query the sketch for every key: in one
-``_query_array`` call when the keys are integers, per key when some are
-bytes. Detection thresholds are inclusive: a flow whose value reaches the
-threshold is reported. Keys given as a numpy array come back as Python ints.
+Sketches are not invertible, so the applications query a key universe that
+the caller gives (``run_experiment``: the benign flow keys, from one
+``np.unique``). Each key becomes its flow id once (``hashing.u64_keys``) and
+the sketch answers the batch in one ``_query_array`` call. Detection
+thresholds are inclusive. Keys given as a numpy array come back as Python ints.
 
 The error metrics take lists or numpy arrays alike and give the same value
 for both; for integers it is the one the per-flow Python arithmetic gives,
@@ -74,27 +74,12 @@ def _flow_arrays(truths, estimates) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
-def _as_batch(keys: Iterable[Hashable]) -> tuple[list | np.ndarray, list | np.ndarray]:
-    """(the keys, as the numpy array they came in or as a list; the batch
-    that queries them: integer keys (Python ints, numpy integers) converted
-    once to the uint64 array ``_query_array`` takes, or the list itself when
-    some are ``bytes``)."""
+def _as_batch(keys: Iterable[Hashable]) -> tuple[list | np.ndarray, np.ndarray]:
+    """(the keys, as the numpy array they came in or as a list; their flow
+    ids, the uint64 array ``_query_array`` takes)."""
     if not isinstance(keys, np.ndarray):
         keys = list(keys)
-    try:
-        return keys, u64_keys(keys)
-    except TypeError:
-        return keys, keys
-
-
-def _query_keys(sketch, batch: list | np.ndarray) -> np.ndarray:
-    """The sketch's value for every key of an ``_as_batch`` batch, in order,
-    as a uint64 array: one ``_query_array`` for an array, key by key for a
-    list."""
-    if not isinstance(batch, list):
-        return sketch._query_array(batch)
-    values = [sketch.query(k) if isinstance(k, bytes) else sketch.query_u64(int(k)) for k in batch]
-    return np.array(values, dtype=np.uint64)
+    return keys, u64_keys(keys)
 
 
 def _selected(keys: list | np.ndarray, mask: np.ndarray) -> set:
@@ -155,7 +140,7 @@ def detect_heavy_hitters(sketch, keys: Iterable[Hashable], threshold: int) -> se
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     keys, batch = _as_batch(keys)
-    return _selected(keys, _query_keys(sketch, batch) >= threshold)
+    return _selected(keys, sketch._query_array(batch) >= threshold)
 
 
 def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
@@ -179,7 +164,7 @@ def detect_changes(
         raise ValueError("window sketches must share scheme and config")
     keys, batch = _as_batch(keys)
     return _selected(
-        keys, _changed(_query_keys(sketch_t1, batch), _query_keys(sketch_t2, batch), threshold)
+        keys, _changed(sketch_t1._query_array(batch), sketch_t2._query_array(batch), threshold)
     )
 
 
@@ -221,7 +206,7 @@ class FlowSizeDistribution:
 
 
 def estimate_fsd(sketch, keys: Iterable[Hashable]) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(_query_keys(sketch, _as_batch(keys)[1]))
+    return FlowSizeDistribution.from_sizes(sketch._query_array(_as_batch(keys)[1]))
 
 
 def true_fsd(oracle: ExactCounter) -> FlowSizeDistribution:

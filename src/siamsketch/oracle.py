@@ -1,4 +1,6 @@
-"""Exact ground-truth counting used by property tests and metrics."""
+"""Exact ground-truth counting, one dict entry per flow: the tests' oracle
+and the benchmark's flow universe. ``run_experiment`` does not use it; its
+ground truth is one ``np.unique`` of the benign keys."""
 
 from __future__ import annotations
 

@@ -2,7 +2,10 @@
 
 Traces are flat packet sequences, one opaque key per packet. The canonical
 key is 8 bytes and is carried as a uint64 array for speed; longer keys (e.g.
-13-byte 5-tuples) are carried as raw byte strings.
+13-byte 5-tuples) are carried as raw byte strings. Sketches take a key as a
+64-bit flow id (``hashing.flow_id``): a key of at most 8 bytes is its own
+id, and :meth:`Trace.as_u64` folds each longer key once, with no seed, so
+mixed and concatenated traces hold flow ids.
 
 Binary trace format (``SKTR``), little-endian::
 
@@ -25,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import coupon_expect
-from .hashing import hash_batch, hash_u64
+from .hashing import hash_batch, hash_u64, u64_keys
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -69,9 +72,9 @@ class Trace:
         return len(self.keys)
 
     def as_u64(self) -> np.ndarray:
-        if not isinstance(self.keys, np.ndarray):
-            raise TypeError("trace with key_len > 8 has no uint64 view")
-        return self.keys
+        """The flow id of every packet, as a uint64 array: the keys
+        themselves up to ``key_len`` 8, each key folded above."""
+        return self.keys if isinstance(self.keys, np.ndarray) else u64_keys(self.keys)
 
     def iter_bytes(self) -> Iterator[bytes]:
         if isinstance(self.keys, np.ndarray):
@@ -213,7 +216,8 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
 
 def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
-    internal order; deterministic per seed."""
+    internal order; deterministic per seed. The result holds flow ids, so its
+    ``key_len`` is at most 8."""
     if a.key_len != b.key_len:
         raise ValueError("traces must share key_len")
     ka, kb = a.as_u64(), b.as_u64()
@@ -224,13 +228,13 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     out = np.empty(len(labels), dtype=np.uint64)
     out[labels == 0] = ka
     out[labels == 1] = kb
-    return Trace(out, key_len=a.key_len)
+    return Trace(out, key_len=min(a.key_len, 8))
 
 
 def concat_traces(a: Trace, b: Trace) -> Trace:
     if a.key_len != b.key_len:
         raise ValueError("traces must share key_len")
-    return Trace(np.concatenate([a.as_u64(), b.as_u64()]), key_len=a.key_len)
+    return Trace(np.concatenate([a.as_u64(), b.as_u64()]), key_len=min(a.key_len, 8))
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -7,6 +7,8 @@ from scipy import stats
 
 from siamsketch import (
     PairExperiment,
+    SiameseSketch,
+    SketchConfig,
     coupon_expect,
     harmonic,
     hyper_mean,
@@ -16,6 +18,9 @@ from siamsketch import (
     simulate_pair,
     wrap_tally_batch,
 )
+from siamsketch.sketch import group_code
+
+from conftest import keys_for_slots
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -201,3 +206,39 @@ def test_batch_statistics_match_law():
     var_th = hyper_var(exp.side1, exp.neighbor, exp.wraps)
     assert tallies.mean() == pytest.approx(mean_th, abs=4 * math.sqrt(var_th / 40_000))
     assert tallies.var(ddof=1) == pytest.approx(var_th, rel=0.1)
+
+
+@pytest.mark.parametrize("bits, shared", [(8, 4), (8, 2), (8, 6), (4, 2), (16, 8)])
+def test_engine_shared_pair_matches_the_replay_model(bits, shared):
+    # the engine against a model it does not share: a fresh shared pair (slots
+    # 0 and 1, group code 3) fed make_order's interleaving must decode to
+    # simulate_pair's estimates, by the kernel and by per-packet _encode,
+    # while neither member's wrap tally reaches its prefix maximum
+    cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=shared, seeds=(bits,))
+    k0, k1 = keys_for_slots(SiameseSketch(cfg), 0, [0, 1])
+    prefix_max = ((1 << bits) - 1) >> (shared // 2)
+    rng = np.random.default_rng(bits * 100 + shared)
+    checked = 0
+    for case in range(100):
+        total = int(rng.integers(1, min(prefix_max << shared, 3000) + 1))
+        side1 = int(rng.integers(0, total + 1))
+        exp = PairExperiment(target=side1, background=0, neighbor=total - side1, shared_bits=shared)
+        order = make_order(exp, seed=case)
+        model = simulate_pair(exp, order)
+        if max(model.wraps_side1, model.wraps_side2) >= prefix_max:
+            continue
+        checked += 1
+        keys = np.where(order == 0, np.uint64(k0), np.uint64(k1))
+        kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+        for sk in (kernel, scalar):
+            sk._states[0][0] = group_code(1, 0)
+        kernel.encode_stream(keys)
+        for key in keys.tolist():
+            scalar.encode_u64(key)
+        for sk in (kernel, scalar):
+            assert sk.group_state(0, 0) == group_code(1, 0)
+            assert (sk.query_u64(k0), sk.query_u64(k1)) == (
+                model.est_shared,
+                model.est_shared_peer,
+            )
+    assert checked >= 90

@@ -91,6 +91,33 @@ def test_encode_stream_matches_per_packet_encode(scenario):
     assert batched.query_many(probe) == [scalar.query_u64(k) for k in probe]
 
 
+@pytest.mark.parametrize("bits", [2, 4, 6, 8, 12, 16])
+def test_kernel_matches_encode_from_planted_states_at_every_width(bits):
+    # a sweep, not a draw: every even shared_bits in both merge modes, from
+    # states planted at and next to every limit. A first pass sends one
+    # packet to nearly every planted slot before bursts move the states on,
+    # so a kernel defect confined to one width or one slot type fails here
+    # on every run.
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    for shared in range(0, bits, 2):
+        for mode in ("sum", "max"):
+            cfg = SketchConfig(
+                rows=2, width=64, counter_bits=bits, shared_bits=shared, merge_mode=mode,
+                seeds=(bits, shared + 1),
+            )
+            rng = np.random.default_rng(100 * bits + shared)
+            pool = rng.integers(0, 1 << 64, size=256, dtype=np.uint64)
+            stream = np.concatenate([pool, bursty_stream(rng, 1500, 40)])
+            kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+            plant_state(kernel, np.random.default_rng(bits + shared))
+            plant_state(scalar, np.random.default_rng(bits + shared))
+            kernel.encode_stream(stream)
+            for key in stream.tolist():
+                scalar.encode_u64(key)
+            assert_same(kernel, scalar)
+
+
 @pytest.mark.parametrize("bits, shared", [(8, 4), (4, 2), (8, 0), (6, 2), (12, 6)])
 def test_encode_stream_crosses_the_chunk_size(bits, shared):
     # a stream longer than one chunk, split at several points, at the real

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from siamsketch.cli import main
-from siamsketch.traffic import read_trace
+from siamsketch.traffic import Trace, read_trace, write_trace
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -100,6 +100,19 @@ def test_run_end_to_end(tmp_path):
     assert (out / "metrics.json").exists()
 
 
+def test_run_over_13_byte_keys(tmp_path):
+    # a trace of 5-tuple-sized keys runs, its keys folded to flow ids
+    keys = [bytes([i % 7, i % 11]) + bytes(range(11)) for i in range(3000)]
+    benign = tmp_path / "wide.sktr"
+    write_trace(benign, Trace(keys, key_len=13))
+    reports = []
+    for name in ("r1", "r2"):
+        assert main(["run", "--benign", str(benign), "--width", "64",
+                     "--snapshot-interval", "1000", "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "metrics.csv").read_text())
+    assert reports[0] == reports[1] and len(reports[0].splitlines()) > 10
+
+
 def test_run_missing_trace_reports_json_error(tmp_path, capsys):
     rc = main(["run", "--benign", str(tmp_path / "missing.sktr"),
                "--width", "256", "--out", str(tmp_path / "r")])
@@ -113,6 +126,13 @@ def test_run_bad_scheme_reports_json_error(tmp_path, capsys):
                "--benign", "x", "--out", str(tmp_path / "r")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+
+
+def test_run_threshold_not_positive_reports_json_error(tmp_path, capsys):
+    for flag in (["--threshold", "0"], ["--threshold-fraction", "-0.5"]):
+        rc = main(["run", "--width", "256", "--benign", "x", *flag, "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
 
 
 def test_run_config_file_with_flag_override(tmp_path):

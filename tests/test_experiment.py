@@ -46,6 +46,40 @@ def test_spec_validation():
         ExperimentSpec(interleave="sorted")
 
 
+def test_spec_rejects_thresholds_that_are_not_positive():
+    # a threshold of zero or less would report every flow as heavy and every
+    # flow as changed; None keeps meaning "no threshold"
+    for bad in (dict(threshold=-5), dict(threshold=0), dict(threshold_fraction=0.0),
+                dict(threshold_fraction=-0.1), dict(threshold=0, threshold_fraction=None)):
+        with pytest.raises(ValueError, match="threshold"):
+            ExperimentSpec(apps=("heavy-hitter",), **bad)
+    ExperimentSpec(threshold=None, threshold_fraction=None)
+    ExperimentSpec(threshold=1, threshold_fraction=None)
+
+
+def _wide_trace(seed, packets=6000):
+    """A Zipf stream of 13-byte keys, each rank's 8-byte key followed by five
+    more bytes, as a 5-tuple's port and protocol bytes follow its addresses."""
+    keys = gen_zipf(ZipfConfig(skew=1.0, flows=400, packets=packets, seed=seed)).as_u64()
+    tail = b"\x01\xbb\x06\x00\x00"
+    return Trace([k.to_bytes(8, "little") + tail for k in keys.tolist()], key_len=13)
+
+
+def test_wide_key_traces_run_deterministically():
+    benign, other = _wide_trace(3), _wide_trace(4, packets=3000)
+    for extra in (dict(), dict(attack=other, attack_fraction=0.33)):
+        spec = _small_spec(benign=benign, apps=("size", "heavy-hitter", "change", "fsd"), **extra)
+        first, second = run_experiment(spec), run_experiment(spec)
+        assert first.metric_rows == second.metric_rows
+        assert first.counter_rows == second.counter_rows
+        assert {r["metric"] for r in first.metric_rows} >= {"are", "f1_heavy_hitter", "f1_change"}
+    # the flow ids of the mix are the folds of the two traces' keys
+    stream, _ = assemble_stream(spec)
+    assert stream.key_len == 8 and len(stream) == 9000
+    both = np.concatenate([benign.as_u64(), other.as_u64()])
+    assert np.array_equal(np.sort(stream.as_u64()), np.sort(both))
+
+
 def test_resolve_widths_equal_memory():
     spec = ExperimentSpec(memory_bytes=512 * 1024, width=None)
     dyn, cm = resolve_widths(spec)

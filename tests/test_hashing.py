@@ -14,8 +14,8 @@ from siamsketch import (
 from siamsketch.hashing import (
     RowHasher,
     derive_seeds,
+    flow_id,
     hash_batch,
-    hash_bytes,
     hash_u64,
     index_batch,
     mix64,
@@ -27,17 +27,18 @@ from conftest import kernel_unbuildable, plant_state
 
 def test_width_one_always_zero():
     h = RowHasher(seed=9, width=1)
-    for k in (b"", b"\x00" * 8, b"\xff" * 8, (12345).to_bytes(8, "little")):
-        assert h.index(k) == 0
+    for k in (b"", b"\x00" * 8, b"\xff" * 8, (12345).to_bytes(8, "little"), b"\x07" * 13):
+        assert h.index_u64(flow_id(k)) == 0
 
 
 def test_deterministic_per_seed_and_key():
     h = RowHasher(seed=77, width=4096)
     key = (424242).to_bytes(8, "little")
-    first = h.index(key)
-    assert all(h.index(key) == first for _ in range(10))
-    assert RowHasher(seed=77, width=4096).index(key) == first
-    assert RowHasher(seed=78, width=4096).index(key) != first or True  # may collide
+    first = h.index_u64(flow_id(key))
+    assert all(h.index_u64(flow_id(key)) == first for _ in range(10))
+    assert RowHasher(seed=77, width=4096).index_u64(flow_id(key)) == first
+    wide = bytes(range(13))
+    assert flow_id(wide) == flow_id(bytes(range(13)))
 
 
 def test_index_range():
@@ -48,18 +49,29 @@ def test_index_range():
 
 
 def test_bytes_and_u64_paths_agree():
+    # a key of at most 8 bytes is its little-endian value, so it places as
+    # the integer does
     for k in (0, 1, 255, 2**40 + 17, 2**64 - 1):
         kb = k.to_bytes(8, "little")
-        assert hash_bytes(kb, 5) == hash_u64(k, 5)
+        assert flow_id(kb) == k
+        assert flow_id(kb.rstrip(b"\x00")) == k
         h = RowHasher(seed=5, width=777)
-        assert h.index(kb) == h.index_u64(k)
+        assert h.index_u64(flow_id(kb)) == h.index_u64(k)
 
 
 def test_long_keys_fold():
-    a = hash_bytes(b"0123456789abc", 1)
-    b = hash_bytes(b"0123456789abd", 1)
-    assert a != b
-    assert a == hash_bytes(b"0123456789abc", 1)
+    # keys longer than 8 bytes fold, with no seed, into one 64-bit flow id
+    # that every row then hashes; a differing last byte, a trailing zero
+    # byte and a differing length all give another id
+    a = flow_id(b"0123456789abc")
+    assert a == flow_id(b"0123456789abc")
+    assert 0 <= a < 2**64
+    others = {flow_id(k) for k in (b"0123456789abd", b"0123456789abc\x00", b"123456789abc")}
+    assert a not in others and len(others) == 3
+    assert a != int.from_bytes(b"01234567", "little")
+    # the fold is mix64 over the length and then over each 8-byte word
+    words = (int.from_bytes(b"01234567", "little"), int.from_bytes(b"89abc", "little"))
+    assert a == mix64(mix64(mix64(13) ^ words[0]) ^ words[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,7 +202,8 @@ def test_query_many_matches_query_u64_for_every_scheme():
 @pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
 def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     # encode_u64/query_u64 take any int modulo 2**64; the batched entry points
-    # take the same keys, and bytes in a key list are refused, not parsed
+    # take the same keys, and a bytes key in a key list as encode/query take
+    # it (its flow id), never parsed as digits
     cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
     keys = [-1, 1 << 64, (1 << 64) + 5, 5, np.uint64(7), np.int64(-2)]
     batched, scalar = cls(cfg), cls(cfg)
@@ -200,8 +213,12 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     assert batched._rows == scalar._rows
     assert batched.query_many(keys) == [scalar.query_u64(int(k)) for k in keys]
     assert batched.query_many([-1]) == [1]
+    assert batched.query_many([5, b"12"]) == [batched.query_u64(5), batched.query(b"12")]
+    assert flow_id(b"12") != 12
     with pytest.raises(TypeError):
-        batched.query_many([5, b"12"])
+        batched.query_many([5, 1.5])
+    with pytest.raises(TypeError):
+        batched.encode_stream([5, 1.5])
     # an array of non-integers is refused, not cast: floats would truncate
     for bad in (np.array([1.5, 1.9, 2.2]), np.array([1 + 2j]), np.array(["1", "2"])):
         with pytest.raises(TypeError):
@@ -209,3 +226,30 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
         with pytest.raises(TypeError):
             batched.query_many(bad)
     assert batched._rows == scalar._rows
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
+def test_batched_entry_points_take_ints_and_bytes_mixed(cls):
+    # a key list mixing ints, short bytes and 13-byte keys counts and answers
+    # exactly as the per-key calls do, and a wide key as its flow id
+    cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
+    rng = np.random.default_rng(6)
+    pool = [3, b"\x03", 2**64 + 9, b"ab", bytes(range(13)), bytes(range(1, 14)), np.uint64(11)]
+    keys = [pool[i] for i in rng.integers(0, len(pool), size=600)]
+    batched, scalar = cls(cfg), cls(cfg)
+    batched.encode_stream(keys)
+    for k in keys:
+        if isinstance(k, bytes):
+            scalar.encode(k)
+        else:
+            scalar.encode_u64(int(k))
+    assert batched._rows == scalar._rows
+    assert batched.packet_count == scalar.packet_count == len(keys)
+    # a one-shot iterator gives every key to the fallback too
+    once = cls(cfg)
+    once.encode_stream(iter(keys))
+    assert once._rows == scalar._rows and once.packet_count == len(keys)
+    expected = [scalar.query(k) if isinstance(k, bytes) else scalar.query_u64(int(k)) for k in pool]
+    assert batched.query_many(pool) == expected
+    assert batched.query(b"\x03") == batched.query_u64(3)
+    assert batched.query(bytes(range(13))) == batched.query_u64(flow_id(bytes(range(13))))

@@ -13,6 +13,8 @@ from siamsketch import (
     InstantMergeSketch,
     SiameseSketch,
     SketchConfig,
+    dump_bytes,
+    flow_id,
     group_code,
     pair_states,
 )
@@ -448,6 +450,24 @@ def test_long_key_encode_query():
     for _ in range(7):
         sk.encode(key)
     assert sk.query(key) == 7
+
+
+def test_wide_key_counts_as_its_flow_id():
+    # a 13-byte key is folded once into a flow id, and the sketch holds what
+    # the same packets leave through encode_u64 of that id, in every row
+    cfg = SketchConfig(rows=3, width=16, counter_bits=4, shared_bits=2, seeds=(3, 4, 5))
+    wide = [bytes(range(i, i + 13)) for i in range(5)]
+    by_key, by_id = SiameseSketch(cfg), SiameseSketch(cfg)
+    for i in range(400):
+        key = wide[i * i % 5]
+        by_key.encode(key)
+        by_id.encode_u64(flow_id(key))
+    assert dump_bytes(by_key) == dump_bytes(by_id)
+    for key in wide:
+        assert by_key.query(key) == by_id.query_u64(flow_id(key))
+        assert [by_key.slot_of(r, key) for r in range(3)] == [
+            by_key.slot_of(r, flow_id(key).to_bytes(8, "little")) for r in range(3)
+        ]
 
 
 def test_bytes_and_u64_encode_agree():
