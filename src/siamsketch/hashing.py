@@ -14,7 +14,8 @@ Hashing and placement each have two implementations: the scalar
 serve the per-key entry points, and the C kernel library (``_encode.c``,
 loaded by ``_kernel``) behind the batched :func:`hash_batch` (``hash_keys``)
 and :func:`index_batch` (``place``), which fall back to the scalar ones
-without a compiler.
+without a compiler. A :class:`KeyBatch` keeps a segment's slots per row, so
+sketches that count one segment at one width place it once.
 
 :class:`RowSketch` is the base of every scheme. It owns the row seeds, the
 packet total, and the entry points (``encode``, ``query`` and their ``u64``
@@ -26,6 +27,7 @@ whatever the number of keys.
 
 from __future__ import annotations
 
+import functools
 import operator
 from array import array
 from typing import Sequence
@@ -36,12 +38,14 @@ from . import _kernel
 
 MASK64 = (1 << 64) - 1
 
-# Packets placed and counted per step of ``RowSketch.encode_stream``. Both
-# kernel passes, placement and encode, make one pass over a chunk whatever its
-# size, so the size only bounds the chunk's int64 index array (8 bytes per
-# packet, 512 KB here). On a 1.23 M-packet attacked stream (3 x 4096 slots,
-# sc-lsb, best of 15, two sweeps on a 2-core x86-64 host), chunks of 8k
-# packets up to the whole stream took 0.033 to 0.050 s in no steady order.
+# Packets placed and counted per step of ``RowSketch.encode_stream`` given raw
+# keys, and the longest segment ``run_experiment`` wraps in one ``KeyBatch``.
+# Both kernel passes, placement and encode, make one pass over a chunk
+# whatever its size, so the size only bounds its int64 slot arrays (8 bytes
+# per packet, 512 KB here): one at a time for raw keys, one per row in a
+# ``KeyBatch``. On a 1.23 M-packet attacked stream (3 x 4096 slots, sc-lsb,
+# best of 15, two sweeps on a 2-core x86-64 host), chunks of 8k packets up to
+# the whole stream took 0.033 to 0.050 s in no steady order.
 ENCODE_CHUNK = 1 << 16
 
 _PHI = 0x9E3779B97F4A7C15
@@ -162,6 +166,38 @@ def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     return out
 
 
+class KeyBatch:
+    """A segment of flow ids (see :func:`u64_keys`) and the slots of each row,
+    placed on first request and kept for the width last asked: sketches of
+    one width and one set of row seeds that count the same segment place it
+    once between them. A request at another width drops the slots kept, so
+    the batch holds at most one int64 array per row seed of one width.
+
+    ``RowSketch.encode_stream`` takes a batch whole; a caller that wraps a
+    segment keeps it to ``ENCODE_CHUNK`` packets, as ``encode_stream`` cuts
+    raw keys.
+    """
+
+    __slots__ = ("keys", "_width", "_slots")
+
+    def __init__(self, keys: Sequence[int | bytes] | np.ndarray) -> None:
+        self.keys = u64_keys(keys)
+        self._width = 0
+        self._slots: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def slots(self, seed: int, width: int) -> np.ndarray:
+        """:func:`index_batch` of the keys under ``seed`` and ``width``."""
+        if width != self._width:
+            self._width, self._slots = width, {}
+        idx = self._slots.get(seed)
+        if idx is None:
+            idx = self._slots[seed] = index_batch(self.keys, seed, width)
+        return idx
+
+
 class RowSketch:
     """Count-Min-shaped front door: one slot per row, minimum over rows.
 
@@ -173,13 +209,15 @@ class RowSketch:
     slot as a uint64 array. ``config`` needs ``rows``, ``width`` and one seed
     per row.
 
-    ``encode_stream`` places (:func:`index_batch`) and counts the stream
-    ``ENCODE_CHUNK`` packets at a time, so no whole-stream index array is
-    ever held. ``query_many`` decodes each row once into a table, answers
-    every key with one gather per row and takes the minimum over rows; the
-    private ``_query_array`` returns that minimum as a uint64 array, for
-    callers that go on computing on it (the experiment's metrics), and
-    ``query_many`` is its ``tolist()``.
+    ``encode_stream`` counts row by row, placing each row just before it is
+    counted: a :class:`KeyBatch` whole, asking it for each row's slots, so
+    sketches that share the batch and a width place it once between them;
+    raw keys ``ENCODE_CHUNK`` packets at a time through :func:`index_batch`,
+    so no whole-stream index array is ever held. ``query_many`` decodes each
+    row once into a table, answers every key with one gather per row and
+    takes the minimum over rows; the private ``_query_array`` returns that
+    minimum as a uint64 array, for callers that go on computing on it (the
+    experiment's metrics), and ``query_many`` is its ``tolist()``.
     """
 
     def __init__(self, config) -> None:
@@ -189,15 +227,22 @@ class RowSketch:
         self._seed_states = [seed_state(seed) for seed in config.seeds]
         self.packet_count = 0
 
-    def encode_stream(self, keys: Sequence[int | bytes] | np.ndarray) -> None:
-        """Count every packet of a key array (see :func:`u64_keys`), in stream
-        order."""
-        keys = u64_keys(keys)
-        for start in range(0, len(keys), ENCODE_CHUNK):
-            chunk = keys[start : start + ENCODE_CHUNK]
+    def encode_stream(self, keys: KeyBatch | Sequence[int | bytes] | np.ndarray) -> None:
+        """Count every packet of a :class:`KeyBatch` or of a key array (see
+        :func:`u64_keys`), in stream order."""
+        if isinstance(keys, KeyBatch):
+            steps = [(len(keys), keys.slots)]
+        else:
+            # No batch keeps a raw chunk's slots: with every row's slots of a
+            # chunk held at once, this encode ran 1-5 % slower (alternating
+            # timings in one process, 2-core x86-64 host).
+            keys = u64_keys(keys)
+            chunks = (keys[i : i + ENCODE_CHUNK] for i in range(0, len(keys), ENCODE_CHUNK))
+            steps = ((len(chunk), functools.partial(index_batch, chunk)) for chunk in chunks)
+        for packets, place in steps:
             for r, seed in enumerate(self.config.seeds):
-                self._encode_batch(r, index_batch(chunk, seed, self._w))
-        self.packet_count += len(keys)
+                self._encode_batch(r, place(seed, self._w))
+            self.packet_count += packets
 
     def encode(self, key: bytes) -> None:
         """Count one packet for ``key``: ``encode_u64`` of its :func:`flow_id`."""

@@ -82,8 +82,9 @@ kernel's writes land in the rows the scalar code reads.
 Batched encode (``encode_stream``): per chunk and row, ``hashing.index_batch``
 places the keys and ``_encode_batch`` counts the slots, both in the C kernel
 library (``_encode.c``, built and loaded by ``_kernel``); placement stays its
-own pass because ``query_many`` and Count-Min use it too, and fusing it into
-the count was no faster. The state machine is inherently sequential, since a
+own pass because ``query_many`` and Count-Min use it too, sketches of one
+width share it through a ``hashing.KeyBatch``, and fusing it into the count
+was no faster. The state machine is inherently sequential, since a
 packet can change its group's state and so how the next packet to that group
 counts. The library's ``encode_row`` therefore walks the chunk in stream
 order and runs a port of ``_encode``, ``_share`` and ``_fuse`` on the row

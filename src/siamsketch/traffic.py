@@ -214,12 +214,17 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
     return Trace(stream)
 
 
+def _mixed_key_len(a: Trace, b: Trace) -> int:
+    """The ``key_len`` of a mix of two traces: it holds flow ids, which fit in
+    the wider trace's key width up to 8 bytes and in 8 bytes above."""
+    return min(max(a.key_len, b.key_len), 8)
+
+
 def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
-    internal order; deterministic per seed. The result holds flow ids, so its
-    ``key_len`` is at most 8."""
-    if a.key_len != b.key_len:
-        raise ValueError("traces must share key_len")
+    internal order; deterministic per seed. The traces may differ in
+    ``key_len``: the result holds the flow ids of both (see
+    :func:`_mixed_key_len`)."""
     ka, kb = a.as_u64(), b.as_u64()
     labels = np.zeros(len(ka) + len(kb), dtype=np.int8)
     labels[len(ka) :] = 1
@@ -228,13 +233,13 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     out = np.empty(len(labels), dtype=np.uint64)
     out[labels == 0] = ka
     out[labels == 1] = kb
-    return Trace(out, key_len=min(a.key_len, 8))
+    return Trace(out, key_len=_mixed_key_len(a, b))
 
 
 def concat_traces(a: Trace, b: Trace) -> Trace:
-    if a.key_len != b.key_len:
-        raise ValueError("traces must share key_len")
-    return Trace(np.concatenate([a.as_u64(), b.as_u64()]), key_len=min(a.key_len, 8))
+    """``a`` then ``b``, as flow ids, whatever their ``key_len``s (see
+    :func:`_mixed_key_len`)."""
+    return Trace(np.concatenate([a.as_u64(), b.as_u64()]), key_len=_mixed_key_len(a, b))
 
 
 # -- file I/O ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from siamsketch import (
     plan_attack,
     run_experiment,
 )
+from siamsketch import hashing
 from siamsketch.experiment import assemble_stream, build_sketch, config_hash, resolve_widths
 from siamsketch.snapshot import dump_bytes
 
@@ -66,18 +67,65 @@ def _wide_trace(seed, packets=6000):
 
 
 def test_wide_key_traces_run_deterministically():
-    benign, other = _wide_trace(3), _wide_trace(4, packets=3000)
-    for extra in (dict(), dict(attack=other, attack_fraction=0.33)):
+    benign = _wide_trace(3)
+    # no attack, a wide attack trace, and gen_attack's 8-byte keys
+    for attack in (None, _wide_trace(4, packets=3000), gen_attack(plan_attack(64, 0.5), seed=9)):
+        extra = {} if attack is None else dict(attack=attack, attack_fraction=0.33)
         spec = _small_spec(benign=benign, apps=("size", "heavy-hitter", "change", "fsd"), **extra)
         first, second = run_experiment(spec), run_experiment(spec)
         assert first.metric_rows == second.metric_rows
         assert first.counter_rows == second.counter_rows
         assert {r["metric"] for r in first.metric_rows} >= {"are", "f1_heavy_hitter", "f1_change"}
-    # the flow ids of the mix are the folds of the two traces' keys
+        if attack is None:
+            continue
+        # the flow ids of the mix are the folds of the two traces' keys
+        stream, folded = assemble_stream(spec)
+        assert stream.key_len == 8 and len(stream) == len(benign) + len(attack)
+        assert np.array_equal(folded.as_u64(), benign.as_u64())
+        both = np.concatenate([benign.as_u64(), attack.as_u64()])
+        assert np.array_equal(np.sort(stream.as_u64()), np.sort(both))
+
+
+def test_wide_benign_trace_is_folded_once(monkeypatch):
+    # the interleave and the ground truth both read the one fold
+    benign, attack = _wide_trace(3, packets=2000), _wide_trace(4, packets=10)
+    folds = []
+    real = hashing.flow_id
+    monkeypatch.setattr(hashing, "flow_id", lambda key: folds.append(key) or real(key))
+    run_experiment(_small_spec(benign=benign, attack=attack, attack_fraction=0.5))
+    assert len(folds) == len(benign) + len(attack)
+
+
+def test_each_segment_is_placed_once_per_width(monkeypatch):
+    # sc-lsb, instant and their second change windows share one width and
+    # the row seeds, Count-Min has its own width: two placements per packet
+    # and row, whatever the number of sketches that count it
+    benign = gen_zipf(ZipfConfig(skew=1.0, flows=2000, packets=50_000, seed=3))
+    attack = gen_attack(plan_attack(256, 0.5), seed=9)
+    spec = _small_spec(benign=benign, attack=attack, attack_fraction=0.5, snapshot_interval=20_000)
     stream, _ = assemble_stream(spec)
-    assert stream.key_len == 8 and len(stream) == 9000
-    both = np.concatenate([benign.as_u64(), other.as_u64()])
-    assert np.array_equal(np.sort(stream.as_u64()), np.sort(both))
+    assert len(stream) > hashing.ENCODE_CHUNK  # segments are also cut at the chunk size
+    placed = {"encode": 0, "query": 0}
+    caller = ["encode"]
+    real_index, real_query = hashing.index_batch, hashing.RowSketch._query_array
+
+    def index_batch(keys, seed, width):
+        placed[caller[0]] += len(keys)
+        return real_index(keys, seed, width)
+
+    def query_array(self, keys):
+        caller[0] = "query"
+        try:
+            return real_query(self, keys)
+        finally:
+            caller[0] = "encode"
+
+    monkeypatch.setattr(hashing, "index_batch", index_batch)
+    monkeypatch.setattr(hashing.RowSketch, "_query_array", query_array)
+    result = run_experiment(spec)
+    assert {r["metric"] for r in result.metric_rows} >= {"are", "f1_change", "wmre"}
+    assert placed["encode"] == 2 * spec.rows * len(stream)
+    assert placed["query"] > 0
 
 
 def test_resolve_widths_equal_memory():

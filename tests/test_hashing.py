@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +14,8 @@ from siamsketch import (
     SketchConfig,
 )
 from siamsketch.hashing import (
+    ENCODE_CHUNK,
+    KeyBatch,
     RowHasher,
     derive_seeds,
     flow_id,
@@ -21,6 +25,7 @@ from siamsketch.hashing import (
     mix64,
 )
 from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
+from siamsketch.snapshot import dump_bytes
 
 from conftest import kernel_unbuildable, plant_state
 
@@ -253,3 +258,53 @@ def test_batched_entry_points_take_ints_and_bytes_mixed(cls):
     assert batched.query_many(pool) == expected
     assert batched.query(b"\x03") == batched.query_u64(3)
     assert batched.query(bytes(range(13))) == batched.query_u64(flow_id(bytes(range(13))))
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    extra=st.integers(-200, 400),
+    cuts=st.lists(st.integers(0, ENCODE_CHUNK + 400), max_size=4),
+    pool_seed=st.integers(0, 2**32),
+)
+def test_shared_key_batch_counts_as_raw_keys(extra, cuts, pool_seed):
+    # one batch per segment, fed to sketches of two widths in turn, so its
+    # kept slots change width between calls, and to one of other seeds; each
+    # must end as the same sketch fed the raw array, which encode_stream cuts
+    # at ENCODE_CHUNK wherever the segments end
+    rng = np.random.default_rng(pool_seed)
+    pool = rng.integers(0, 1 << 64, size=40, dtype=np.uint64)
+    keys = pool[rng.integers(0, len(pool), size=ENCODE_CHUNK + extra)]
+    dyn = SketchConfig(rows=2, width=16, counter_bits=4, shared_bits=2, seeds=(3, 4))
+
+    def sketches():
+        return [
+            SiameseSketch(dyn),
+            CountMinSketch(CountMinConfig(rows=2, width=12, seeds=dyn.seeds)),
+            InstantMergeSketch(dyn),
+            SiameseSketch(replace(dyn, seeds=(5, 6))),
+        ]
+
+    shared, raw = sketches(), sketches()
+    start = 0
+    for stop in sorted({*(c for c in cuts if c <= len(keys)), len(keys)}):
+        for batch in (KeyBatch(keys[start:stop]), KeyBatch(keys[:0])):
+            for sketch in shared:
+                sketch.encode_stream(batch)
+        start = stop
+    for sketch in raw:
+        sketch.encode_stream(keys)
+    for a, b in zip(shared, raw):
+        assert a.packet_count == b.packet_count == len(keys)
+        assert dump_bytes(a) == dump_bytes(b)
+
+
+def test_key_batch_keeps_the_slots_of_one_width():
+    batch = KeyBatch([1, 2, b"\x03" * 13])
+    assert len(batch) == 3 and batch.keys.dtype == np.uint64
+    first = batch.slots(7, 100)
+    assert batch.slots(7, 100) is first
+    assert batch.slots(8, 100) is not first
+    # another width drops the slots kept, and they are placed again after it
+    assert np.array_equal(batch.slots(7, 50), index_batch(batch.keys, 7, 50))
+    again = batch.slots(7, 100)
+    assert again is not first and np.array_equal(again, first)

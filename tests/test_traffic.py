@@ -211,6 +211,25 @@ def test_concat():
     assert concat_traces(a, b).as_u64().tolist() == [1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "len_a, len_b, mixed",
+    [(4, 4, 4), (2, 6, 6), (6, 2, 6), (3, 8, 8), (13, 8, 8), (5, 13, 8), (13, 13, 8)],
+)
+def test_mixing_traces_of_different_key_len(len_a, len_b, mixed):
+    # both sides are flow ids; the mix takes the wider key width, at most 8
+    def trace(key_len, base):
+        if key_len > 8:
+            return Trace([bytes([base + i]) * key_len for i in range(3)], key_len)
+        return Trace(np.arange(base, base + 3, dtype=np.uint64), key_len)
+
+    a, b = trace(len_a, 1), trace(len_b, 100)
+    ids = np.concatenate([a.as_u64(), b.as_u64()])
+    for mix in (interleave_traces(a, b, seed=1), concat_traces(a, b)):
+        assert mix.key_len == mixed
+        assert np.array_equal(np.sort(mix.as_u64()), np.sort(ids))
+    assert np.array_equal(concat_traces(a, b).as_u64(), ids)
+
+
 # -- file formats -------------------------------------------------------------
 
 
