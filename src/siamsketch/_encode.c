@@ -16,11 +16,36 @@
  * its carry into the high half. ``transition`` holds the rest: the prefix
  * carry on a joint wrap, the carry across the slots of a fused counter, quad
  * saturation, and share and fuse, after which ``settle`` retries the bump
- * where ``_encode`` calls itself again. ``encode_row`` compiles its loop
- * once per slot type, so the bump runs on a constant width and on locals,
- * not on ``machine`` fields that every slot store could overwrite. The row
- * and its group codes are the sketch's own ``array.array`` buffers, updated
- * in place. The caller guarantees that every index is in ``[0, width)``.
+ * where ``_encode`` calls itself again. The row and its group codes are the
+ * sketch's own ``array.array`` buffers, updated in place. The caller
+ * guarantees that every index is in ``[0, width)``.
+ *
+ * ``encode_row`` has two count loops, which leave the row bit-identical:
+ *
+ * - ``count`` calls ``bump``, which branches on the slot's unit. It is
+ *   compiled once per slot type, so the bump runs on a constant width and
+ *   on locals, not on ``machine`` fields that every slot store could
+ *   overwrite.
+ * - ``count_pairs``, for uint8 slots only, handles units 0-2 without
+ *   branching on the unit. It reads the packet's pair as one 16-bit word,
+ *   first slot high, and adds ``inc``: 1 at the counter's lowest slot, or
+ *   at the joint's low half, in the second slot. For a shared pair the gap
+ *   bits (``0xFF & ~hmask``, the second member's prefix) are set to ones for
+ *   the add and restored after it, so the joint's carry crosses into the
+ *   first slot. One test, ``(word & field) == field``, replaces the slot
+ *   maximum check and the two joint checks: ``field`` is the slot maximum
+ *   at the counter's lowest slot, or both joint halves. It is exact because
+ *   no slot holds more than the slot maximum (``load_bytes`` rejects such a
+ *   row). A packet that fails the test, and every packet to units 3-4
+ *   (``field`` 0), takes the ``bump`` and ``settle`` of ``count``.
+ *
+ * On predictable streams, where most packets of a run hit one unit kind,
+ * ``count`` is faster. When the units of a row's packets are mixed, as in a
+ * row under a slot-saturation attack, ``count_pairs`` is faster, because
+ * ``count`` mispredicts its unit branch on about half of the packets. Once
+ * per call ``encode_row`` counts the row's groups that hold a shared pair,
+ * and runs ``count_pairs`` for a uint8 row with ``shared_bits > 0`` where
+ * at least 1/8 of them do (``PAIR_SHARE``), else ``count``.
  *
  * Built by ``_kernel.py`` with the system C compiler and loaded with ctypes.
  */
@@ -226,10 +251,67 @@ static inline void count(machine *m, const int64_t *idx, size_t n, int wide)
             settle(m, (size_t)idx[i]);
 }
 
-/* Count ``n`` packets, given by slot, into one row; returns the content the
- * share initializations among them dropped (the row's ``lsb_discard``). */
-uint64_t encode_row(void *row, int wide, uint8_t *states, const int64_t *idx, size_t n,
-                    int counter_bits, int shared_bits, int sum_mode)
+/* ``count_pairs`` runs when at least 1 / PAIR_SHARE of a row's groups hold
+ * a shared pair. One 4096-slot row, 65,536 uniform packets, a share of
+ * groups in code 4, best of 21, ``count`` against ``count_pairs`` (2-core
+ * x86-64 host, gcc 12 -O2): 225 against 298 us at 0, 334 against 310 us at
+ * 8 %, 390 against 316 us at 12.5 %, 933 against 377 us at 50 %. The
+ * crossover lies between 4 and 8 % there; 1/8 errs towards ``count``, the
+ * loop of every other row. On the benchmark's ``attack`` stream an sc-lsb
+ * row passes 1/8 by its second chunk; on ``many-flows`` it stays below 1 %. */
+#define PAIR_SHARE 8
+
+/* The pair-word bump of a slot, indexed by 4 * group code + (slot & 3): the
+ * slot's pair read as one word, first slot high, takes ``(word | gap) +
+ * inc`` with the gap restored, unless ``(word & field) == field``. */
+typedef struct {
+    uint16_t inc, field, gap;
+} pair_step;
+
+static void pair_steps(pair_step step[44], unsigned max0, unsigned hmask)
+{
+    for (unsigned i = 0; i < 44; i++) {
+        unsigned unit = UNIT[(i >> 2 << 1) | ((i >> 1) & 1)];
+        /* an odd independent slot is the second slot; a fused pair's
+         * lowest slot is the first */
+        unsigned shift = unit == 0 && (i & 1) ? 0 : 8;
+        pair_step single = {(uint16_t)(1u << shift), (uint16_t)(max0 << shift), 0};
+        pair_step shared = {1, (uint16_t)(hmask << 8 | hmask), (uint16_t)(0xFF & ~hmask)};
+        pair_step none = {0, 0, 0}; /* field 0: every packet goes to ``bump`` */
+        step[i] = unit == 1 ? shared : unit > 2 ? none : single;
+    }
+}
+
+/* The loop of ``encode_row`` for uint8 rows where shared pairs are common. */
+static void count_pairs(machine *m, const int64_t *idx, size_t n)
+{
+    uint8_t *slots = m->slots;
+    const uint8_t *states = m->states;
+    uint64_t max0 = m->max[0], hmask = m->hmask;
+    pair_step step[44];
+    pair_steps(step, (unsigned)max0, (unsigned)hmask);
+    for (size_t i = 0; i < n; i++) {
+        size_t slot = (size_t)idx[i];
+        pair_step p = step[(states[slot >> 2] << 2) | (slot & 3)];
+        uint8_t *pair = slots + (slot & ~(size_t)1);
+        unsigned word = (unsigned)pair[0] << 8 | pair[1];
+        unsigned field = p.field, gap = p.gap;
+        if ((word & field) == field) {
+            if (!bump(slots, 0, states, slot, max0, hmask))
+                settle(m, slot);
+            continue;
+        }
+        word = (((word | gap) + p.inc) & ~gap) | (word & gap);
+        pair[0] = (uint8_t)(word >> 8);
+        pair[1] = (uint8_t)word;
+    }
+}
+
+/* Count ``n`` packets, given by slot, into one row of ``groups`` groups;
+ * returns the content the share initializations among them dropped (the
+ * row's ``lsb_discard``). */
+uint64_t encode_row(void *row, int wide, uint8_t *states, size_t groups, const int64_t *idx,
+                    size_t n, int counter_bits, int shared_bits, int sum_mode)
 {
     machine m;
     m.slots = row;
@@ -245,8 +327,14 @@ uint64_t encode_row(void *row, int wide, uint8_t *states, const int64_t *idx, si
     m.kmask = ones(shared_bits);
     m.hmask = ones(m.hk);
     m.discarded = 0;
+    size_t shared = 0;
+    if (shared_bits && !wide)
+        for (size_t g = 0; g < groups; g++)
+            shared += UNIT[2 * states[g]] == 1 || UNIT[2 * states[g] + 1] == 1;
     if (wide)
         count(&m, idx, n, 1);
+    else if (shared * PAIR_SHARE >= groups)
+        count_pairs(&m, idx, n);
     else
         count(&m, idx, n, 0);
     return m.discarded;

@@ -4,7 +4,9 @@ The library has three entry points: ``hash_keys`` hashes a chunk of keys
 under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
 their slots in one row (``hashing.index_batch``), and ``encode_row`` counts a
 chunk of slots into one row of the dynamic-counter engine
-(``DynamicSketch._encode_batch``).
+(``DynamicSketch._encode_batch``). ``encode_row`` takes the row's group count
+with its group codes: it reads every code once per call to choose between its
+two count loops (see ``_encode.c``).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -122,6 +124,7 @@ def load():
         ctypes.c_void_p,  # row slots
         ctypes.c_int,  # slots are uint16
         ctypes.c_void_p,  # group codes
+        ctypes.c_size_t,  # groups, the length of the group codes
         ctypes.c_void_p,  # int64 slot indices
         ctypes.c_size_t,
         ctypes.c_int,  # counter_bits

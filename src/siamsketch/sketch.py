@@ -94,10 +94,18 @@ them. The port splits ``_encode`` at its first transition. Its first steps,
 the bump (+1 to an unshared counter's lowest slot below the slot maximum,
 or to a shared pair's joint with its carry into the high half), are the
 whole update for nearly every packet, and run in a loop compiled once per
-slot type. The rest, the transition (prefix carry on a joint wrap, carry
-across a fused counter's slots, quad saturation, share, fuse), runs only
-when the bump cannot absorb the packet, and after a share or fuse the bump
-is retried where ``_encode`` calls itself again. ``_encode`` stays the
+slot type. That loop's bump branches on the counter kind, which mispredicts
+where a row's packets hit independent slots, shared pairs and fused pairs in
+random order, as under a slot-saturation attack. So for 8-bit rows the
+library has a second loop, which bumps an independent slot, a shared pair's
+joint or a fused pair by one add on the pair's two slots read as one word,
+without branching on the kind; once per chunk and row it runs where at least
+1/8 of the row's groups hold a shared pair, and the first loop elsewhere
+(``_encode.c`` gives the layout and the measured crossover). The rest, the
+transition (prefix carry on a joint wrap, carry across a fused counter's
+slots, quad saturation, share, fuse), runs only when the bump cannot absorb
+the packet, in either loop, and after a share or fuse the bump is retried
+where ``_encode`` calls itself again. ``_encode`` stays the
 specification: it is the readable form of the lifecycle above, the tests
 compare the kernel against it, and it is the fallback. Where the library cannot be built (no C
 compiler), placement goes key by key through the scalar ``mix64`` and
@@ -276,6 +284,7 @@ class DynamicSketch(RowSketch):
             row.buffer_info()[0],
             row.itemsize == 2,
             self._states[row_idx].buffer_info()[0],
+            len(self._states[row_idx]),
             idx.ctypes.data,
             len(idx),
             self._s,
@@ -468,8 +477,12 @@ class DynamicSketch(RowSketch):
         """Packets represented in one row, counting joint sub-counters once.
 
         In sum mode ``row_total(r) + lsb_discard(r)`` equals the number of
-        packets encoded, exactly: the only content ever dropped is the smaller
-        low part at each share initialization.
+        packets encoded, exactly, until a quad-width counter saturates: the
+        content dropped otherwise is the smaller low part at each share
+        initialization, which ``lsb_discard`` counts, but a packet to a
+        saturated quad-width counter is dropped and counted nowhere. At 4-bit
+        slots, 70,000 packets of one key leave 65,535 on every row. ROADMAP
+        item 2 plans a per-row count of those packets.
         """
         unit = self._unit_row(row)
         span = 1 << (unit >> 1)

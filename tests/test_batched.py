@@ -3,7 +3,10 @@
 ``encode_stream`` places each chunk with the kernel library's ``place`` and
 counts it with its ``encode_row``, a port of ``_encode``, or, where the
 library cannot be built, with the scalar ``mix64`` and ``_encode`` itself;
-``query_many`` reads decoded-row tables. Both
+``query_many`` reads decoded-row tables. The kernel counts a chunk of an
+8-bit row with its pair-word loop when at least 1/8 of the row's groups hold
+a shared pair, else with its per-unit loop; the tests below plant rows on
+each side of that share and cross it within one stream. Both
 encode paths and the query must leave and report exactly what per-packet
 ``encode_u64`` and per-key ``query_u64`` do, in every group state and at
 every counter width. The kernel's build, cache and fallback are tested here
@@ -18,8 +21,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, _kernel, hashing
+from siamsketch.sketch import (
+    _UNIT, LEGAL_GROUP_STATES, PAIR_SHARED, UNSHARED_GROUP_STATES, group_code,
+)
 
-from conftest import kernel_unbuildable, plant_state
+from conftest import key_bytes, kernel_unbuildable, plant_state
+
+# Group codes holding a shared pair, and the share of a row's groups in them
+# from which the kernel counts an 8-bit row with its pair-word loop.
+SHARED_PAIR_CODES = [c for c in range(11) if 1 in (_UNIT[2 * c], _UNIT[2 * c + 1])]
+PAIR_LOOP_SHARE = 1 / 8
+
+
+def shared_pair_share(sketch, row: int) -> float:
+    return float(np.isin(np.frombuffer(sketch._states[row], dtype=np.uint8), SHARED_PAIR_CODES).mean())
 
 
 def bursty_stream(rng: np.random.Generator, length: int, pool: int) -> np.ndarray:
@@ -116,6 +131,98 @@ def test_kernel_matches_encode_from_planted_states_at_every_width(bits):
             for key in stream.tolist():
                 scalar.encode_u64(key)
             assert_same(kernel, scalar)
+
+
+def plant_shared_pairs(sketch, rng: np.random.Generator, count: int) -> None:
+    """``plant_state``, then exactly ``count`` groups of each row in a code
+    with a shared pair and every other group in a legal code without one."""
+    plant_state(sketch, rng)
+    legal = LEGAL_GROUP_STATES if sketch.config.shared_bits else UNSHARED_GROUP_STATES
+    others = sorted(legal - set(SHARED_PAIR_CODES))
+    groups = sketch.config.width // 4
+    for r in range(sketch.config.rows):
+        chosen = set(rng.choice(groups, size=count, replace=False).tolist())
+        for g in range(groups):
+            sketch._states[r][g] = int(rng.choice(SHARED_PAIR_CODES if g in chosen else others))
+
+
+@pytest.mark.parametrize("bits", [2, 4, 6, 8])
+def test_kernel_matches_encode_on_each_side_of_the_pair_loop_share(bits):
+    # every even shared_bits in both merge modes, from rows planted with 7
+    # of 64 groups in a shared-pair code (per-unit loop) and with 8, exactly
+    # the 1/8 share (pair-word loop); the stream is one chunk, so the
+    # planted share selects the loop for all of it
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    for shared in range(0, bits, 2):
+        for mode in ("sum", "max"):
+            for planted in (7, 8) if shared else (0,):
+                cfg = SketchConfig(
+                    rows=2, width=256, counter_bits=bits, shared_bits=shared, merge_mode=mode,
+                    seeds=(bits, planted),
+                )
+                rng = np.random.default_rng(1000 * bits + 10 * shared + planted)
+                pool = rng.integers(0, 1 << 64, size=1024, dtype=np.uint64)
+                stream = np.concatenate([pool, bursty_stream(rng, 3000, 60)])
+                kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+                plant_shared_pairs(kernel, np.random.default_rng(planted), planted)
+                plant_shared_pairs(scalar, np.random.default_rng(planted), planted)
+                assert (shared_pair_share(kernel, 0) >= PAIR_LOOP_SHARE) == (planted == 8)
+                kernel.encode_stream(stream)
+                for key in stream.tolist():
+                    scalar.encode_u64(key)
+                assert_same(kernel, scalar)
+
+
+@pytest.mark.parametrize("shared, mode", [(2, "max"), (4, "sum"), (4, "max"), (6, "sum")])
+def test_kernel_switches_loops_between_chunks(shared, mode):
+    # from an empty 8-bit sketch, heavy bursts push groups into shared
+    # pairs and on into fused counters, so the share that selects the loop
+    # crosses 1/8 between chunks of one encode_stream call
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    chunk = 200
+    cfg = SketchConfig(rows=2, width=64, shared_bits=shared, merge_mode=mode, seeds=(shared, 7))
+    stream = bursty_stream(np.random.default_rng(shared), 4000, 40)
+    kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "ENCODE_CHUNK", chunk)
+        kernel.encode_stream(stream)
+    shares = []
+    for i in range(0, len(stream), chunk):
+        shares.append(shared_pair_share(scalar, 0))
+        for key in stream[i : i + chunk].tolist():
+            scalar.encode_u64(key)
+    assert min(shares) < PAIR_LOOP_SHARE <= max(shares)
+    assert_same(kernel, scalar)
+
+
+@pytest.mark.parametrize("path", ["pair-word loop", "per-unit loop", "fallback"])
+def test_saturated_quad_counter_drops_packets_from_row_total(path):
+    # 4-bit slots: one key's group fuses up to a 16-bit quad counter, which
+    # saturates at 65,535, and the 4,465 packets beyond it are counted
+    # nowhere, so the sum-mode row_total + lsb_discard falls short of the
+    # packets encoded. For the pair-word loop every other group holds a
+    # shared pair at zero, so the row stays above its share and the quad
+    # counter's packets go through the per-unit bump inside it; in a
+    # 16-group row the key's group alone stays below the share.
+    if path != "fallback" and _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    width = 16 if path == "pair-word loop" else 64
+    sk = SiameseSketch(SketchConfig(rows=2, width=width, counter_bits=4, shared_bits=2, seeds=(3, 4)))
+    key = 12345
+    if path == "pair-word loop":
+        for r in range(2):
+            own = sk.slot_of(r, key_bytes(key)) >> 2
+            for g in range(width // 4):
+                sk._states[r][g] = group_code(PAIR_SHARED, PAIR_SHARED) if g != own else 0
+            assert shared_pair_share(sk, r) >= PAIR_LOOP_SHARE
+    with kernel_unbuildable(path == "fallback"):
+        sk.encode_stream(np.full(70_000, key, dtype=np.uint64))
+    assert sk.packet_count == 70_000
+    assert sk.query_u64(key) == 65_535
+    for r in range(2):
+        assert sk.row_total(r) + sk.lsb_discard(r) == 65_535
 
 
 @pytest.mark.parametrize("bits, shared", [(8, 4), (4, 2), (8, 0), (6, 2), (12, 6)])
