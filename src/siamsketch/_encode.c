@@ -1,10 +1,17 @@
-/* The kernel library: batched hashing, batched row placement and batched
- * encode.
+/* The kernel library: batched hashing, batched row placement, batched
+ * encode and batched query.
  *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
  * as ``hashing.RowHasher.index_u64`` does key by key. Both share one
  * ``mix64``.
+ *
+ * ``decode_row`` writes ``DynamicSketch._decode`` of every slot of one row
+ * into a uint64 table, through the same ``unit_of`` and ``read_span`` as the
+ * encode. ``query_rows`` answers a batch of keys from the tables of every
+ * row, ``RowSketch.query_u64`` of each: per key it places the key in each row
+ * as ``place`` does, reads the row's table there and keeps the minimum, in
+ * one pass that writes only the answers.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It ports
@@ -355,13 +362,60 @@ void hash_keys(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t *ou
         out[i] = mix64(keys[i] ^ seed_state);
 }
 
-/* ``n`` keys to their slots in ``[0, width)``: ``mix64(key ^ seed_state)``,
- * then the high 64 bits of ``hash * width``, taken in 32-bit halves so that
- * no product overflows; exact for ``width <= 2**32``. */
+/* A key's slot in ``[0, width)``: ``mix64(key ^ seed_state)``, then the high
+ * 64 bits of ``hash * width``, taken in 32-bit halves so that no product
+ * overflows; exact for ``width <= 2**32``. */
+static inline size_t slot_in(uint64_t key, uint64_t seed_state, uint64_t width)
+{
+    uint64_t z = mix64(key ^ seed_state);
+    return (size_t)(((z >> 32) * width + (((z & 0xFFFFFFFF) * width) >> 32)) >> 32);
+}
+
+/* ``n`` keys to their slots in one row. */
 void place(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t width, int64_t *out)
 {
+    for (size_t i = 0; i < n; i++)
+        out[i] = (int64_t)slot_in(keys[i], seed_state, width);
+}
+
+/* ``_decode`` of every slot of one row of ``width`` slots: the counter the
+ * slot belongs to, and for a shared counter its prefix above the joint. */
+void decode_row(const void *row, int wide, const uint8_t *states, size_t width,
+                int counter_bits, int shared_bits, uint64_t *out)
+{
+    machine m;
+    m.slots = (void *)row; /* read only: ``read_span`` writes nothing */
+    m.wide = wide;
+    m.s = counter_bits;
+    int hk = shared_bits >> 1;
+    uint64_t hmask = ones(hk);
+    for (size_t slot = 0; slot < width; slot++) {
+        unsigned unit = unit_of(states, slot);
+        size_t span = (size_t)1 << (unit >> 1);
+        uint64_t value = read_span(&m, slot & ~(span - 1), span);
+        if (unit & 1) {
+            size_t first = slot & ~(2 * span - 1);
+            uint64_t joint = ((get(row, wide, first) & hmask) << hk)
+                             | (get(row, wide, first + span) & hmask);
+            value = ((value >> hk) << shared_bits) | joint;
+        }
+        out[slot] = value;
+    }
+}
+
+/* ``n`` keys to their answers: per key, the minimum over ``rows`` rows of
+ * the key's slot in the row's decoded table. ``tables`` holds the rows one
+ * after another, ``width`` uint64 values each, and row ``r`` is placed as
+ * ``place`` places it under ``seed_states[r]``. */
+void query_rows(const uint64_t *keys, size_t n, const uint64_t *seed_states,
+                const uint64_t *tables, size_t rows, uint64_t width, uint64_t *out)
+{
     for (size_t i = 0; i < n; i++) {
-        uint64_t z = mix64(keys[i] ^ seed_state);
-        out[i] = (int64_t)(((z >> 32) * width + (((z & 0xFFFFFFFF) * width) >> 32)) >> 32);
+        uint64_t best = UINT64_MAX;
+        for (size_t r = 0; r < rows; r++) {
+            uint64_t v = tables[r * width + slot_in(keys[i], seed_states[r], width)];
+            best = v < best ? v : best;
+        }
+        out[i] = best;
     }
 }

@@ -1,12 +1,15 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has three entry points: ``hash_keys`` hashes a chunk of keys
+The library has five entry points: ``hash_keys`` hashes a chunk of keys
 under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
-their slots in one row (``hashing.index_batch``), and ``encode_row`` counts a
+their slots in one row (``hashing.index_batch``), ``encode_row`` counts a
 chunk of slots into one row of the dynamic-counter engine
-(``DynamicSketch._encode_batch``). ``encode_row`` takes the row's group count
-with its group codes: it reads every code once per call to choose between its
-two count loops (see ``_encode.c``).
+(``DynamicSketch._encode_batch``), ``decode_row`` decodes every slot of such
+a row (``DynamicSketch._decode_row``), and ``query_rows`` answers a batch of
+keys from every row's decoded table, placing each key and taking the minimum
+over rows in one pass (``hashing.RowSketch._query_array``). ``encode_row``
+takes the row's group count with its group codes: it reads every code once
+per call to choose between its two count loops (see ``_encode.c``).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -20,8 +23,8 @@ place, so a concurrent process never loads a partial file.
 
 Without a compiler, or when the build or the load fails, :func:`load` returns
 None after one ``RuntimeWarning`` per process: keys are then hashed and
-placed key by key with the scalar ``mix64`` and the engine counts packets with
-its scalar ``_encode``.
+placed key by key with the scalar ``mix64``, the engine counts packets with
+its scalar ``_encode`` and decodes slots with its scalar ``_decode``.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel library, with ``hash_keys``, ``place`` and ``encode_row``
-    declared, built first if needed; None if it cannot be built or loaded."""
+    """The kernel library, with its five entry points declared, built first
+    if needed; None if it cannot be built or loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
@@ -97,10 +100,11 @@ def load():
             _build(path, command)
         lib = ctypes.CDLL(str(path))
         hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
+        decode_row, query_rows = lib.decode_row, lib.query_rows
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
-            f"siamsketch: no C encode kernel ({detail}); hashing and encoding packet by packet",
+            f"siamsketch: no C encode kernel ({detail}); hashing, encoding and decoding in Python",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -132,4 +136,24 @@ def load():
         ctypes.c_int,  # sum mode
     ]
     encode_row.restype = ctypes.c_uint64
+    decode_row.argtypes = [
+        ctypes.c_void_p,  # row slots
+        ctypes.c_int,  # slots are uint16
+        ctypes.c_void_p,  # group codes
+        ctypes.c_size_t,  # width, the number of slots
+        ctypes.c_int,  # counter_bits
+        ctypes.c_int,  # shared_bits
+        ctypes.c_void_p,  # uint64 decoded values, written
+    ]
+    decode_row.restype = None
+    query_rows.argtypes = [
+        ctypes.c_void_p,  # uint64 keys
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # uint64 seed state of each row
+        ctypes.c_void_p,  # uint64 decoded tables, rows x width
+        ctypes.c_size_t,  # rows
+        ctypes.c_uint64,  # width
+        ctypes.c_void_p,  # uint64 answers, written
+    ]
+    query_rows.restype = None
     return lib

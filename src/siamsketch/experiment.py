@@ -32,10 +32,13 @@ a stream is cut, so the copy is exactly a fresh sketch fed the first half,
 and no cut changes a sketch's state. Counter rows are collected per scheme,
 so the counter report lists one scheme after another as before.
 
-Query placement is not shared: each ``_query_array`` places its keys per
-row and keeps nothing. Keeping the slots of the flow universe and of the
-change universe for the next sketch raised the benchmark's peak resident
-memory on 184k flows from about 89 to 100 MB.
+Query placement is not shared: each ``_query_array`` places its keys
+inside the kernel library's query pass, which reads each key's slot in
+every row's decoded table and keeps only the minimum, so no slot array is
+held (without the library it places per row with ``index_batch`` and keeps
+nothing). Keeping the slots of the flow universe and of the change
+universe for the next sketch raised the benchmark's peak resident memory on
+184k flows from about 89 to 100 MB.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ sketches that count one segment at one width place it once.
 packet total, and the entry points (``encode``, ``query`` and their ``u64``
 forms, ``encode_stream``, ``query_many``, ``slot_of``); a scheme supplies
 only what one slot does with a packet and what it reads back, per slot and
-per row. ``query_many`` reads a decoded-row table: each row is decoded once,
-whatever the number of keys.
+per row. ``query_many`` reads decoded-row tables: each row is decoded once,
+whatever the number of keys, and the library's ``query_rows`` places every
+key, looks it up in each table and takes the minimum over rows in one pass.
 """
 
 from __future__ import annotations
@@ -148,14 +149,20 @@ def hash_batch(keys: Sequence[int] | np.ndarray, seed: int) -> np.ndarray:
     return out
 
 
+def _check_width(width: int) -> None:
+    """The kernel reduces a hash to a slot in 32-bit halves, exact for
+    ``width <= 2**32`` only."""
+    if not 0 < width <= 1 << 32:
+        raise ValueError("width must be in [1, 2**32]")
+
+
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     """The slot of every key (see :func:`u64_keys`) in a row of ``width``
     slots hashed with ``seed``, as an int64 array: ``RowHasher(seed,
     width).index_u64`` of each key, exactly. The kernel library's ``place``
     computes it; where the library cannot be built, every key goes through
     the scalar ``index_u64``, after the loader's one ``RuntimeWarning``."""
-    if not 0 < width <= 1 << 32:
-        raise ValueError("width must be in [1, 2**32]")
+    _check_width(width)
     keys = u64_keys(keys)
     lib = _kernel.load()
     if lib is None:
@@ -214,10 +221,13 @@ class RowSketch:
     sketches that share the batch and a width place it once between them;
     raw keys ``ENCODE_CHUNK`` packets at a time through :func:`index_batch`,
     so no whole-stream index array is ever held. ``query_many`` decodes each
-    row once into a table, answers every key with one gather per row and
-    takes the minimum over rows; the private ``_query_array`` returns that
-    minimum as a uint64 array, for callers that go on computing on it (the
-    experiment's metrics), and ``query_many`` is its ``tolist()``.
+    row once into a uint64 table, and the library's ``query_rows`` places
+    every key in every row, gathers its table entries and takes their
+    minimum, in one pass over the keys; without the library each row places
+    the keys with :func:`index_batch` and gathers from its table. The
+    private ``_query_array`` returns that minimum as a uint64 array, for
+    callers that go on computing on it (the experiment's metrics), and
+    ``query_many`` is its ``tolist()``.
     """
 
     def __init__(self, config) -> None:
@@ -276,12 +286,23 @@ class RowSketch:
 
     def _query_array(self, keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
         """:meth:`query_u64` of every key, as a uint64 array."""
+        _check_width(self._w)
         keys = u64_keys(keys)
-        best = None
-        for r, seed in enumerate(self.config.seeds):
-            vals = self._decode_row(r)[index_batch(keys, seed, self._w)]
-            best = vals if best is None else np.minimum(best, vals)
-        return best.astype(np.uint64, copy=False)
+        tables = np.stack([self._decode_row(r) for r in range(self._d)])
+        tables = tables.astype(np.uint64, copy=False)
+        lib = _kernel.load()
+        if lib is None:
+            seeds = self.config.seeds
+            return functools.reduce(
+                np.minimum, (t[index_batch(keys, s, self._w)] for t, s in zip(tables, seeds))
+            )
+        states = np.array(self._seed_states, dtype=np.uint64)
+        out = np.empty(len(keys), dtype=np.uint64)
+        lib.query_rows(
+            keys.ctypes.data, len(keys), states.ctypes.data, tables.ctypes.data, self._d, self._w,
+            out.ctypes.data,
+        )
+        return out
 
     def slot_of(self, row: int, key: bytes) -> int:
         return (mix64(flow_id(key) ^ self._seed_states[row]) * self._w) >> 64

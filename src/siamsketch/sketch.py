@@ -75,9 +75,9 @@ counters, ``'H'`` above) and each row's group codes an ``array('B')``. The
 per-slot state machine ``_encode`` / ``_decode`` is the specification; it
 reads and writes the arrays as Python ints (numpy rows would hand it
 fixed-width scalars, and shifts such as ``slots[b + 1] << s`` would wrap).
-The batched paths use the same buffers in place (the encode kernel through
-their addresses, ``_decode_row`` through zero-copy numpy views), so the
-kernel's writes land in the rows the scalar code reads.
+The batched paths use the same buffers in place (the kernel library reads
+and writes them through their addresses), so the kernel's writes land in
+the rows the scalar code reads.
 
 Batched encode (``encode_stream``): per chunk and row, ``hashing.index_batch``
 places the keys and ``_encode_batch`` counts the slots, both in the C kernel
@@ -111,8 +111,13 @@ compare the kernel against it, and it is the fallback. Where the library cannot 
 compiler), placement goes key by key through the scalar ``mix64`` and
 ``_encode_batch`` calls ``_encode`` per packet, after one ``RuntimeWarning``:
 the same result, about 100 times slower on an attacked stream.
-``_decode_row`` decodes a whole row at once with numpy for ``query_many``
-and ``row_total``.
+
+Batched decode (``query_many``, ``row_total``): ``_decode_row`` decodes a
+whole row into a uint64 table with the library's ``decode_row``, a port of
+``_decode`` run slot by slot, and ``hashing.RowSketch`` answers a batch of
+keys from the tables in one more library pass. Without the library
+``_decode_row`` calls ``_decode`` per slot, as ``_encode_batch`` calls
+``_encode``.
 """
 
 from __future__ import annotations
@@ -246,8 +251,8 @@ class DynamicSketch(RowSketch):
         self._hk = self._k >> 1
         self._kmask = (1 << self._k) - 1
         self._hmask = (1 << self._hk) - 1
-        self._typecode = "B" if self._s <= 8 else "H"
-        self._rows = [array(self._typecode, [0]) * self._w for _ in range(self._d)]
+        typecode = "B" if self._s <= 8 else "H"
+        self._rows = [array(typecode, [0]) * self._w for _ in range(self._d)]
         self._states = [array("B", [0]) * (self._w >> 2) for _ in range(self._d)]
         self._lsb_discards = [0] * self._d
         self._pair_bit = (np.arange(self._w) >> 1) & 1
@@ -409,20 +414,23 @@ class DynamicSketch(RowSketch):
         return _UNITS[(np.repeat(codes, 4) << 1) | self._pair_bit]
 
     def _decode_row(self, row_idx: int) -> np.ndarray:
-        """``_decode`` of every slot of one row, as a uint64 array."""
-        row = np.frombuffer(self._rows[row_idx], dtype=self._typecode)
-        unit = self._unit_row(row_idx)
-        s, hk, k, hmask = (np.uint64(x) for x in (self._s, self._hk, self._k, self._hmask))
-        r = row.astype(np.uint64)
-        lo, hi = r[0::2], r[1::2]
-        pair = lo | (hi << s)
-        fused = np.repeat(pair, 2)
-        quad = np.repeat(pair[0::2] | (pair[1::2] << (s + s)), 4)
-        joint = ((lo & hmask) << hk) | (hi & hmask)
-        shared = ((r >> hk) << k) | np.repeat(joint, 2)
-        joint = ((pair[0::2] & hmask) << hk) | (pair[1::2] & hmask)
-        wide = ((fused >> hk) << k) | np.repeat(joint, 4)
-        return np.choose(unit, (r, shared, fused, wide, quad))
+        """``_decode`` of every slot of one row, as a uint64 array: with the C
+        kernel when it could be built, else with ``_decode`` itself."""
+        lib = _kernel.load()
+        if lib is None:
+            return np.array([self._decode(row_idx, s) for s in range(self._w)], dtype=np.uint64)
+        row = self._rows[row_idx]
+        out = np.empty(self._w, dtype=np.uint64)
+        lib.decode_row(
+            row.buffer_info()[0],
+            row.itemsize == 2,
+            self._states[row_idx].buffer_info()[0],
+            self._w,
+            self._s,
+            self._k,
+            out.ctypes.data,
+        )
+        return out
 
     # -- inspection -------------------------------------------------------
 

@@ -14,6 +14,7 @@ too.
 """
 
 import shutil
+from array import array
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, _kernel, hashing
 from siamsketch.sketch import (
-    _UNIT, LEGAL_GROUP_STATES, PAIR_SHARED, UNSHARED_GROUP_STATES, group_code,
+    _UNIT, GROUP_MERGED_WIDE, LEGAL_GROUP_STATES, PAIR_SHARED, UNSHARED_GROUP_STATES, group_code,
 )
 
 from conftest import key_bytes, kernel_unbuildable, plant_state
@@ -112,7 +113,10 @@ def test_kernel_matches_encode_from_planted_states_at_every_width(bits):
     # states planted at and next to every limit. A first pass sends one
     # packet to nearly every planted slot before bursts move the states on,
     # so a kernel defect confined to one width or one slot type fails here
-    # on every run.
+    # on every run. The rows it leaves, in every group state, must then
+    # decode slot by slot as _decode does, with the kernel's decode_row and
+    # with the fallback; at 16 bits a quad counter planted above 2**63
+    # fills the top bit of the decoded table.
     if _kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be compared")
     for shared in range(0, bits, 2):
@@ -125,12 +129,23 @@ def test_kernel_matches_encode_from_planted_states_at_every_width(bits):
             pool = rng.integers(0, 1 << 64, size=256, dtype=np.uint64)
             stream = np.concatenate([pool, bursty_stream(rng, 1500, 40)])
             kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
-            plant_state(kernel, np.random.default_rng(bits + shared))
-            plant_state(scalar, np.random.default_rng(bits + shared))
+            for sk in (kernel, scalar):
+                plant_state(sk, np.random.default_rng(bits + shared))
+                if bits == 16:
+                    sk._states[0][0] = GROUP_MERGED_WIDE
+                    sk._rows[0][0:4] = array("H", [1, 2, 3, 0x8000])
             kernel.encode_stream(stream)
             for key in stream.tolist():
                 scalar.encode_u64(key)
             assert_same(kernel, scalar)
+            expected = [[kernel._decode(r, s) for s in range(cfg.width)] for r in range(cfg.rows)]
+            assert (max(max(row) for row in expected) >= 1 << 63) == (bits == 16)
+            for fallback in (False, True):
+                with kernel_unbuildable(fallback):
+                    for r in range(cfg.rows):
+                        decoded = kernel._decode_row(r)
+                        assert decoded.dtype == np.uint64
+                        assert decoded.tolist() == expected[r]
 
 
 def plant_shared_pairs(sketch, rng: np.random.Generator, count: int) -> None:

@@ -99,7 +99,10 @@ def test_wide_benign_trace_is_folded_once(monkeypatch):
 def test_each_segment_is_placed_once_per_width(monkeypatch):
     # sc-lsb, instant and their second change windows share one width and
     # the row seeds, Count-Min has its own width: two placements per packet
-    # and row, whatever the number of sketches that count it
+    # and row, whatever the number of sketches that count it. Queries place
+    # their keys in the kernel's query pass (or, without it, through
+    # index_batch, which is not counted as encode here): each scheme queries
+    # its main sketch and both change windows once.
     benign = gen_zipf(ZipfConfig(skew=1.0, flows=2000, packets=50_000, seed=3))
     attack = gen_attack(plan_attack(256, 0.5), seed=9)
     spec = _small_spec(benign=benign, attack=attack, attack_fraction=0.5, snapshot_interval=20_000)
@@ -107,6 +110,7 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
     assert len(stream) > hashing.ENCODE_CHUNK  # segments are also cut at the chunk size
     placed = {"encode": 0, "query": 0}
     caller = ["encode"]
+    queries = []
     real_index, real_query = hashing.index_batch, hashing.RowSketch._query_array
 
     def index_batch(keys, seed, width):
@@ -114,6 +118,7 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
         return real_index(keys, seed, width)
 
     def query_array(self, keys):
+        queries.append(self.scheme)
         caller[0] = "query"
         try:
             return real_query(self, keys)
@@ -125,7 +130,7 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
     result = run_experiment(spec)
     assert {r["metric"] for r in result.metric_rows} >= {"are", "f1_change", "wmre"}
     assert placed["encode"] == 2 * spec.rows * len(stream)
-    assert placed["query"] > 0
+    assert sorted(queries) == sorted(spec.schemes * 3)
 
 
 def test_resolve_widths_equal_memory():

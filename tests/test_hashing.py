@@ -173,10 +173,26 @@ def test_invalid_width():
     ]
 
 
+@pytest.mark.parametrize("cls", [SiameseSketch, CountMinSketch])
+def test_query_refuses_a_width_the_kernel_cannot_place(cls):
+    # the kernel's query pass reduces as index_batch does, exactly only up
+    # to 2**32 slots; the width is forced past it rather than allocated
+    sk = cls((CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8))
+    with pytest.raises(ValueError, match="width must be in"):
+        index_batch(np.arange(3, dtype=np.uint64), 0, 2**32 + 4)
+    sk._w = 2**32 + 4
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            for keys in ([], [3]):
+                with pytest.raises(ValueError, match="width must be in"):
+                    sk.query_many(keys)
+
+
 def test_query_many_matches_query_u64_for_every_scheme():
-    # the shared front door decodes whole rows and gathers; answers must
-    # equal the scalar per-key path, keys above 2**63 included, at every
-    # counter width and in every group state (codes 9 and 10 included)
+    # the shared front door decodes whole rows and answers from the tables,
+    # with the kernel's query pass and with the per-row fallback; answers
+    # must equal the scalar per-key path, keys above 2**63 included, at
+    # every counter width and in every group state (codes 9 and 10 included)
     rng = np.random.default_rng(12)
     keys = rng.integers(0, 1 << 64, size=300, dtype=np.uint64)
     stream = rng.choice(keys[:40], size=30_000)
@@ -197,11 +213,15 @@ def test_query_many_matches_query_u64_for_every_scheme():
                 assert (GROUP_SHARED_WIDE in codes) == bool(sk.config.shared_bits)
             else:
                 sk.encode_stream(stream)
-            answers = sk.query_many(probe)
-            assert answers == [sk.query_u64(k) for k in probe]
-            assert all(type(v) is int for v in answers)
-            assert sk.query_many(keys) == answers
-            assert sk.query_many([]) == []
+            expected = [sk.query_u64(k) for k in probe]
+            for fallback in (False, True):
+                with kernel_unbuildable(fallback):
+                    answers = sk.query_many(probe)
+                    assert answers == expected
+                    assert all(type(v) is int for v in answers)
+                    assert sk.query_many(keys) == answers
+                    assert sk.query_many(probe[-1:]) == expected[-1:]
+                    assert sk.query_many([]) == []
 
 
 @pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
@@ -216,20 +236,23 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     for k in keys:
         scalar.encode_u64(int(k))
     assert batched._rows == scalar._rows
-    assert batched.query_many(keys) == [scalar.query_u64(int(k)) for k in keys]
-    assert batched.query_many([-1]) == [1]
-    assert batched.query_many([5, b"12"]) == [batched.query_u64(5), batched.query(b"12")]
-    assert flow_id(b"12") != 12
-    with pytest.raises(TypeError):
-        batched.query_many([5, 1.5])
-    with pytest.raises(TypeError):
-        batched.encode_stream([5, 1.5])
-    # an array of non-integers is refused, not cast: floats would truncate
-    for bad in (np.array([1.5, 1.9, 2.2]), np.array([1 + 2j]), np.array(["1", "2"])):
-        with pytest.raises(TypeError):
-            batched.encode_stream(bad)
-        with pytest.raises(TypeError):
-            batched.query_many(bad)
+    # queries with the kernel's query pass and with the per-row fallback
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            assert batched.query_many(keys) == [scalar.query_u64(int(k)) for k in keys]
+            assert batched.query_many([-1]) == [1]
+            assert batched.query_many([5, b"12"]) == [batched.query_u64(5), batched.query(b"12")]
+            assert flow_id(b"12") != 12
+            with pytest.raises(TypeError):
+                batched.query_many([5, 1.5])
+            with pytest.raises(TypeError):
+                batched.encode_stream([5, 1.5])
+            # an array of non-integers is refused, not cast: floats would truncate
+            for bad in (np.array([1.5, 1.9, 2.2]), np.array([1 + 2j]), np.array(["1", "2"])):
+                with pytest.raises(TypeError):
+                    batched.encode_stream(bad)
+                with pytest.raises(TypeError):
+                    batched.query_many(bad)
     assert batched._rows == scalar._rows
 
 
