@@ -38,7 +38,6 @@ from .hashing import (
 from .metrics import (
     FlowSizeDistribution,
     detect_changes,
-    detect_heavy_hitters,
     estimate_entropy,
     estimate_fsd,
     metric_are,

@@ -93,11 +93,6 @@ class CountMinSketch(RowSketch):
         return self._d * self._w * 32
 
 
-def dynamic_row_bits(width: int, counter_bits: int = 8) -> int:
-    """Bit cost of one dynamic row: counters plus one state bit per counter."""
-    return width * (counter_bits + 1)
-
-
 def count_min_width_for(width: int, counter_bits: int = 8) -> int:
     """Count-Min width occupying the same bits as a dynamic row of ``width``."""
     return max(1, round(width * (counter_bits + 1) / 32))

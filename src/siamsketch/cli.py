@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -120,7 +121,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
         if args.m is not None:
             targets = args.m
         else:
-            targets = round(width * args.fraction)
+            scaled = width * args.fraction
+            if not math.isfinite(scaled):
+                raise ValueError("fraction must be finite")
+            targets = round(scaled)
         expected = coupon_expect(width, targets)
         print(f"width={width} targets={targets} expected_flows={expected:.6g}")
         return 0

@@ -15,8 +15,13 @@ The evaluation works on numpy arrays over that universe. Ground truth is one
 ``np.unique(..., return_counts=True)`` of the benign keys: a sorted flow-key
 array and the exact count of each, in the order an ``ExactCounter`` fed the
 same array lists its flows, and no per-flow dict is built. Each scheme's
-estimates are one uint64 array from ``_query_array``. Heavy hitters and
-changes are boolean masks over one key array, scored by counting.
+estimates are one uint64 array from ``_query_array``. Every app is scored
+through the public functions of ``metrics``: ``metric_are`` and
+``metric_rmse`` (size); ``true_heavy_hitters``, ``metric_f1`` and
+``recall_of`` (heavy hitter); ``estimate_fsd``, ``true_fsd`` and
+``metric_wmre`` (FSD); ``estimate_entropy`` and ``metric_re`` (entropy);
+``detect_changes`` and ``metric_f1`` (change). Heavy hitters and changes are
+boolean masks over one key array, scored by counting.
 
 Each packet is placed once per (width, row seeds) and counted once per
 window it belongs to. The stream is cut into segments at every snapshot
@@ -47,6 +52,7 @@ import copy
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
@@ -62,15 +68,18 @@ from .baselines import (
 )
 from .hashing import ENCODE_CHUNK, KeyBatch, derive_seeds
 from .metrics import (
-    FlowSizeDistribution,
-    _changed,
-    _mask_scores,
+    detect_changes,
     estimate_entropy,
+    estimate_fsd,
     metric_are,
+    metric_f1,
     metric_re,
     metric_rmse,
     metric_wmre,
+    recall_of,
     threshold_from_fraction,
+    true_fsd,
+    true_heavy_hitters,
 )
 from .sketch import SiameseSketch, SketchConfig
 from .traffic import Trace, concat_traces, interleave_traces, read_trace
@@ -137,6 +146,8 @@ class ExperimentSpec:
         for name in ("threshold", "threshold_fraction"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.threshold_fraction is not None and not math.isfinite(self.threshold_fraction):
+            raise ValueError("threshold_fraction must be finite")
 
 
 @dataclass
@@ -262,9 +273,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         threshold = threshold_from_fraction(spec.threshold_fraction, base)
 
     if "heavy-hitter" in spec.apps and threshold:
-        heavy = truths >= threshold
+        heavy = true_heavy_hitters(truths, threshold)
     if "fsd" in spec.apps or "entropy" in spec.apps:
-        act_fsd = FlowSizeDistribution.from_sizes(truths)
+        act_fsd = true_fsd(truths)
     # the change app's two windows are the stream's halves (module docstring)
     half = len(keys) // 2
     need_windows = bool("change" in spec.apps and threshold and len(flow_keys))
@@ -335,11 +346,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
             emit("are", metric_are(truths, estimates))
             emit("rmse", metric_rmse(truths, estimates))
         if "heavy-hitter" in spec.apps and threshold:
-            f1, recall = _mask_scores(estimates >= threshold, heavy)
-            emit("f1_heavy_hitter", f1)
-            emit("recall_heavy_hitter", recall)
+            detected = estimates >= threshold
+            emit("f1_heavy_hitter", metric_f1(detected, heavy))
+            emit("recall_heavy_hitter", recall_of(detected, heavy))
         if "fsd" in spec.apps or "entropy" in spec.apps:
-            est_fsd = FlowSizeDistribution.from_sizes(estimates)
+            est_fsd = estimate_fsd(estimates)
             if "fsd" in spec.apps:
                 emit("wmre", metric_wmre(est_fsd, act_fsd))
             if "entropy" in spec.apps:
@@ -349,7 +360,7 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         if need_windows:
             windows = (first_windows[scheme], second_windows[scheme])
             before, after = (w._query_array(universe) for w in windows)
-            emit("f1_change", _mask_scores(_changed(before, after, threshold), changed)[0])
+            emit("f1_change", metric_f1(detect_changes(before, after, threshold), changed))
     return result
 
 
@@ -367,4 +378,4 @@ def _change_truth(keys: np.ndarray, threshold: int) -> tuple[np.ndarray, np.ndar
     after = np.zeros(len(universe), dtype=np.int64)
     before[np.searchsorted(universe, k0)] = c0
     after[np.searchsorted(universe, k1)] = c1
-    return universe, np.abs(after - before) >= threshold
+    return universe, detect_changes(before, after, threshold)

@@ -1,10 +1,10 @@
 """Accuracy metrics and the security applications evaluated over a sketch.
 
-Sketches are not invertible, so the applications query a key universe that
-the caller gives (``run_experiment``: the benign flow keys, from one
-``np.unique``). Each key becomes its flow id once (``hashing.u64_keys``) and
-the sketch answers the batch in one ``_query_array`` call. Detection
-thresholds are inclusive. Keys given as a numpy array come back as Python ints.
+Every application works on arrays over one flow universe that the caller
+holds (``run_experiment``: the benign flow keys, from one ``np.unique``): the
+sketch's estimates and the exact counts, one value per flow. Heavy hitters
+and changes are boolean masks over that universe, scored by counting.
+Detection thresholds are inclusive.
 
 The error metrics take lists or numpy arrays alike and give the same value
 for both; for integers it is the one the per-flow Python arithmetic gives,
@@ -23,15 +23,11 @@ value they return.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-from .hashing import u64_keys
-from .oracle import ExactCounter
 
 # Integers of smaller magnitude are computed in int64: their differences
 # stay below 2**31 and the squares of those below 2**62.
@@ -74,22 +70,6 @@ def _flow_arrays(truths, estimates) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
-def _as_batch(keys: Iterable[Hashable]) -> tuple[list | np.ndarray, np.ndarray]:
-    """(the keys, as the numpy array they came in or as a list; their flow
-    ids, the uint64 array ``_query_array`` takes)."""
-    if not isinstance(keys, np.ndarray):
-        keys = list(keys)
-    return keys, u64_keys(keys)
-
-
-def _selected(keys: list | np.ndarray, mask: np.ndarray) -> set:
-    """The keys where ``mask`` holds: Python ints for a numpy array of keys,
-    the given objects for a list."""
-    if isinstance(keys, np.ndarray):
-        return set(keys[mask].tolist())
-    return set(itertools.compress(keys, mask.tolist()))
-
-
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:
     """Average relative error: mean of ``|f - f_hat| / f``."""
     t, e = _flow_arrays(truths, estimates)
@@ -105,74 +85,62 @@ def metric_rmse(truths: Sequence[float], estimates: Sequence[float]) -> float:
     return math.sqrt(math.fsum((d * d).tolist()) / len(t))
 
 
-def _scores(hit: int, detected: int, truth: int) -> tuple[float, float]:
-    """(F1, recall) of ``hit`` correct detections among ``detected`` against
-    ``truth`` true items. Recall is 1 when nothing is true; F1 is 0 then, and
-    whenever nothing correct is detected."""
-    precision = hit / detected if detected else 0.0
-    recall = hit / truth if truth else 1.0
+def _scores(detected: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """(F1, recall) of a boolean mask of detected flows against a boolean mask
+    of the true ones, both over one key array. Recall is 1 when nothing is
+    true; F1 is 0 then, and whenever nothing correct is detected."""
+    detected, truth = np.asarray(detected), np.asarray(truth)
+    if detected.dtype != bool or truth.dtype != bool:
+        raise TypeError("detected and truth must be boolean masks")
+    if detected.shape != truth.shape:
+        raise ValueError("mask shapes differ")
+    hit = int(np.count_nonzero(detected & truth))
+    n_detected = int(np.count_nonzero(detected))
+    n_true = int(np.count_nonzero(truth))
+    precision = hit / n_detected if n_detected else 0.0
+    recall = hit / n_true if n_true else 1.0
     if precision == 0.0:
         return 0.0, recall
     return 2.0 * precision * recall / (precision + recall), recall
 
 
-def _mask_scores(detected: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """:func:`_scores` of two boolean masks over one key array."""
-    return _scores(
-        int(np.count_nonzero(detected & truth)),
-        int(np.count_nonzero(detected)),
-        int(np.count_nonzero(truth)),
-    )
+def metric_f1(detected: np.ndarray, truth: np.ndarray) -> float:
+    """F1 of the detected flows against the true ones; 0 when both are
+    undefined."""
+    return _scores(detected, truth)[0]
 
 
-def metric_f1(detected: set, truth: set) -> float:
-    """F1 of a detected set against the true set; 0 when both are undefined."""
-    return _scores(len(detected & truth), len(detected), len(truth))[0]
+def recall_of(detected: np.ndarray, truth: np.ndarray) -> float:
+    """Share of the true flows that is detected; 1 when none is true."""
+    return _scores(detected, truth)[1]
 
 
-def recall_of(detected: set, truth: set) -> float:
-    """Share of the true set that is detected; 1 when the true set is empty."""
-    return _scores(len(detected & truth), len(detected), len(truth))[1]
-
-
-def detect_heavy_hitters(sketch, keys: Iterable[Hashable], threshold: int) -> set:
-    """Keys whose sketch value reaches ``threshold`` (inclusive)."""
+def true_heavy_hitters(truths: np.ndarray, threshold: int) -> np.ndarray:
+    """Mask of the flows whose exact count reaches ``threshold``."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    keys, batch = _as_batch(keys)
-    return _selected(keys, sketch._query_array(batch) >= threshold)
+    return np.asarray(truths) >= threshold
 
 
-def true_heavy_hitters(oracle: ExactCounter, threshold: int) -> set:
-    return {k for k, c in oracle.flows() if c >= threshold}
-
-
-def _changed(before: np.ndarray, after: np.ndarray, threshold: int) -> np.ndarray:
-    """Mask of the places where ``after`` differs from ``before`` by at least
-    ``threshold``."""
+def detect_changes(before: np.ndarray, after: np.ndarray, threshold: int) -> np.ndarray:
+    """Mask of the flows whose value in ``after`` differs from the one in
+    ``before`` by at least ``threshold``."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     before, after = _exact_arrays(before, after)
+    if len(before) != len(after):
+        raise ValueError("length mismatch")
     return abs(after - before) >= threshold
-
-
-def detect_changes(
-    sketch_t1, sketch_t2, keys: Iterable[Hashable], threshold: int
-) -> set:
-    """Keys whose value changed by at least ``threshold`` across two windows."""
-    if type(sketch_t1) is not type(sketch_t2) or sketch_t1.config != sketch_t2.config:
-        raise ValueError("window sketches must share scheme and config")
-    keys, batch = _as_batch(keys)
-    return _selected(
-        keys, _changed(sketch_t1._query_array(batch), sketch_t2._query_array(batch), threshold)
-    )
 
 
 def threshold_from_fraction(fraction: float, total_packets: int) -> int:
     """Resolve a detection threshold given as a fraction of the stream."""
     if fraction <= 0:
         raise ValueError("fraction must be positive")
-    return max(1, round(fraction * total_packets))
+    scaled = fraction * total_packets
+    if not math.isfinite(scaled):
+        raise ValueError("fraction must be finite")
+    return max(1, round(scaled))
 
 
 @dataclass
@@ -197,20 +165,18 @@ class FlowSizeDistribution:
     def total_flows(self) -> int:
         return sum(self.counts.values())
 
-    @property
-    def largest(self) -> int:
-        return max(self.counts) if self.counts else 0
-
     def count(self, size: int) -> int:
         return self.counts.get(size, 0)
 
 
-def estimate_fsd(sketch, keys: Iterable[Hashable]) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(sketch._query_array(_as_batch(keys)[1]))
+def estimate_fsd(estimates: np.ndarray) -> FlowSizeDistribution:
+    """Histogram of a sketch's estimates."""
+    return FlowSizeDistribution.from_sizes(estimates)
 
 
-def true_fsd(oracle: ExactCounter) -> FlowSizeDistribution:
-    return FlowSizeDistribution.from_sizes(c for _, c in oracle.flows())
+def true_fsd(truths: np.ndarray) -> FlowSizeDistribution:
+    """Histogram of the exact flow sizes."""
+    return FlowSizeDistribution.from_sizes(truths)
 
 
 def metric_wmre(

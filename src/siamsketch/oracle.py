@@ -1,6 +1,7 @@
-"""Exact ground-truth counting, one dict entry per flow: the tests' oracle
-and the benchmark's flow universe. ``run_experiment`` does not use it; its
-ground truth is one ``np.unique`` of the benign keys."""
+"""Exact ground-truth counting, one dict entry per flow. Only the tests (as
+their oracle) and the benchmark (for its flow universe) use it: neither
+``run_experiment`` nor any metric does, since the ground truth there is one
+``np.unique`` of the benign keys."""
 
 from __future__ import annotations
 

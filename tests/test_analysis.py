@@ -242,3 +242,38 @@ def test_engine_shared_pair_matches_the_replay_model(bits, shared):
                 model.est_shared_peer,
             )
     assert checked >= 90
+
+
+def test_engine_wrap_tallies_fit_the_hypergeometric_law():
+    # over many fixed interleavings, side 1's wrap tally, read back from the
+    # engine's decode of a fresh shared pair, must follow hyper_pmf; the
+    # tallies must also reject the law with the sides swapped, as a swapped
+    # winner-take-all credit would give
+    bits, shared, trials, alpha = 8, 4, 2000, 0.001
+    cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=shared, seeds=(bits,))
+    k0, k1 = keys_for_slots(SiameseSketch(cfg), 0, [0, 1])
+    exp = PairExperiment(target=150, background=0, neighbor=100, shared_bits=shared)
+    assert exp.wraps < ((1 << bits) - 1) >> (shared // 2)  # no tally saturates
+    tallies = np.empty(trials, dtype=np.int64)
+    for seed in range(trials):
+        order = make_order(exp, seed=seed)
+        sk = SiameseSketch(cfg)
+        sk._states[0][0] = group_code(1, 0)
+        sk.encode_stream(np.where(order == 0, np.uint64(k0), np.uint64(k1)))
+        assert sk.group_state(0, 0) == group_code(1, 0)
+        tallies[seed] = sk.query_u64(k0) >> shared
+    support = np.arange(exp.wraps + 1)
+    observed = np.bincount(tallies, minlength=len(support))
+
+    def binned(side1, side2):
+        """(observed, expected) trials per tally under the law of these
+        sides, the tails with fewer than 5 expected pooled into the end bins."""
+        expected = trials * np.array([hyper_pmf(side1, side2, exp.wraps, i) for i in support])
+        lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
+        starts = np.r_[0, lo + 1 : hi + 1]
+        return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
+
+    fit = binned(exp.side1, exp.neighbor)
+    assert len(fit[0]) >= 5
+    assert stats.chisquare(*fit).pvalue > alpha
+    assert stats.chisquare(*binned(exp.neighbor, exp.side1)).pvalue < alpha

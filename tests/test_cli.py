@@ -135,6 +135,21 @@ def test_run_threshold_not_positive_reports_json_error(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+def test_non_finite_fraction_reports_json_error(tmp_path, capsys, value):
+    # rejected before round() can raise OverflowError or fail on NaN
+    runs = (
+        ["run", "--width", "256", "--benign", "x", f"--threshold-fraction={value}",
+         "--out", str(tmp_path / "r")],
+        ["theory", "coupon", "--width", "100", f"--fraction={value}"],
+    )
+    for argv in runs:
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad-arguments"
+        assert "positive" in err["detail"] or "finite" in err["detail"]
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     benign = tmp_path / "b.sktr"
     main(["generate", "--zipf", "0.8", "--flows", "100", "--packets", "5000",

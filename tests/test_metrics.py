@@ -11,7 +11,6 @@ from siamsketch import (
     SiameseSketch,
     SketchConfig,
     detect_changes,
-    detect_heavy_hitters,
     estimate_entropy,
     estimate_fsd,
     metric_are,
@@ -23,9 +22,9 @@ from siamsketch import (
     true_fsd,
     true_heavy_hitters,
 )
-from siamsketch.metrics import _mask_scores, recall_of
+from siamsketch.metrics import recall_of
 
-from conftest import collision_free_keys, key_bytes
+from conftest import collision_free_keys
 from reference_impls import ref_are, ref_entropy, ref_f1, ref_re, ref_rmse, ref_wmre
 
 
@@ -53,24 +52,47 @@ def test_rmse_cases():
         metric_rmse([], [])
 
 
+def _mask(*hits, n=6):
+    """A boolean mask over ``n`` flows, set at ``hits``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(hits)] = True
+    return mask
+
+
 def test_f1_cases():
-    assert metric_f1({1, 2}, {1, 2}) == 1.0
-    assert metric_f1(set(), set()) == 0.0
-    assert metric_f1({1}, set()) == 0.0
-    assert metric_f1({1}, {2}) == 0.0
-    assert metric_f1({1, 2, 3, 4}, {1, 2}) == pytest.approx(2 * (1 / 2) / (3 / 2))
-    assert recall_of(set(), set()) == recall_of({1}, set()) == 1.0
-    assert recall_of({1, 5}, {1, 2, 3, 4}) == 0.25
+    assert metric_f1(_mask(1, 2), _mask(1, 2)) == 1.0
+    assert metric_f1(_mask(), _mask()) == 0.0
+    assert metric_f1(_mask(1), _mask()) == 0.0
+    assert metric_f1(_mask(1), _mask(2)) == 0.0
+    assert metric_f1(_mask(1, 2, 3, 4), _mask(1, 2)) == pytest.approx(2 * (1 / 2) / (3 / 2))
+    assert recall_of(_mask(), _mask()) == recall_of(_mask(1), _mask()) == 1.0
+    assert recall_of(_mask(1, 5), _mask(1, 2, 3, 4)) == 0.25
+    # an empty universe follows the same conventions
+    empty = np.zeros(0, dtype=bool)
+    assert (metric_f1(empty, empty), recall_of(empty, empty)) == (0.0, 1.0)
+    for score in (metric_f1, recall_of):
+        # a length-1 mask is refused, not broadcast over the other
+        with pytest.raises(ValueError, match="shape"):
+            score(_mask(0, n=1), _mask(0, 3))
+        with pytest.raises(ValueError, match="shape"):
+            score(_mask(n=4), _mask(n=5))
+        # sets, or counts read as truth values, are not masks
+        with pytest.raises(TypeError):
+            score({1, 2}, {1, 2})
+        with pytest.raises(TypeError):
+            score(np.array([1, 0, 2]), _mask(0, n=3))
 
 
 def test_mask_scores_match_the_set_scores():
-    # the experiment scores boolean masks over one key array
+    # F1 and recall of two masks over one key array equal those of the key
+    # sets the masks select
     rng = np.random.default_rng(11)
     keys = np.arange(40)
     for _ in range(200):
         detected, truth = rng.random(40) < rng.random(), rng.random(40) < rng.random()
-        sets = set(keys[detected].tolist()), set(keys[truth].tolist())
-        assert _mask_scores(detected, truth) == (metric_f1(*sets), recall_of(*sets))
+        d, t = set(keys[detected].tolist()), set(keys[truth].tolist())
+        assert metric_f1(detected, truth) == pytest.approx(ref_f1(d, t), rel=1e-12)
+        assert recall_of(detected, truth) == (len(d & t) / len(t) if t else 1.0)
 
 
 def test_error_metrics_take_lists_and_arrays_alike():
@@ -162,6 +184,11 @@ def test_threshold_from_fraction():
     assert threshold_from_fraction(0.00004, 100) == 1  # floor of 1
     with pytest.raises(ValueError):
         threshold_from_fraction(0.0, 100)
+    # a threshold that is not a finite number of packets is refused, not
+    # left to crash in round()
+    for fraction in (math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="finite"):
+            threshold_from_fraction(fraction, 1_000_000)
 
 
 # -- agreement with straight-line reimplementations ---------------------------
@@ -181,10 +208,9 @@ def test_metrics_match_reference_on_random_instances():
         assert metric_rmse(truths, estimates) == pytest.approx(
             ref_rmse(truths, estimates), rel=1e-12
         )
-        detected = set(rng.integers(0, 30, size=10).tolist())
-        truth_set = set(rng.integers(0, 30, size=10).tolist())
-        assert metric_f1(detected, truth_set) == pytest.approx(
-            ref_f1(detected, truth_set), rel=1e-12
+        detected, truth = rng.random(30) < 0.3, rng.random(30) < 0.3
+        assert metric_f1(detected, truth) == pytest.approx(
+            ref_f1(set(np.flatnonzero(detected)), set(np.flatnonzero(truth))), rel=1e-12
         )
         est_c = {int(s): int(c) for s, c in zip(rng.integers(1, 40, size=8), rng.integers(1, 9, size=8))}
         act_c = {int(s): int(c) for s, c in zip(rng.integers(1, 40, size=8), rng.integers(1, 9, size=8))}
@@ -202,44 +228,49 @@ def test_metrics_match_reference_on_random_instances():
 
 
 def _exact_sketch_with_flows(rng, count, low=1, high=50):
+    """A sketch fed ``count`` flows that collide in no row, the flows' keys
+    as a uint64 array and their exact counts as an int64 array."""
     sk = SiameseSketch(SketchConfig(rows=2, width=256, shared_bits=4, seeds=(1, 2)))
     oracle = ExactCounter()
     for k in collision_free_keys(sk, count, rng):
         n = int(rng.integers(low, high))
         sk.encode_stream(np.full(n, k, dtype=np.uint64))
         oracle.observe(k, n)
-    return sk, oracle
+    keys = np.array(list(oracle.keys()), dtype=np.uint64)
+    return sk, keys, np.array([oracle.truth(k) for k in keys.tolist()], dtype=np.int64)
 
 
 def test_heavy_hitters_match_brute_force():
     rng = np.random.default_rng(7)
-    sk, oracle = _exact_sketch_with_flows(rng, 20)
+    sk, keys, truths = _exact_sketch_with_flows(rng, 20)
     phi = 25
-    detected = detect_heavy_hitters(sk, oracle.keys(), phi)
-    assert detected == true_heavy_hitters(oracle, phi)
-    assert metric_f1(detected, true_heavy_hitters(oracle, phi)) == 1.0
+    heavy = true_heavy_hitters(truths, phi)
+    assert heavy.tolist() == [c >= phi for c in truths.tolist()]
+    assert 0 < heavy.sum() < len(keys)
+    detected = np.array(sk.query_many(keys)) >= phi
+    assert (detected == heavy).all()
+    assert metric_f1(detected, heavy) == recall_of(detected, heavy) == 1.0
 
 
 def test_heavy_hitter_threshold_inclusive():
-    cm = CountMinSketch(CountMinConfig(rows=2, width=64, seeds=(1, 2)))
-    cm.encode_stream(np.full(10, 42, dtype=np.uint64))
-    assert detect_heavy_hitters(cm, [42], 10) == {42}
-    assert detect_heavy_hitters(cm, [42], 11) == set()
-    with pytest.raises(ValueError):
-        detect_heavy_hitters(cm, [42], 0)
+    assert true_heavy_hitters(np.array([10, 9]), 10).tolist() == [True, False]
+    assert true_heavy_hitters(np.array([10, 9]), 11).tolist() == [False, False]
+    assert true_heavy_hitters([10], 10).tolist() == [True]
+    for phi in (0, -3):
+        with pytest.raises(ValueError, match="positive"):
+            true_heavy_hitters(np.array([10]), phi)
 
 
 def test_count_min_recall_is_one():
     rng = np.random.default_rng(12)
     keys = rng.integers(0, 1 << 64, size=300, dtype=np.uint64)
     stream = rng.choice(keys, size=30_000)
-    oracle = ExactCounter()
-    oracle.observe_stream(stream)
+    universe, truths = np.unique(stream, return_counts=True)
     cm = CountMinSketch(CountMinConfig(rows=3, width=64))
     cm.encode_stream(stream)
+    estimates = np.array(cm.query_many(universe))
     for phi in (1, 10, 100, 500):
-        detected = detect_heavy_hitters(cm, oracle.keys(), phi)
-        assert true_heavy_hitters(oracle, phi) <= detected
+        assert recall_of(estimates >= phi, true_heavy_hitters(truths, phi)) == 1.0
 
 
 def test_change_detection():
@@ -258,61 +289,41 @@ def test_change_detection():
         o1.observe(k, a)
         o2.observe(k, b)
     phi = 20
-    detected = detect_changes(s1, s2, keys, phi)
-    truth = {k for k in keys if abs(o2.truth(k) - o1.truth(k)) >= phi}
-    assert detected == truth
+    detected = detect_changes(np.array(s1.query_many(keys)), np.array(s2.query_many(keys)), phi)
+    truth = [abs(o2.truth(k) - o1.truth(k)) >= phi for k in keys]
+    assert detected.tolist() == truth
+    assert 0 < sum(truth) < len(keys)
+    exact = detect_changes([o1.truth(k) for k in keys], [o2.truth(k) for k in keys], phi)
+    assert metric_f1(detected, exact) == 1.0
 
 
 def test_change_detection_boundary_and_identity():
     cfg = SketchConfig(rows=1, width=8, seeds=(5,))
     s1, s2 = SiameseSketch(cfg), SiameseSketch(cfg)
     s2.encode_stream(np.full(9, 3, dtype=np.uint64))
-    assert detect_changes(s1, s2, [3], 9) == {3}  # grows by exactly phi
-    assert detect_changes(s1, s1, [3], 1) == set()
-
-
-def test_apps_treat_int_bytes_and_numpy_keys_alike():
-    # Python ints take one batched query; bytes and numpy scalars are queried
-    # per key, and both must give the same answers
-    rng = np.random.default_rng(4)
-    cfg = SketchConfig(rows=2, width=16, counter_bits=4, shared_bits=2, seeds=(1, 2))
-    s1, s2 = SiameseSketch(cfg), SiameseSketch(cfg)
-    pool = rng.integers(0, 1 << 64, size=30, dtype=np.uint64)
-    ints = pool.tolist()
-    s1.encode_stream(rng.choice(pool, size=3000))
-    s2.encode_stream(rng.choice(pool[:10], size=3000))
-    forms = (ints, [key_bytes(k) for k in ints], [np.uint64(k) for k in ints], pool)
-    for keys in forms:
-        back = dict(zip(keys, ints))
-        assert estimate_fsd(s1, keys) == estimate_fsd(s1, ints)
-        assert {back[k] for k in detect_heavy_hitters(s1, keys, 150)} == detect_heavy_hitters(
-            s1, ints, 150
-        )
-        assert {back[k] for k in detect_changes(s1, s2, keys, 60)} == detect_changes(
-            s1, s2, ints, 60
-        )
-    # an array universe is queried as it is and the detected keys come back as
-    # Python ints, from every app that returns keys
-    for detected in (detect_changes(s1, s2, pool, 60), detect_heavy_hitters(s1, pool, 150)):
-        assert detected and all(type(k) is int for k in detected)
-    assert all(type(k) is int for k in detect_heavy_hitters(s1, np.arange(5, dtype=np.uint64), 1))
-
-
-def test_change_detection_config_mismatch():
-    a = SiameseSketch(SketchConfig(rows=1, width=8, seeds=(5,)))
-    b = SiameseSketch(SketchConfig(rows=1, width=12, seeds=(5,)))
-    with pytest.raises(ValueError):
-        detect_changes(a, b, [], 1)
-    c = CountMinSketch(CountMinConfig(rows=1, width=8, seeds=(5,)))
-    with pytest.raises(ValueError):
-        detect_changes(a, c, [], 1)
+    before, after = np.array(s1.query_many([3])), np.array(s2.query_many([3]))
+    assert detect_changes(before, after, 9).tolist() == [True]  # grows by exactly phi
+    assert detect_changes(after, before, 9).tolist() == [True]  # and shrinks by it
+    assert detect_changes(before, after, 10).tolist() == [False]
+    assert detect_changes(after, after, 1).tolist() == [False]
+    # uint64 estimates are subtracted as signed integers, never wrapped
+    five, two = np.array([5], dtype=np.uint64), np.array([2], dtype=np.uint64)
+    assert detect_changes(five, two, 4).tolist() == [False]
+    assert detect_changes(np.zeros(0), np.zeros(0), 1).tolist() == []
+    with pytest.raises(ValueError, match="length"):
+        detect_changes(np.array([1, 2]), np.array([1]), 1)
+    for phi in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            detect_changes(before, after, phi)
 
 
 def test_fsd_mass_conservation_and_exactness():
     rng = np.random.default_rng(9)
-    sk, oracle = _exact_sketch_with_flows(rng, 25)
-    est = estimate_fsd(sk, oracle.keys())
-    act = true_fsd(oracle)
-    assert est.total_flows == oracle.distinct
-    assert metric_wmre(est, act) == 0.0  # collision-free: identical histograms
+    sk, keys, truths = _exact_sketch_with_flows(rng, 25)
+    est = estimate_fsd(np.array(sk.query_many(keys)))
+    act = true_fsd(truths)
+    assert est.total_flows == act.total_flows == len(keys)
+    assert est == act  # collision-free: identical histograms, in first-seen order
+    assert list(est.counts) == list(act.counts)
+    assert metric_wmre(est, act) == 0.0
     assert estimate_entropy(est) == pytest.approx(estimate_entropy(act))
