@@ -2,18 +2,7 @@
 plus instant-merge and Count-Min baselines, traffic/attack generation, and an
 evaluation harness."""
 
-from .analysis import (
-    PairExperiment,
-    PairOutcome,
-    coupon_expect,
-    harmonic,
-    hyper_mean,
-    hyper_pmf,
-    hyper_var,
-    make_order,
-    simulate_pair,
-    wrap_tally_batch,
-)
+from .analysis import coupon_expect, hyper_mean, hyper_pmf, hyper_var
 from .baselines import (
     CountMinConfig,
     CountMinSketch,
@@ -27,7 +16,6 @@ from .experiment import (
     run_experiment,
 )
 from .hashing import (
-    RowHasher,
     derive_seeds,
     flow_id,
     hash_batch,
@@ -76,9 +64,7 @@ from .traffic import (
     gen_zipf,
     interleave_traces,
     plan_attack,
-    read_text_trace,
     read_trace,
-    write_text_trace,
     write_trace,
 )
 

@@ -3,8 +3,7 @@
  *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
- * as ``hashing.RowHasher.index_u64`` does key by key. Both share one
- * ``mix64``.
+ * as ``hashing.place_u64`` does key by key. Both share one ``mix64``.
  *
  * ``decode_row`` writes ``DynamicSketch._decode`` of every slot of one row
  * into a uint64 table, through the same ``unit_of`` and ``read_span`` as the

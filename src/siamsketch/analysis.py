@@ -1,41 +1,19 @@
-"""Closed-form expectations and the isolated two-counter replay model.
+"""Closed-form expectations behind attack sizing and ``siamsketch theory``.
 
-Three families of results back the test suite:
-
-* harmonic sums and the coupon-collector expectation used to size attack
-  streams: hitting ``m`` of ``w`` slots with uniformly placed flows costs
+* the coupon-collector expectation used to size attack streams: hitting
+  ``m`` of ``w`` slots with uniformly placed flows costs
   ``w * (H(w) - H(w - m))`` flows in expectation;
 * the hypergeometric law of the winner-take-all split: when two counter
   members feed one joint ``K``-bit sub-counter in randomly mixed order, the
-  wrap credits received by one member follow a hypergeometric distribution;
-* an exact replay of a single shared pair (:func:`simulate_pair`), giving
-  the shared-state, fused, and isolated estimates for one interleaving.
-
-The replay model starts from a fresh shared pair: every packet advances the
-joint sub-counter, each wrap credits the prefix of the packet's side. With
-``n0`` packets on side 0 and ``n1`` on side 1, side 0's estimate decodes to
-``2**K * X0 + r`` where ``X0`` is its wrap tally and
-``r = (n0 + n1) mod 2**K``; the fused (sum) counter would hold exactly
-``n0 + n1``, so the shared estimate can never exceed the fused one.
+  wrap credits received by one member follow a hypergeometric distribution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 _EXACT_COMB_LIMIT = 60  # population size below which the pmf is exact integer math
-
-
-def harmonic(n: int) -> float:
-    """Partial harmonic sum ``H(n)``; ``H(0) == 0``. Compensated summation."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return math.fsum(1.0 / i for i in range(1, n + 1))
 
 
 def coupon_expect(width: int, targets: int) -> float:
@@ -51,16 +29,20 @@ def coupon_expect(width: int, targets: int) -> float:
     return width * math.fsum(1.0 / i for i in range(width - targets + 1, width + 1))
 
 
+def _check_hyper(side1: int, side2: int, draws: int) -> None:
+    if side1 < 0 or side2 < 0:
+        raise ValueError("population sides must be non-negative")
+    if not 0 <= draws <= side1 + side2:
+        raise ValueError("draws must be in [0, side1 + side2]")
+
+
 def hyper_pmf(side1: int, side2: int, draws: int, i: int) -> float:
     """P(X1 = i) for the winner-take-all split.
 
     ``C(side1, i) * C(side2, draws - i) / C(side1 + side2, draws)``; values of
     ``i`` outside the support return 0 rather than raising.
     """
-    if side1 < 0 or side2 < 0:
-        raise ValueError("population sides must be non-negative")
-    if not 0 <= draws <= side1 + side2:
-        raise ValueError("draws must be in [0, side1 + side2]")
+    _check_hyper(side1, side2, draws)
     if i < max(0, draws - side2) or i > min(draws, side1):
         return 0.0
     if side1 + side2 <= _EXACT_COMB_LIMIT:
@@ -78,142 +60,16 @@ def _log_comb(n: int, k: int) -> float:
 
 
 def hyper_mean(side1: int, side2: int, draws: int) -> float:
+    _check_hyper(side1, side2, draws)
     if side1 + side2 == 0:
         return 0.0
     return draws * side1 / (side1 + side2)
 
 
 def hyper_var(side1: int, side2: int, draws: int) -> float:
+    _check_hyper(side1, side2, draws)
     total = side1 + side2
     if total <= 1:
         return 0.0
     p = side1 / total
     return draws * p * (1.0 - p) * (total - draws) / (total - 1)
-
-
-@dataclass(frozen=True)
-class PairExperiment:
-    """One shared-pair scenario: a target flow plus background on side 1 and
-    independent traffic on side 2 of the pair, with a ``shared_bits``-wide
-    joint sub-counter."""
-
-    target: int
-    background: int
-    neighbor: int
-    shared_bits: int = 4
-
-    def __post_init__(self) -> None:
-        if min(self.target, self.background, self.neighbor) < 0:
-            raise ValueError("packet counts must be non-negative")
-        if self.shared_bits < 1:
-            raise ValueError("shared_bits must be at least 1")
-
-    @property
-    def side1(self) -> int:
-        return self.target + self.background
-
-    @property
-    def total(self) -> int:
-        return self.target + self.background + self.neighbor
-
-    @property
-    def wraps(self) -> int:
-        """Total joint-counter wraps after all packets."""
-        return self.total >> self.shared_bits
-
-    @property
-    def residual(self) -> int:
-        """Joint sub-counter value after all packets."""
-        return self.total - (self.wraps << self.shared_bits)
-
-
-@dataclass(frozen=True)
-class PairOutcome:
-    """Estimates after replaying one interleaving through a shared pair."""
-
-    est_shared: int  # side-1 estimate with the shared sub-counter
-    est_shared_peer: int  # side-2 estimate, same decode
-    est_merged: int  # estimate if the pair had fused with sum instead
-    est_unmerged: int  # side-1 value had the counters stayed isolated
-    wraps_side1: int
-    wraps_side2: int
-    residual: int
-
-
-def make_order(exp: PairExperiment, seed: int) -> np.ndarray:
-    """Uniform random interleaving: 0 marks side-1 packets, 1 side-2."""
-    rng = np.random.default_rng(seed)
-    order = np.zeros(exp.total, dtype=np.int8)
-    order[exp.side1 :] = 1
-    rng.shuffle(order)
-    return order
-
-
-def simulate_pair(
-    exp: PairExperiment,
-    order: Sequence[int] | np.ndarray | None = None,
-    seed: int | None = None,
-) -> PairOutcome:
-    """Replay one interleaving through the exact shared-pair machine.
-
-    ``order`` gives the packet sequence (0 = side 1, 1 = side 2); when absent
-    it is drawn uniformly from ``seed``. The packet multiset must match the
-    experiment.
-    """
-    if order is None:
-        if seed is None:
-            raise ValueError("provide an explicit order or a seed")
-        order = make_order(exp, seed)
-    order = np.asarray(order, dtype=np.int8)
-    if len(order) != exp.total or int((order == 1).sum()) != exp.neighbor:
-        raise ValueError("order does not match the experiment's packet counts")
-    cap = 1 << exp.shared_bits
-    joint = 0
-    wraps = [0, 0]
-    for side in order.tolist():
-        joint += 1
-        if joint == cap:
-            joint = 0
-            wraps[side] += 1
-    est1 = (wraps[0] << exp.shared_bits) | joint
-    est2 = (wraps[1] << exp.shared_bits) | joint
-    return PairOutcome(
-        est_shared=est1,
-        est_shared_peer=est2,
-        est_merged=exp.total,
-        est_unmerged=exp.side1,
-        wraps_side1=wraps[0],
-        wraps_side2=wraps[1],
-        residual=joint,
-    )
-
-
-def wrap_tally_batch(
-    exp: PairExperiment, trials: int, seed: int, chunk: int = 20000
-) -> np.ndarray:
-    """Side-1 wrap tallies over many uniformly random interleavings.
-
-    Equivalent to running :func:`simulate_pair` per trial: the joint counter
-    wraps at fixed sequence positions ``2**K, 2*2**K, ...`` whatever the
-    labels are, so the tally is the number of side-1 packets at those
-    positions of a shuffled label row. That identity is unit-tested against
-    the scalar machine.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = np.random.default_rng(seed)
-    positions = (np.arange(1, exp.wraps + 1) << exp.shared_bits) - 1
-    template = np.zeros(exp.total, dtype=np.int8)
-    template[: exp.side1] = 1
-    out = np.empty(trials, dtype=np.int64)
-    done = 0
-    while done < trials:
-        n = min(chunk, trials - done)
-        mat = np.tile(template, (n, 1))
-        rng.permuted(mat, axis=1, out=mat)
-        if len(positions):
-            out[done : done + n] = mat[:, positions].sum(axis=1)
-        else:
-            out[done : done + n] = 0
-        done += n
-    return out

@@ -106,6 +106,10 @@ def equal_memory_widths(
     Both layouts fit within ``memory_bytes`` and match each other's bit cost
     to well under 1%; the dynamic width is rounded down to a multiple of 4.
     """
+    if rows < 1:
+        raise ValueError("rows must be at least 1")
+    if counter_bits < 1:
+        raise ValueError("counter_bits must be positive")
     bits_per_row = (memory_bytes * 8) // rows
     dyn = (bits_per_row // (counter_bits + 1)) & ~3
     if dyn < 4:

@@ -10,7 +10,7 @@ flow id, modulo 2**64; a ``bytes`` key is :func:`flow_id` of it, folded once
 and without a seed, whatever its length. :func:`u64_keys` converts a batch.
 
 Hashing and placement each have two implementations: the scalar
-:func:`hash_u64` and :class:`RowHasher`, which are the specification and
+:func:`hash_u64` and :func:`place_u64`, which are the specification and
 serve the per-key entry points, and the C kernel library (``_encode.c``,
 loaded by ``_kernel``) behind the batched :func:`hash_batch` (``hash_keys``)
 and :func:`index_batch` (``place``), which fall back to the scalar ones
@@ -97,20 +97,12 @@ def derive_seeds(master: int, count: int) -> tuple[int, ...]:
     return tuple(hash_u64(0x52_4F_57 + r, master) for r in range(count))
 
 
-class RowHasher:
-    """One row's placement function: ``key -> slot in [0, width)``."""
-
-    __slots__ = ("seed", "width", "_state")
-
-    def __init__(self, seed: int, width: int) -> None:
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.seed = seed
-        self.width = width
-        self._state = seed_state(seed)
-
-    def index_u64(self, key: int) -> int:
-        return (mix64((key & MASK64) ^ self._state) * self.width) >> 64
+def place_u64(key: int, state: int, width: int) -> int:
+    """The slot of ``key``, masked to 64 bits, in a row of ``width`` slots
+    whose seed has the :func:`seed_state` ``state``: the high 64 bits of
+    ``mix64(key ^ state) * width``. The caller keeps ``width`` in
+    ``[1, 2**32]``, as :func:`index_batch` checks it."""
+    return (mix64(key ^ state) * width) >> 64
 
 
 def u64_keys(keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
@@ -158,18 +150,18 @@ def _check_width(width: int) -> None:
 
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     """The slot of every key (see :func:`u64_keys`) in a row of ``width``
-    slots hashed with ``seed``, as an int64 array: ``RowHasher(seed,
-    width).index_u64`` of each key, exactly. The kernel library's ``place``
-    computes it; where the library cannot be built, every key goes through
-    the scalar ``index_u64``, after the loader's one ``RuntimeWarning``."""
+    slots hashed with ``seed``, as an int64 array: :func:`place_u64` of each
+    key, exactly. The kernel library's ``place`` computes it; where the
+    library cannot be built, every key goes through the scalar
+    :func:`place_u64`, after the loader's one ``RuntimeWarning``."""
     _check_width(width)
     keys = u64_keys(keys)
+    state = seed_state(seed)
     lib = _kernel.load()
     if lib is None:
-        index = RowHasher(seed, width).index_u64
-        return np.array([index(k) for k in keys.tolist()], dtype=np.int64)
+        return np.array([place_u64(k, state, width) for k in keys.tolist()], dtype=np.int64)
     out = np.empty(len(keys), dtype=np.int64)
-    lib.place(keys.ctypes.data, len(keys), seed_state(seed), width, out.ctypes.data)
+    lib.place(keys.ctypes.data, len(keys), state, width, out.ctypes.data)
     return out
 
 
@@ -259,10 +251,8 @@ class RowSketch:
         self.encode_u64(flow_id(key))
 
     def encode_u64(self, key: int) -> None:
-        w = self._w
-        key &= MASK64
         for r, ss in enumerate(self._seed_states):
-            self._encode(r, (mix64(key ^ ss) * w) >> 64)
+            self._encode(r, place_u64(key, ss, self._w))
         self.packet_count += 1
 
     def query(self, key: bytes) -> int:
@@ -271,14 +261,9 @@ class RowSketch:
         return self.query_u64(flow_id(key))
 
     def query_u64(self, key: int) -> int:
-        w = self._w
-        key &= MASK64
-        best = None
-        for r, ss in enumerate(self._seed_states):
-            v = self._decode(r, (mix64(key ^ ss) * w) >> 64)
-            if best is None or v < best:
-                best = v
-        return best
+        return min(
+            self._decode(r, place_u64(key, ss, self._w)) for r, ss in enumerate(self._seed_states)
+        )
 
     def query_many(self, keys: Sequence[int | bytes] | np.ndarray) -> list[int]:
         """:meth:`query_u64` of every key, as a list of Python ints."""
@@ -305,4 +290,4 @@ class RowSketch:
         return out
 
     def slot_of(self, row: int, key: bytes) -> int:
-        return (mix64(flow_id(key) ^ self._seed_states[row]) * self._w) >> 64
+        return place_u64(flow_id(key), self._seed_states[row], self._w)

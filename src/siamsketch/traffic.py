@@ -13,8 +13,6 @@ Binary trace format (``SKTR``), little-endian::
     version u16      1
     key_len u16      bytes per key, >= 1
     records key_len bytes each, back to back
-
-A text format (one hex-encoded key per line) exists for hand-made tests.
 """
 
 from __future__ import annotations
@@ -284,34 +282,3 @@ def read_trace(path: str | Path) -> Trace:
     padded = np.zeros((n, 8), dtype=np.uint8)
     padded[:, :key_len] = raw
     return Trace(padded.view("<u8").reshape(n), key_len)
-
-
-def write_text_trace(path: str | Path, trace: Trace) -> None:
-    with open(path, "w", encoding="ascii") as fp:
-        for key in trace.iter_bytes():
-            fp.write(key.hex())
-            fp.write("\n")
-
-
-def read_text_trace(path: str | Path, key_len: int = 8) -> Trace:
-    keys: list[bytes] = []
-    with open(path, "r", encoding="ascii") as fp:
-        for lineno, line in enumerate(fp, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                key = bytes.fromhex(line)
-            except ValueError as exc:
-                raise TraceError("bad-text", f"{path}:{lineno}: not hex") from exc
-            if len(key) != key_len:
-                raise TraceError(
-                    "bad-text", f"{path}:{lineno}: key has {len(key)} bytes, want {key_len}"
-                )
-            keys.append(key)
-    if key_len > 8:
-        return Trace(keys, key_len)
-    arr = np.array(
-        [int.from_bytes(k, "little") for k in keys], dtype=np.uint64
-    ) if keys else np.empty(0, dtype=np.uint64)
-    return Trace(arr, key_len)

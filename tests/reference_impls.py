@@ -1,14 +1,16 @@
-"""Straight-line reference implementations of every metric formula and of
-the instant-merge counter lifecycle.
+"""Straight-line reference implementations of every metric formula, of
+the instant-merge counter lifecycle and of one shared pair.
 
 Deliberately naive: plain loops, no shared code with the package, so the
 package implementations are checked against an independent reading of each
-formula and of the lifecycle.
+formula, of the lifecycle and of the pair's winner-take-all wraps.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def ref_are(truths, estimates):
@@ -142,3 +144,32 @@ class RefInstantMerge:
                 n += sum(2 if isinstance(pair, list) else 1 for pair in group)
             counts.append(n)
         return counts
+
+
+def ref_order(side0: int, side1: int, seed: int) -> np.ndarray:
+    """A uniformly random interleaving of ``side0`` packets labelled 0 and
+    ``side1`` packets labelled 1, as an int8 array."""
+    order = np.zeros(side0 + side1, dtype=np.int8)
+    order[side0:] = 1
+    np.random.default_rng(seed).shuffle(order)
+    return order
+
+
+def ref_pair(order, shared_bits: int) -> tuple[int, int, int]:
+    """Replay ``order`` (0 or 1 per packet: the pair member it counts for)
+    through a fresh shared pair: every packet advances the joint
+    ``shared_bits``-wide sub-counter, and each wrap credits the member whose
+    packet caused it. Returns (member 0's wraps, member 1's wraps, joint).
+
+    Member ``m`` then decodes to ``wraps[m] * 2**shared_bits + joint``, and
+    the fused (sum) counter would hold ``len(order)``.
+    """
+    cap = 1 << shared_bits
+    joint = 0
+    wraps = [0, 0]
+    for side in np.asarray(order).tolist():
+        joint += 1
+        if joint == cap:
+            joint = 0
+            wraps[side] += 1
+    return wraps[0], wraps[1], joint

@@ -1,44 +1,34 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from siamsketch import (
-    PairExperiment,
     SiameseSketch,
     SketchConfig,
     coupon_expect,
-    harmonic,
+    gen_attack,
     hyper_mean,
     hyper_pmf,
     hyper_var,
-    make_order,
-    simulate_pair,
-    wrap_tally_batch,
+    plan_attack,
 )
+from siamsketch.hashing import index_batch
 from siamsketch.sketch import group_code
 
 from conftest import keys_for_slots
+from reference_impls import ref_order, ref_pair
 
 EULER_GAMMA = 0.5772156649015329
 
 
-def test_harmonic_small():
-    assert harmonic(0) == 0.0
-    assert harmonic(1) == 1.0
-    assert harmonic(2) == 1.5
-
-
 def test_harmonic_asymptotic():
+    # full collection costs w * H(w), and H(w) tends to ln w + gamma
     n = 10**6
-    assert abs(harmonic(n) - (math.log(n) + EULER_GAMMA)) < 1e-6
-
-
-def test_harmonic_rejects_negative():
-    with pytest.raises(ValueError):
-        harmonic(-1)
+    assert abs(coupon_expect(n, n) / n - (math.log(n) + EULER_GAMMA)) < 1e-6
 
 
 def test_coupon_expect_closed_forms():
@@ -47,7 +37,8 @@ def test_coupon_expect_closed_forms():
     assert coupon_expect(123, 0) == 0.0
     assert coupon_expect(1, 1) == pytest.approx(1.0)
     # full collection equals w * H(w)
-    assert coupon_expect(500, 500) == pytest.approx(500 * harmonic(500), rel=1e-12)
+    h500 = sum(Fraction(1, i) for i in range(1, 501))
+    assert coupon_expect(500, 500) == pytest.approx(float(500 * h500), rel=1e-12)
 
 
 def test_coupon_expect_worked_value():
@@ -59,6 +50,31 @@ def test_coupon_expect_errors():
         coupon_expect(10, 11)
     with pytest.raises(ValueError):
         coupon_expect(0, 0)
+    with pytest.raises(ValueError):
+        coupon_expect(10, -1)
+
+
+@pytest.mark.parametrize("width", [1024, 4096])
+def test_attack_law_at_sketch_scale(width):
+    # gen_attack(plan_attack(w, 0.5)) alone into a 3-row 8/4 sc-lsb sketch:
+    # each row's flows hit about plan.targets distinct slots, and a group
+    # stays in code 0 only if none of its four slots is hit (256 packets
+    # overflow any 8-bit slot), so about (1 - 0.5)**4 of the groups do.
+    # Hit and untouched indicators are negatively correlated, so the
+    # binomial law's standard deviation bounds both shares' spread.
+    plan = plan_attack(width, 0.5)
+    trace = gen_attack(plan, seed=width)
+    sk = SiameseSketch(SketchConfig(rows=3, width=width, counter_bits=8, shared_bits=4))
+    sk.encode_stream(trace.as_u64())
+    flows = np.unique(trace.as_u64())
+    assert len(flows) == plan.flows
+    p, groups = plan.targets / width, width // 4
+    q = (1 - 0.5) ** 4
+    for r, seed in enumerate(sk.config.seeds):
+        hit = len(np.unique(index_batch(flows, seed, width))) / width
+        assert abs(hit - p) <= 4 * math.sqrt(p * (1 - p) / width)
+        untouched = sum(sk.group_state(r, g) == 0 for g in range(groups)) / groups
+        assert abs(untouched - q) <= 4 * math.sqrt(q * (1 - q) / groups)
 
 
 # -- hypergeometric law -------------------------------------------------------
@@ -116,38 +132,42 @@ def test_mean_symmetry():
     assert hyper_mean(7, 7, 5) == pytest.approx(2.5)
 
 
-# -- pair machine -------------------------------------------------------------
+@pytest.mark.parametrize("s1, s2, n", [(1, 1, 5), (-1, 3, 1), (3, -1, 1), (2, 2, -1)])
+def test_hyper_rejects_impossible_inputs(s1, s2, n):
+    for law in (lambda: hyper_pmf(s1, s2, n, 0), lambda: hyper_mean(s1, s2, n),
+                lambda: hyper_var(s1, s2, n)):
+        with pytest.raises(ValueError):
+            law()
+
+
+# -- pair model (tests/reference_impls.py) ------------------------------------
+
+
+def decode(wraps, joint, shared_bits):
+    return (wraps << shared_bits) | joint
 
 
 def test_no_neighbour_is_exact():
-    exp = PairExperiment(target=100, background=23, neighbor=0, shared_bits=4)
-    out = simulate_pair(exp, seed=0)
-    assert out.est_shared == out.est_unmerged == 123
-    assert out.est_merged == 123
+    w0, w1, joint = ref_pair(ref_order(123, 0, seed=0), 4)
+    assert decode(w0, joint, 4) == 123
+    assert w1 == 0
 
 
 def test_illustrative_order_reproduces_decode():
-    exp = PairExperiment(target=33, background=0, neighbor=657, shared_bits=4)
     order = [0] * 16 + [1] * 256 + [0] * 17 + [1] * 401
-    out = simulate_pair(exp, order=order)
-    assert out.est_shared == 34
-    assert out.est_shared_peer == 658
-    assert out.est_merged == 690
+    w0, w1, joint = ref_pair(order, 4)
+    assert decode(w0, joint, 4) == 34
+    assert decode(w1, joint, 4) == 658
 
 
 def test_wrap_tallies_sum_to_total_wraps():
     rng = np.random.default_rng(0)
     for seed in range(20):
-        exp = PairExperiment(
-            target=int(rng.integers(0, 200)),
-            background=int(rng.integers(0, 200)),
-            neighbor=int(rng.integers(0, 200)),
-            shared_bits=int(rng.choice([2, 4, 6])),
-        )
-        out = simulate_pair(exp, seed=seed)
-        assert out.wraps_side1 + out.wraps_side2 == exp.wraps
-        assert 0 <= out.residual < (1 << exp.shared_bits)
-        assert out.residual == exp.residual
+        side0, side1 = (int(n) for n in rng.integers(0, 400, size=2))
+        k = int(rng.choice([2, 4, 6]))
+        w0, w1, joint = ref_pair(ref_order(side0, side1, seed), k)
+        assert w0 + w1 == (side0 + side1) >> k
+        assert joint == (side0 + side1) % (1 << k)
 
 
 def test_shared_never_exceeds_merged_exhaustive_small():
@@ -155,64 +175,16 @@ def test_shared_never_exceeds_merged_exhaustive_small():
     for k in (2, 4):
         for total in range(0, 11):
             for labels in itertools.product((0, 1), repeat=total):
-                n1 = total - sum(labels)
-                exp = PairExperiment(
-                    target=n1, background=0, neighbor=total - n1, shared_bits=k
-                )
-                out = simulate_pair(exp, order=list(labels))
-                assert out.est_shared <= out.est_merged
-                assert out.est_shared_peer <= out.est_merged
-
-
-def test_order_validation():
-    exp = PairExperiment(target=2, background=0, neighbor=1, shared_bits=2)
-    with pytest.raises(ValueError):
-        simulate_pair(exp, order=[0, 0])  # wrong length
-    with pytest.raises(ValueError):
-        simulate_pair(exp, order=[0, 0, 0])  # wrong multiset
-    with pytest.raises(ValueError):
-        simulate_pair(exp)  # neither order nor seed
-
-
-def test_experiment_validation():
-    with pytest.raises(ValueError):
-        PairExperiment(target=-1, background=0, neighbor=0)
-    with pytest.raises(ValueError):
-        PairExperiment(target=1, background=0, neighbor=0, shared_bits=0)
-
-
-def test_batch_matches_scalar_machine():
-    # the fixed-position identity behind the batch must equal the stepped
-    # machine on explicit orders
-    rng = np.random.default_rng(5)
-    for trial in range(30):
-        exp = PairExperiment(
-            target=int(rng.integers(1, 80)),
-            background=int(rng.integers(0, 80)),
-            neighbor=int(rng.integers(0, 80)),
-            shared_bits=int(rng.choice([2, 4])),
-        )
-        order = make_order(exp, seed=trial)
-        out = simulate_pair(exp, order=order)
-        positions = (np.arange(1, exp.wraps + 1) << exp.shared_bits) - 1
-        from_positions = int((np.asarray(order)[positions] == 0).sum()) if len(positions) else 0
-        assert out.wraps_side1 == from_positions
-
-
-def test_batch_statistics_match_law():
-    exp = PairExperiment(target=150, background=50, neighbor=100, shared_bits=4)
-    tallies = wrap_tally_batch(exp, 40_000, seed=2).astype(float)
-    mean_th = hyper_mean(exp.side1, exp.neighbor, exp.wraps)
-    var_th = hyper_var(exp.side1, exp.neighbor, exp.wraps)
-    assert tallies.mean() == pytest.approx(mean_th, abs=4 * math.sqrt(var_th / 40_000))
-    assert tallies.var(ddof=1) == pytest.approx(var_th, rel=0.1)
+                w0, w1, joint = ref_pair(labels, k)
+                assert decode(w0, joint, k) <= total
+                assert decode(w1, joint, k) <= total
 
 
 @pytest.mark.parametrize("bits, shared", [(8, 4), (8, 2), (8, 6), (4, 2), (16, 8)])
 def test_engine_shared_pair_matches_the_replay_model(bits, shared):
     # the engine against a model it does not share: a fresh shared pair (slots
-    # 0 and 1, group code 3) fed make_order's interleaving must decode to
-    # simulate_pair's estimates, by the kernel and by per-packet _encode,
+    # 0 and 1, group code 3) fed ref_order's interleaving must decode to
+    # ref_pair's estimates, by the kernel and by per-packet _encode,
     # while neither member's wrap tally reaches its prefix maximum
     cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=shared, seeds=(bits,))
     k0, k1 = keys_for_slots(SiameseSketch(cfg), 0, [0, 1])
@@ -222,10 +194,9 @@ def test_engine_shared_pair_matches_the_replay_model(bits, shared):
     for case in range(100):
         total = int(rng.integers(1, min(prefix_max << shared, 3000) + 1))
         side1 = int(rng.integers(0, total + 1))
-        exp = PairExperiment(target=side1, background=0, neighbor=total - side1, shared_bits=shared)
-        order = make_order(exp, seed=case)
-        model = simulate_pair(exp, order)
-        if max(model.wraps_side1, model.wraps_side2) >= prefix_max:
+        order = ref_order(side1, total - side1, seed=case)
+        w0, w1, joint = ref_pair(order, shared)
+        if max(w0, w1) >= prefix_max:
             continue
         checked += 1
         keys = np.where(order == 0, np.uint64(k0), np.uint64(k1))
@@ -238,8 +209,8 @@ def test_engine_shared_pair_matches_the_replay_model(bits, shared):
         for sk in (kernel, scalar):
             assert sk.group_state(0, 0) == group_code(1, 0)
             assert (sk.query_u64(k0), sk.query_u64(k1)) == (
-                model.est_shared,
-                model.est_shared_peer,
+                decode(w0, joint, shared),
+                decode(w1, joint, shared),
             )
     assert checked >= 90
 
@@ -252,28 +223,29 @@ def test_engine_wrap_tallies_fit_the_hypergeometric_law():
     bits, shared, trials, alpha = 8, 4, 2000, 0.001
     cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=shared, seeds=(bits,))
     k0, k1 = keys_for_slots(SiameseSketch(cfg), 0, [0, 1])
-    exp = PairExperiment(target=150, background=0, neighbor=100, shared_bits=shared)
-    assert exp.wraps < ((1 << bits) - 1) >> (shared // 2)  # no tally saturates
+    side1, side2 = 150, 100
+    wraps = (side1 + side2) >> shared
+    assert wraps < ((1 << bits) - 1) >> (shared // 2)  # no tally saturates
     tallies = np.empty(trials, dtype=np.int64)
     for seed in range(trials):
-        order = make_order(exp, seed=seed)
+        order = ref_order(side1, side2, seed=seed)
         sk = SiameseSketch(cfg)
         sk._states[0][0] = group_code(1, 0)
         sk.encode_stream(np.where(order == 0, np.uint64(k0), np.uint64(k1)))
         assert sk.group_state(0, 0) == group_code(1, 0)
         tallies[seed] = sk.query_u64(k0) >> shared
-    support = np.arange(exp.wraps + 1)
+    support = np.arange(wraps + 1)
     observed = np.bincount(tallies, minlength=len(support))
 
     def binned(side1, side2):
         """(observed, expected) trials per tally under the law of these
         sides, the tails with fewer than 5 expected pooled into the end bins."""
-        expected = trials * np.array([hyper_pmf(side1, side2, exp.wraps, i) for i in support])
+        expected = trials * np.array([hyper_pmf(side1, side2, wraps, i) for i in support])
         lo, hi = np.flatnonzero(expected >= 5)[[0, -1]]
         starts = np.r_[0, lo + 1 : hi + 1]
         return np.add.reduceat(observed, starts), np.add.reduceat(expected, starts)
 
-    fit = binned(exp.side1, exp.neighbor)
+    fit = binned(side1, side2)
     assert len(fit[0]) >= 5
     assert stats.chisquare(*fit).pvalue > alpha
-    assert stats.chisquare(*binned(exp.neighbor, exp.side1)).pvalue < alpha
+    assert stats.chisquare(*binned(side2, side1)).pvalue < alpha

@@ -85,6 +85,15 @@ def test_theory_hyper(capsys):
     assert "mean = 1" in out
 
 
+@pytest.mark.parametrize("s1, s2, n", [(1, 1, 5), (-1, 3, 1), (3, -1, 1), (2, 2, -1)])
+def test_theory_hyper_rejects_impossible_inputs(capsys, s1, s2, n):
+    # more draws than the population, a negative side or negative draws
+    assert main(["theory", "hyper", "--s1", str(s1), "--s2", str(s2), "--n", str(n)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["error"] == "bad-arguments"
+
+
 def test_run_end_to_end(tmp_path):
     benign = tmp_path / "b.sktr"
     main(["generate", "--zipf", "1.0", "--flows", "300", "--packets", "20000",
@@ -133,6 +142,18 @@ def test_run_threshold_not_positive_reports_json_error(tmp_path, capsys):
         rc = main(["run", "--width", "256", "--benign", "x", *flag, "--out", str(tmp_path / "r")])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+
+
+@pytest.mark.parametrize("flag", [["--rows", "0"], ["--counter-bits", "-1"]])
+def test_run_memory_budget_bad_shape_reports_json_error(tmp_path, capsys, flag):
+    # the budget is split per row and per counter bit before any sketch
+    # checks its shape
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    rc = main(["run", "--memory-bytes", "4096", "--benign", str(benign), *flag,
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

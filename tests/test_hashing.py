@@ -16,13 +16,14 @@ from siamsketch import (
 from siamsketch.hashing import (
     ENCODE_CHUNK,
     KeyBatch,
-    RowHasher,
     derive_seeds,
     flow_id,
     hash_batch,
     hash_u64,
     index_batch,
     mix64,
+    place_u64,
+    seed_state,
 )
 from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 from siamsketch.snapshot import dump_bytes
@@ -31,26 +32,23 @@ from conftest import kernel_unbuildable, plant_state
 
 
 def test_width_one_always_zero():
-    h = RowHasher(seed=9, width=1)
     for k in (b"", b"\x00" * 8, b"\xff" * 8, (12345).to_bytes(8, "little"), b"\x07" * 13):
-        assert h.index_u64(flow_id(k)) == 0
+        assert place_u64(flow_id(k), seed_state(9), 1) == 0
 
 
 def test_deterministic_per_seed_and_key():
-    h = RowHasher(seed=77, width=4096)
     key = (424242).to_bytes(8, "little")
-    first = h.index_u64(flow_id(key))
-    assert all(h.index_u64(flow_id(key)) == first for _ in range(10))
-    assert RowHasher(seed=77, width=4096).index_u64(flow_id(key)) == first
+    first = place_u64(flow_id(key), seed_state(77), 4096)
+    assert all(place_u64(flow_id(key), seed_state(77), 4096) == first for _ in range(10))
     wide = bytes(range(13))
     assert flow_id(wide) == flow_id(bytes(range(13)))
 
 
 def test_index_range():
     rng = np.random.default_rng(0)
-    h = RowHasher(seed=3, width=1000)  # non power of two
+    state = seed_state(3)
     for k in rng.integers(0, 1 << 64, size=2000, dtype=np.uint64).tolist():
-        assert 0 <= h.index_u64(k) < 1000
+        assert 0 <= place_u64(k, state, 1000) < 1000  # non power of two
 
 
 def test_bytes_and_u64_paths_agree():
@@ -60,8 +58,7 @@ def test_bytes_and_u64_paths_agree():
         kb = k.to_bytes(8, "little")
         assert flow_id(kb) == k
         assert flow_id(kb.rstrip(b"\x00")) == k
-        h = RowHasher(seed=5, width=777)
-        assert h.index_u64(flow_id(kb)) == h.index_u64(k)
+        assert place_u64(flow_id(kb), seed_state(5), 777) == place_u64(k, seed_state(5), 777)
 
 
 def test_long_keys_fold():
@@ -97,8 +94,7 @@ def test_batch_matches_scalar(keys, seed, width):
     # widest row is drawn too.
     keys = [0, *keys, 2**64 - 1]
     arr = np.array(keys, dtype=np.uint64)
-    h = RowHasher(seed, width)
-    expected = [h.index_u64(k) for k in keys]
+    expected = [place_u64(k, seed_state(seed), width) for k in keys]
     for fallback in (False, True):
         with kernel_unbuildable(fallback):
             batched = index_batch(arr, seed, width)
@@ -162,14 +158,12 @@ def test_mix64_avalanche_smoke():
 
 
 def test_invalid_width():
-    with pytest.raises(ValueError):
-        RowHasher(seed=0, width=0)
     # the batched reduction is exact up to 2**32 slots
     for width in (0, -4, 2**32 + 1):
         with pytest.raises(ValueError):
             index_batch(np.arange(3, dtype=np.uint64), 0, width)
     assert index_batch(np.array([2**64 - 1], dtype=np.uint64), 5, 2**32).tolist() == [
-        RowHasher(5, 2**32).index_u64(2**64 - 1)
+        place_u64(2**64 - 1, seed_state(5), 2**32)
     ]
 
 

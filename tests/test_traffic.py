@@ -15,9 +15,7 @@ from siamsketch import (
     gen_zipf,
     interleave_traces,
     plan_attack,
-    read_text_trace,
     read_trace,
-    write_text_trace,
     write_trace,
 )
 from siamsketch.hashing import index_batch
@@ -312,23 +310,3 @@ def test_header_truncation(tmp_path):
     with pytest.raises(TraceError) as err:
         read_trace(path)
     assert err.value.code == "bad-header"
-
-
-@settings(max_examples=50, deadline=None)
-@given(keys=st.lists(st.integers(0, 2**64 - 1), max_size=64))
-def test_text_round_trip(tmp_path_factory, keys):
-    tr = Trace(np.array(keys, dtype=np.uint64))
-    path = tmp_path_factory.mktemp("txt") / "t.keys"
-    write_text_trace(path, tr)
-    assert read_text_trace(path) == tr
-
-
-def test_text_errors(tmp_path):
-    path = tmp_path / "bad.keys"
-    path.write_text("zz-not-hex\n")
-    with pytest.raises(TraceError) as err:
-        read_text_trace(path)
-    assert err.value.code == "bad-text"
-    path.write_text("0102\n")  # wrong length
-    with pytest.raises(TraceError):
-        read_text_trace(path, key_len=8)
