@@ -20,13 +20,7 @@ import sys
 from pathlib import Path
 
 from .analysis import coupon_expect, hyper_mean, hyper_pmf, hyper_var
-from .experiment import (
-    ALL_APPS,
-    SCHEMES,
-    ExperimentSpec,
-    resolve_widths,
-    run_experiment,
-)
+from .experiment import ALL_APPS, SCHEMES, ExperimentSpec, run_experiment
 from .snapshot import SnapshotError
 from .traffic import (
     ROUND_ROBIN,

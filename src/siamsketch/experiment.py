@@ -118,8 +118,8 @@ class ExperimentSpec:
     counter_bits: int = 8
     shared_bits: int = 4
     merge_mode: str = "sum"
-    benign: Trace | str | None = None
-    attack: Trace | str | None = None
+    benign: Trace | str | Path | None = None
+    attack: Trace | str | Path | None = None
     attack_fraction: float | None = None
     interleave: str = INTERLEAVE_SHUFFLE
     snapshot_interval: int = 100_000
@@ -226,17 +226,12 @@ def _trace_tag(trace) -> str:
     return f"inline:{len(trace)}"
 
 
-def _load(trace) -> Trace | None:
-    """The trace, read if given by path, as flow ids: a trace of keys wider
-    than 8 bytes is folded here once (``Trace.as_u64``), and the interleave
-    and the ground truth both read the result."""
-    if trace is None:
-        return None
-    if not isinstance(trace, Trace):
-        trace = read_trace(trace)
-    if isinstance(trace.keys, np.ndarray):
+def _load(trace: Trace | str | Path | None) -> Trace | None:
+    """The trace, read if given by path; :func:`read_trace` folds a file's
+    wide keys, so every trace here holds flow ids."""
+    if trace is None or isinstance(trace, Trace):
         return trace
-    return Trace(trace.as_u64(), key_len=min(trace.key_len, 8))
+    return read_trace(trace)
 
 
 def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
@@ -256,11 +251,11 @@ def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     stream, benign = assemble_stream(spec)
-    keys = stream.as_u64()
+    keys = stream.keys
     if benign is None:
         flow_keys, truths = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     else:
-        flow_keys, truths = np.unique(benign.as_u64(), return_counts=True)
+        flow_keys, truths = np.unique(benign.keys, return_counts=True)
 
     chash = config_hash(spec)
     exp_id = spec.experiment_id or f"exp-{chash}"

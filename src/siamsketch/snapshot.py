@@ -21,10 +21,12 @@ Layout, little-endian throughout::
 
 ``SKSC`` and ``SKIM`` hold the same dynamic-counter engine; ``SKIM`` is that
 engine at ``shared_bits == 0``, whose groups never hold a shared pair (codes
-1, 3, 4, 5, 7) or code 9. A header that no config accepts, a state code the
-header's scheme cannot reach, or a slot above ``2**counter_bits - 1`` is
-rejected on load. So is a body shorter or longer than the header implies,
-before the sketch it describes is allocated.
+1, 3, 4, 5, 7) or code 9. A header that no config accepts (a Count-Min
+header whose counter_bits, shared_bits and merge_mode are not 32, 0 and 0,
+say), a nonzero reserved byte, a state code the header's scheme cannot
+reach, or a slot above ``2**counter_bits - 1`` is rejected on load. So is a
+body shorter or longer than the header implies, before the sketch it
+describes is allocated.
 
 The body is a copy of the sketch's row buffers (``array.array``), byte-swapped
 to little-endian on a big-endian host, and the state nibbles are packed and
@@ -130,13 +132,15 @@ def dump_bytes(sketch) -> bytes:
 def load_bytes(raw: bytes):
     if len(raw) < _HEADER.size:
         raise SnapshotError("bad-header", "snapshot shorter than its header")
-    magic, version, rows, width, counter_bits, shared_bits, mode, _ = _HEADER.unpack(
+    magic, version, rows, width, counter_bits, shared_bits, mode, reserved = _HEADER.unpack(
         raw[: _HEADER.size]
     )
     if magic not in (MAGIC_SIAMESE, MAGIC_INSTANT, MAGIC_COUNT_MIN):
         raise SnapshotError("bad-magic", f"unknown magic {magic!r}")
     if version not in (1, SNAPSHOT_VERSION):
         raise SnapshotError("bad-version", f"unsupported version {version}")
+    if reserved:
+        raise SnapshotError("bad-header", f"reserved byte {reserved}, not 0")
     off = _HEADER.size
     if off + 8 * rows > len(raw):
         raise SnapshotError("truncated", "seed table truncated")
@@ -149,8 +153,12 @@ def load_bytes(raw: bytes):
         counts = list(struct.unpack_from(f"<{len(counts)}Q", raw, off))
         off += 8 * len(counts)
     if magic == MAGIC_COUNT_MIN:
-        if counter_bits != 32:
-            raise SnapshotError("bad-config", f"Count-Min counter_bits {counter_bits}, not 32")
+        if (counter_bits, shared_bits, mode) != (32, 0, 0):
+            raise SnapshotError(
+                "bad-config",
+                f"Count-Min counter_bits, shared_bits, merge_mode {counter_bits}, "
+                f"{shared_bits}, {mode}, not 32, 0, 0",
+            )
         config = _config(CountMinConfig, rows=rows, width=width, seeds=seeds)
         _expect_body(raw, off, rows * width * 4)
         sketch = CountMinSketch(config)

@@ -1,17 +1,17 @@
 """Synthetic stream generation, slot-saturation attack streams, trace file I/O.
 
-Traces are flat packet sequences, one opaque key per packet. The canonical
-key is 8 bytes and is carried as a uint64 array for speed; longer keys (e.g.
-13-byte 5-tuples) are carried as raw byte strings. Sketches take a key as a
-64-bit flow id (``hashing.flow_id``): a key of at most 8 bytes is its own
-id, and :meth:`Trace.as_u64` folds each longer key once, with no seed, so
-mixed and concatenated traces hold flow ids.
+Traces are flat packet sequences of 64-bit flow ids, one per packet, carried
+as a uint64 array. A key of at most 8 bytes is its own id; a longer key (a
+13-byte 5-tuple, say) is folded once, with no seed, where it enters: by
+:func:`~siamsketch.hashing.flow_id` when a :class:`Trace` is built from
+``bytes`` keys, and so when :func:`read_trace` reads a file whose records are
+wider than 8 bytes. Sketches, mixes and ground truth all read the ids.
 
 Binary trace format (``SKTR``), little-endian::
 
     magic   4 bytes  b"SKTR"
     version u16      1
-    key_len u16      bytes per key, >= 1
+    key_len u16      bytes per key, >= 1 (a written trace has at most 8)
     records key_len bytes each, back to back
 """
 
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -46,50 +45,38 @@ class TraceError(Exception):
 
 @dataclass
 class Trace:
-    """In-memory packet stream; ``keys`` is uint64 when ``key_len <= 8``.
+    """In-memory packet stream. ``keys`` is a contiguous uint64 array of flow
+    ids, whatever it is built from: :func:`~siamsketch.hashing.u64_keys`
+    masks integers to 64 bits, folds each ``bytes`` key through ``flow_id``
+    and rejects other keys (floats, strings) with TypeError.
 
-    A key array is only accepted with ``key_len <= 8`` and keys that fit in
-    ``key_len`` bytes, so every trace written reads back equal."""
+    ``key_len`` is the bytes per key a file holds, in [1, 8], and every id
+    must fit in it, so every trace written reads back equal."""
 
-    keys: np.ndarray | list[bytes]
+    keys: np.ndarray
     key_len: int = 8
 
     def __post_init__(self) -> None:
-        if self.key_len < 1:
-            raise ValueError("key_len must be at least 1")
-        if isinstance(self.keys, np.ndarray):
-            if self.key_len > 8:
-                raise ValueError("a uint64 key array needs key_len <= 8")
-            self.keys = np.ascontiguousarray(self.keys, dtype=np.uint64)
-            # every key must fit in key_len bytes, or trace I/O drops its
-            # high bytes; at key_len 8 every uint64 fits, so no scan
-            if self.key_len < 8 and len(self.keys) and int(self.keys.max()) >> (8 * self.key_len):
-                raise ValueError(f"keys wider than key_len={self.key_len} bytes")
+        if not 1 <= self.key_len <= 8:
+            raise ValueError(f"key_len must satisfy 1 <= key_len <= 8, not {self.key_len}")
+        self.keys = u64_keys(self.keys)
+        # every key must fit in key_len bytes, or trace I/O drops its
+        # high bytes; at key_len 8 every uint64 fits, so no scan
+        if self.key_len < 8 and len(self.keys) and int(self.keys.max()) >> (8 * self.key_len):
+            raise ValueError(f"keys wider than key_len={self.key_len} bytes")
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def as_u64(self) -> np.ndarray:
-        """The flow id of every packet, as a uint64 array: the keys
-        themselves up to ``key_len`` 8, each key folded above."""
-        return self.keys if isinstance(self.keys, np.ndarray) else u64_keys(self.keys)
-
-    def iter_bytes(self) -> Iterator[bytes]:
-        if isinstance(self.keys, np.ndarray):
-            kl = self.key_len
-            for k in self.keys.tolist():
-                yield k.to_bytes(8, "little")[:kl]
-        else:
-            yield from self.keys
+        """The flow id of every packet: ``keys``, under the name the
+        benchmark harness reads."""
+        return self.keys
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        if self.key_len != other.key_len or len(self) != len(other):
-            return False
-        if isinstance(self.keys, np.ndarray) and isinstance(other.keys, np.ndarray):
-            return bool(np.array_equal(self.keys, other.keys))
-        return list(self.iter_bytes()) == list(other.iter_bytes())
+        return self.key_len == other.key_len and bool(np.array_equal(self.keys, other.keys))
 
 
 @dataclass(frozen=True)
@@ -212,52 +199,39 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
     return Trace(stream)
 
 
-def _mixed_key_len(a: Trace, b: Trace) -> int:
-    """The ``key_len`` of a mix of two traces: it holds flow ids, which fit in
-    the wider trace's key width up to 8 bytes and in 8 bytes above."""
-    return min(max(a.key_len, b.key_len), 8)
-
-
 def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
-    internal order; deterministic per seed. The traces may differ in
-    ``key_len``: the result holds the flow ids of both (see
-    :func:`_mixed_key_len`)."""
-    ka, kb = a.as_u64(), b.as_u64()
-    labels = np.zeros(len(ka) + len(kb), dtype=np.int8)
-    labels[len(ka) :] = 1
+    internal order; deterministic per seed. The result holds the flow ids of
+    both, at the wider ``key_len`` of the two."""
+    labels = np.zeros(len(a) + len(b), dtype=np.int8)
+    labels[len(a) :] = 1
     rng = np.random.default_rng(seed)
     rng.shuffle(labels)
     out = np.empty(len(labels), dtype=np.uint64)
-    out[labels == 0] = ka
-    out[labels == 1] = kb
-    return Trace(out, key_len=_mixed_key_len(a, b))
+    out[labels == 0] = a.keys
+    out[labels == 1] = b.keys
+    return Trace(out, key_len=max(a.key_len, b.key_len))
 
 
 def concat_traces(a: Trace, b: Trace) -> Trace:
-    """``a`` then ``b``, as flow ids, whatever their ``key_len``s (see
-    :func:`_mixed_key_len`)."""
-    return Trace(np.concatenate([a.as_u64(), b.as_u64()]), key_len=_mixed_key_len(a, b))
+    """``a`` then ``b``, at the wider ``key_len`` of the two."""
+    return Trace(np.concatenate([a.keys, b.keys]), key_len=max(a.key_len, b.key_len))
 
 
 # -- file I/O ---------------------------------------------------------------
 
 
 def write_trace(path: str | Path, trace: Trace) -> None:
+    raw = trace.keys.astype("<u8").view(np.uint8).reshape(-1, 8)
     with open(path, "wb") as fp:
         fp.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, trace.key_len))
-        if isinstance(trace.keys, np.ndarray):
-            if trace.key_len == 8:
-                fp.write(trace.keys.astype("<u8").tobytes())
-            else:
-                raw = trace.keys.astype("<u8").view(np.uint8).reshape(-1, 8)
-                fp.write(np.ascontiguousarray(raw[:, : trace.key_len]).tobytes())
-        else:
-            for key in trace.keys:
-                fp.write(key)
+        fp.write(np.ascontiguousarray(raw[:, : trace.key_len]).tobytes())
 
 
 def read_trace(path: str | Path) -> Trace:
+    """The trace in the file at ``path``. Records of at most 8 bytes are
+    their own flow ids; wider records are each folded once (``flow_id``) and
+    read back as a trace at ``key_len`` 8."""
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -277,7 +251,7 @@ def read_trace(path: str | Path) -> Trace:
         )
     n = len(body) // key_len
     if key_len > 8:
-        return Trace([body[i * key_len : (i + 1) * key_len] for i in range(n)], key_len)
+        return Trace([body[i * key_len : (i + 1) * key_len] for i in range(n)])
     raw = np.frombuffer(body, dtype=np.uint8).reshape(n, key_len)
     padded = np.zeros((n, 8), dtype=np.uint8)
     padded[:, :key_len] = raw

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_run_over_13_byte_keys(tmp_path):
     # a trace of 5-tuple-sized keys runs, its keys folded to flow ids
     keys = [bytes([i % 7, i % 11]) + bytes(range(11)) for i in range(3000)]
     benign = tmp_path / "wide.sktr"
-    write_trace(benign, Trace(keys, key_len=13))
+    benign.write_bytes(struct.pack("<4sHH", b"SKTR", 1, 13) + b"".join(keys))
     reports = []
     for name in ("r1", "r2"):
         assert main(["run", "--benign", str(benign), "--width", "64",

@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -58,12 +59,17 @@ def test_spec_rejects_thresholds_that_are_not_positive():
     ExperimentSpec(threshold=1, threshold_fraction=None)
 
 
-def _wide_trace(seed, packets=6000):
+def _wide_keys(seed, packets=6000):
     """A Zipf stream of 13-byte keys, each rank's 8-byte key followed by five
     more bytes, as a 5-tuple's port and protocol bytes follow its addresses."""
     keys = gen_zipf(ZipfConfig(skew=1.0, flows=400, packets=packets, seed=seed)).as_u64()
     tail = b"\x01\xbb\x06\x00\x00"
-    return Trace([k.to_bytes(8, "little") + tail for k in keys.tolist()], key_len=13)
+    return [k.to_bytes(8, "little") + tail for k in keys.tolist()]
+
+
+def _wide_trace(seed, packets=6000):
+    """The trace of ``_wide_keys``: their flow ids, each key folded once."""
+    return Trace(_wide_keys(seed, packets))
 
 
 def test_wide_key_traces_run_deterministically():
@@ -86,14 +92,29 @@ def test_wide_key_traces_run_deterministically():
         assert np.array_equal(np.sort(stream.as_u64()), np.sort(both))
 
 
-def test_wide_benign_trace_is_folded_once(monkeypatch):
-    # the interleave and the ground truth both read the one fold
-    benign, attack = _wide_trace(3, packets=2000), _wide_trace(4, packets=10)
+def test_wide_benign_trace_is_folded_once(monkeypatch, tmp_path):
+    # each wide key is folded once, where its trace is built or read; the
+    # interleave and the ground truth read the folds, and the run folds none
     folds = []
     real = hashing.flow_id
     monkeypatch.setattr(hashing, "flow_id", lambda key: folds.append(key) or real(key))
-    run_experiment(_small_spec(benign=benign, attack=attack, attack_fraction=0.5))
+    benign, attack = _wide_trace(3, packets=2000), _wide_trace(4, packets=10)
     assert len(folds) == len(benign) + len(attack)
+    folds.clear()
+    built = run_experiment(_small_spec(benign=benign, attack=attack, attack_fraction=0.5))
+    assert folds == []
+    # given by path, the file's records are folded once, when it is read,
+    # to the same flow ids
+    path = tmp_path / "wide.sktr"
+    records = _wide_keys(3, packets=2000)
+    path.write_bytes(struct.pack("<4sHH", b"SKTR", 1, 13) + b"".join(records))
+    folds.clear()
+    read = run_experiment(_small_spec(benign=str(path), attack=attack, attack_fraction=0.5))
+    assert len(folds) == len(records)
+    def values(res):
+        return [(r["scheme"], r["metric"], r["value"]) for r in res.metric_rows]
+
+    assert values(read) == values(built)
 
 
 def test_each_segment_is_placed_once_per_width(monkeypatch):

@@ -200,6 +200,7 @@ _VERSION_AT = 4
 _COUNTER_BITS_AT = 12
 _SHARED_BITS_AT = 13
 _MERGE_MODE_AT = 14
+_RESERVED_AT = 15
 _SEEDS_AT = 16
 
 
@@ -231,18 +232,33 @@ def test_instant_header_with_shared_bits_rejected():
 
 @pytest.mark.parametrize(
     "offset, value",
-    [(_SHARED_BITS_AT, 3), (_SHARED_BITS_AT, 8), (_COUNTER_BITS_AT, 17), (_MERGE_MODE_AT, 7)],
+    [
+        (_SHARED_BITS_AT, 3),
+        (_SHARED_BITS_AT, 8),
+        (_COUNTER_BITS_AT, 17),
+        (_MERGE_MODE_AT, 7),
+        (_RESERVED_AT, 9),
+    ],
 )
 def test_header_config_errors_are_typed(offset, value):
+    # a nonzero reserved byte once loaded, and re-dumped as 0
     raw = _patched(dump_bytes(_driven(SiameseSketch)), offset, value)
     with pytest.raises(SnapshotError) as err:
         load_bytes(raw)
-    assert err.value.code == "bad-config"
+    assert err.value.code == ("bad-header" if offset == _RESERVED_AT else "bad-config")
 
 
 def test_count_min_counter_bits_checked():
+    # a Count-Min header holds counter_bits 32 and zero shared_bits, merge
+    # mode and reserved byte; the last three were once loaded and re-dumped
+    # as 0
     cm = CountMinSketch(CountMinConfig(rows=2, width=37, seeds=(9, 10)))
-    raw = _patched(dump_bytes(cm), _COUNTER_BITS_AT, 8)
-    with pytest.raises(SnapshotError) as err:
-        load_bytes(raw)
-    assert err.value.code == "bad-config"
+    for offset, value, code in [
+        (_COUNTER_BITS_AT, 8, "bad-config"),
+        (_SHARED_BITS_AT, 5, "bad-config"),
+        (_MERGE_MODE_AT, 3, "bad-config"),
+        (_RESERVED_AT, 7, "bad-header"),
+    ]:
+        with pytest.raises(SnapshotError) as err:
+            load_bytes(_patched(dump_bytes(cm), offset, value))
+        assert err.value.code == code

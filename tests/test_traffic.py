@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from siamsketch import (
     read_trace,
     write_trace,
 )
-from siamsketch.hashing import index_batch
+from siamsketch.hashing import flow_id, index_batch, u64_keys
 from siamsketch.traffic import ROUND_ROBIN
 
 from conftest import kernel_unbuildable
@@ -214,10 +215,14 @@ def test_concat():
     [(4, 4, 4), (2, 6, 6), (6, 2, 6), (3, 8, 8), (13, 8, 8), (5, 13, 8), (13, 13, 8)],
 )
 def test_mixing_traces_of_different_key_len(len_a, len_b, mixed):
-    # both sides are flow ids; the mix takes the wider key width, at most 8
+    # both sides are flow ids; the mix takes the wider key width, and a trace
+    # of 13-byte keys holds their folds at key_len 8
     def trace(key_len, base):
         if key_len > 8:
-            return Trace([bytes([base + i]) * key_len for i in range(3)], key_len)
+            keys = [bytes([base + i]) * key_len for i in range(3)]
+            tr = Trace(keys)
+            assert tr.key_len == 8 and tr.keys.tolist() == [flow_id(k) for k in keys]
+            return tr
         return Trace(np.arange(base, base + 3, dtype=np.uint64), key_len)
 
     a, b = trace(len_a, 1), trace(len_b, 100)
@@ -246,14 +251,54 @@ def test_binary_round_trip_short_keys(tmp_path):
     assert back == tr and back.key_len == 4
 
 
+def _write_raw_trace(path, key_len, records):
+    """An ``SKTR`` file written by hand: the header, then the records."""
+    path.write_bytes(struct.pack("<4sHH", b"SKTR", 1, key_len) + b"".join(records))
+
+
 def test_binary_round_trip_13_byte_keys(tmp_path):
+    # a file of 13-byte records reads back as their folds, at key_len 8,
+    # and that trace is written and read back unchanged
     keys = [bytes(range(i, i + 13)) for i in range(6)]
-    tr = Trace(keys, key_len=13)
     path = tmp_path / "t13.sktr"
-    write_trace(path, tr)
+    _write_raw_trace(path, 13, keys)
     back = read_trace(path)
-    assert back == tr
-    assert list(back.iter_bytes()) == keys
+    assert back.key_len == 8
+    assert np.array_equal(back.keys, u64_keys(keys))
+    again = tmp_path / "t13-again.sktr"
+    write_trace(again, back)
+    assert read_trace(again) == back
+
+
+def test_float_key_array_is_rejected():
+    # a float array was once cast, so 1.5, 2.7 and 3.9 became flows 1, 2, 3
+    with pytest.raises(TypeError):
+        Trace(np.array([1.5, 2.7, 3.9]))
+
+
+@pytest.mark.parametrize(
+    "keys, key_len",
+    [([b"abc", b"de", b""], 3), ([1, 2, 3], 8), ([0, 2**16 - 1], 2), ([b"\x07" * 13, b"x"], 8)],
+    ids=["bytes", "ints", "short-ints", "wide-bytes"],
+)
+def test_key_list_traces_round_trip(tmp_path, keys, key_len):
+    # a list of bytes or of ints is held as flow ids, so the file holds
+    # key_len bytes per key and reads back equal; a bytes list once wrote
+    # its keys' own lengths, and an int list could not be written at all
+    tr = Trace(keys, key_len)
+    path = tmp_path / "list.sktr"
+    write_trace(path, tr)
+    assert read_trace(path) == tr
+    assert path.stat().st_size == 8 + key_len * len(keys)
+    assert tr.keys.dtype == np.uint64 and np.array_equal(tr.keys, u64_keys(keys))
+
+
+def test_key_len_out_of_range_is_rejected():
+    # a trace holds flow ids, which a file carries in 1 to 8 bytes each
+    for key_len in (0, 9, 13, 100):
+        for keys in ([b"abc"] * 2, [5, 7], np.array([5, 7], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="key_len"):
+                Trace(keys, key_len)
 
 
 def test_key_array_wider_than_key_len_is_rejected():
