@@ -7,6 +7,15 @@ as a uint64 array. A key of at most 8 bytes is its own id; a longer key (a
 ``bytes`` keys, and so when :func:`read_trace` reads a file whose records are
 wider than 8 bytes. Sketches, mixes and ground truth all read the ids.
 
+A Zipf stream draws one uniform number per packet and inverts the rank CDF
+at it. A plain binary search over a CDF of every rank misses the cache on
+each step, so :func:`guide_search` first reads the draw's bucket in a guide
+table (Chen & Asau 1974; Devroye, *Non-Uniform Random Variate Generation*,
+III.2.4), which brackets the answer to the few ranks whose CDF falls in that
+bucket, and bisects only there. Its buckets are a power of two in number, so
+scaling a CDF value or a draw to its bucket is exact, and the ranks are those
+of ``np.searchsorted`` bit for bit.
+
 Binary trace format (``SKTR``), little-endian::
 
     magic   4 bytes  b"SKTR"
@@ -18,14 +27,16 @@ Binary trace format (``SKTR``), little-endian::
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import coupon_expect
-from .hashing import hash_batch, hash_u64, u64_keys
+from .hashing import MASK64, hash_batch, hash_u64, u64_keys
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -47,8 +58,10 @@ class TraceError(Exception):
 class Trace:
     """In-memory packet stream. ``keys`` is a contiguous uint64 array of flow
     ids, whatever it is built from: :func:`~siamsketch.hashing.u64_keys`
-    masks integers to 64 bits, folds each ``bytes`` key through ``flow_id``
-    and rejects other keys (floats, strings) with TypeError.
+    folds each ``bytes`` key through ``flow_id`` and rejects other keys
+    (floats, strings) with TypeError. An integer key is its own id, so one
+    outside [0, 2**64) raises ValueError rather than being masked into
+    another flow's id; a uint64 array is taken unscanned.
 
     ``key_len`` is the bytes per key a file holds, in [1, 8], and every id
     must fit in it, so every trace written reads back equal."""
@@ -59,6 +72,9 @@ class Trace:
     def __post_init__(self) -> None:
         if not 1 <= self.key_len <= 8:
             raise ValueError(f"key_len must satisfy 1 <= key_len <= 8, not {self.key_len}")
+        if not isinstance(self.keys, (Sequence, np.ndarray)):
+            self.keys = list(self.keys)  # the checks below must see every key
+        _reject_out_of_range(self.keys)
         self.keys = u64_keys(self.keys)
         # every key must fit in key_len bytes, or trace I/O drops its
         # high bytes; at key_len 8 every uint64 fits, so no scan
@@ -77,6 +93,17 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return self.key_len == other.key_len and bool(np.array_equal(self.keys, other.keys))
+
+
+def _reject_out_of_range(keys: Sequence[int | bytes] | np.ndarray) -> None:
+    """ValueError if an integer key lies outside [0, 2**64); only a signed
+    array or a sequence of keys can hold one."""
+    if isinstance(keys, np.ndarray) and keys.dtype != object:
+        bad = keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0
+    else:
+        bad = any(not isinstance(k, bytes) and not 0 <= operator.index(k) <= MASK64 for k in keys)
+    if bad:
+        raise ValueError("integer keys must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -103,28 +130,86 @@ class ZipfConfig:
 
 _FLOW_SALT = 0x5A1F_0000
 
+# Draws searched, and packets interleaved, per step: it bounds each step's
+# index and mask arrays to 512 KB, which stay in cache and keep a 1.23 M-packet
+# attack mix from allocating stream-sized index arrays on top of the stream.
+_CHUNK = 1 << 16
+
 
 def flow_key(rank: int, seed: int) -> int:
     """Stable 64-bit key of a flow rank within one stream's key space."""
     return hash_u64(rank, seed ^ _FLOW_SALT)
 
 
+def guide_search(cdf: np.ndarray, draws: np.ndarray, buckets: int) -> np.ndarray:
+    """``np.searchsorted(cdf, draws, side="right")``, the first ``i`` with
+    ``cdf[i] > u`` for each draw ``u``, found through a guide table of
+    ``buckets`` buckets. ``cdf`` is non-decreasing and ends at 1.0, every draw
+    lies in [0, 1), and ``buckets`` is a power of two.
+
+    Why the bracket holds: multiplying by a power of two ``m`` is exact, so
+    ``bucket(x) = floor(x * m)`` is exact and, as rounding is monotone, never
+    decreasing in ``x``. Let ``g[k]`` count the ``i`` with
+    ``bucket(cdf[i]) <= k``, and ``g[-1] = 0``; ``cdf`` is sorted, so those
+    are its first ``g[k]`` entries. A draw ``u`` has ``b = bucket(u)``. Every
+    ``i`` below ``g[b-1]`` has ``bucket(cdf[i]) < b``, hence ``cdf[i] < u``;
+    and ``i = g[b]``, where it exists, has ``bucket(cdf[i]) > b``, hence
+    ``cdf[i] > u``. So the answer lies in ``[g[b-1], g[b]]``. It is never
+    ``len(cdf)``, as ``bucket(cdf[-1]) = m > b``.
+
+    Draws are searched a chunk at a time. Within a chunk each pass bisects
+    every bracket still open and then drops the ones that closed, so the
+    number of numpy passes is log2 of the widest bracket, not its width.
+    Building the table costs one pass over ``cdf`` and one over
+    ``buckets + 2`` counts.
+    """
+    m = buckets
+    bucket = np.empty(len(cdf), dtype=np.intp)
+    np.multiply(cdf, m, out=bucket, casting="unsafe")  # truncation is floor here
+    bucket += 1  # so the counts below start with g[-1] = 0
+    edges = np.bincount(bucket, minlength=m + 2)
+    np.cumsum(edges, out=edges)  # edges[k] is g[k - 1]
+    ranks = np.empty(len(draws), dtype=np.intp)
+    for start in range(0, len(draws), _CHUNK):
+        u = draws[start : start + _CHUNK]
+        found = ranks[start : start + _CHUNK]
+        b = (u * m).astype(np.intp)
+        found[:] = edges[b]
+        hi = edges[1:][b]
+        open_ = np.flatnonzero(found < hi)
+        lo, hi, u = found[open_], hi[open_], u[open_]
+        while len(open_):
+            mid = (lo + hi) >> 1
+            above = cdf[mid] > u
+            np.copyto(hi, mid, where=above)
+            mid += 1
+            np.copyto(lo, mid, where=~above)
+            found[open_] = lo
+            keep = lo < hi
+            open_, lo, hi, u = open_[keep], lo[keep], hi[keep], u[keep]
+    return ranks
+
+
 def gen_zipf(cfg: ZipfConfig) -> Trace:
     """Deterministic Zipf stream; rank 1 is the most frequent flow.
 
-    Sampling inverts a precomputed CDF, so equal seeds give byte-identical
-    streams. The key of rank ``r`` is ``flow_key(r, cfg.seed)``, all ranks
-    hashed in one :func:`~siamsketch.hashing.hash_batch` call, cut to its low
-    ``key_len`` bytes as :func:`read_trace` reads a short key back; shorter
-    keys can make distinct ranks one flow.
+    Each packet draws one uniform number, and its rank is the first whose CDF
+    exceeds the draw, found by :func:`guide_search`, so equal seeds give
+    byte-identical streams. The guide table has the power of two at or above
+    ``min(flows, packets)`` buckets, so it is never twice as long as the
+    draws or the CDF, and a long CDF sampled a few times builds a short
+    table. The key of rank ``r`` is
+    ``flow_key(r, cfg.seed)``, all ranks hashed in one
+    :func:`~siamsketch.hashing.hash_batch` call, cut to its low ``key_len``
+    bytes as :func:`read_trace` reads a short key back; shorter keys can make
+    distinct ranks one flow.
     """
     weights = np.arange(1, cfg.flows + 1, dtype=np.float64) ** -cfg.skew
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     rng = np.random.default_rng(cfg.seed)
     draws = rng.random(cfg.packets)
-    ranks = np.searchsorted(cdf, draws, side="right")
-    np.minimum(ranks, cfg.flows - 1, out=ranks)
+    ranks = guide_search(cdf, draws, 1 << max(min(cfg.flows, cfg.packets) - 1, 0).bit_length())
     rank_keys = hash_batch(np.arange(1, cfg.flows + 1, dtype=np.uint64), cfg.seed ^ _FLOW_SALT)
     rank_keys &= np.uint64((1 << 8 * cfg.key_len) - 1)
     return Trace(rank_keys[ranks], key_len=cfg.key_len)
@@ -203,13 +288,20 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
     internal order; deterministic per seed. The result holds the flow ids of
     both, at the wider ``key_len`` of the two."""
-    labels = np.zeros(len(a) + len(b), dtype=np.int8)
-    labels[len(a) :] = 1
+    from_b = np.zeros(len(a) + len(b), dtype=np.bool_)
+    from_b[len(a) :] = True
     rng = np.random.default_rng(seed)
-    rng.shuffle(labels)
-    out = np.empty(len(labels), dtype=np.uint64)
-    out[labels == 0] = a.keys
-    out[labels == 1] = b.keys
+    rng.shuffle(from_b)  # the shuffle defines the stream
+    out = np.empty(len(from_b), dtype=np.uint64)
+    taken_b = 0  # keys of b placed so far; the rest of out[:start] came from a
+    for start in range(0, len(out), _CHUNK):
+        here = from_b[start : start + _CHUNK]
+        window = out[start : start + _CHUNK]
+        at_b = np.flatnonzero(here)
+        window[at_b] = b.keys[taken_b : taken_b + len(at_b)]
+        taken_a = start - taken_b
+        window[np.flatnonzero(~here)] = a.keys[taken_a : taken_a + len(here) - len(at_b)]
+        taken_b += len(at_b)
     return Trace(out, key_len=max(a.key_len, b.key_len))
 
 

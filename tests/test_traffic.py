@@ -20,7 +20,7 @@ from siamsketch import (
     write_trace,
 )
 from siamsketch.hashing import flow_id, index_batch, u64_keys
-from siamsketch.traffic import ROUND_ROBIN
+from siamsketch.traffic import ROUND_ROBIN, guide_search
 
 from conftest import kernel_unbuildable
 
@@ -113,6 +113,11 @@ ZIPF_DIGESTS = {
         ZipfConfig(skew=1.5, flows=3000, packets=40_000, seed=2**70 + 9),
         "40d8275a09fbae17",
     ),
+    # recorded with np.searchsorted, before the guide table: the last guide
+    # bucket of this skew-3 CDF brackets all but 233 of its 200k ranks, and
+    # past rank 97 this skew-8 CDF is one plateau of ties at 1.0
+    "skew-3": (ZipfConfig(skew=3.0, flows=200_000, packets=100_000, seed=5), "98af7aa976ae3d2f"),
+    "skew-8": (ZipfConfig(skew=8.0, flows=500_000, packets=100_000, seed=5), "0c5cd6705d04f28c"),
 }
 
 
@@ -127,6 +132,35 @@ def test_zipf_stream_matches_golden_digest(name, fallback):
     with kernel_unbuildable(fallback):
         keys = gen_zipf(cfg).as_u64()
     assert hashlib.sha256(keys.tobytes()).hexdigest()[:16] == digest
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    skew=st.sampled_from([0.0, 0.6, 1.0, 3.0, 8.0]),
+    flows=st.integers(1, 200_000),
+    # scaling by 2**-1000 or 2**-1060 underflows the tail weights to 0, so
+    # the CDF ends in exact ties; at skew 8 the tail is absorbed into ties
+    # anyway
+    scale=st.sampled_from([0, -1000, -1060]),
+    log_buckets=st.integers(0, 18),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guide_search_matches_searchsorted(skew, flows, scale, log_buckets, seed):
+    weights = np.arange(1, flows + 1, dtype=np.float64) ** -skew * 2.0**scale
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    m = 1 << log_buckets
+    rng = np.random.default_rng(seed)
+    draws = np.concatenate(
+        [
+            rng.random(2000),
+            [0.0, np.nextafter(1.0, 0.0)],
+            rng.integers(0, m, 200) / m,  # bucket edges
+            cdf[cdf < 1.0][:200],  # draws equal to a CDF value
+        ]
+    )
+    expected = np.searchsorted(cdf, draws, side="right")
+    assert np.array_equal(guide_search(cdf, draws, m), expected)
 
 
 # -- attack planning ----------------------------------------------------------
@@ -204,6 +238,31 @@ def test_interleave_deterministic_and_order_preserving():
     assert not np.array_equal(m1.as_u64(), m3.as_u64())
 
 
+@settings(max_examples=30, deadline=None)
+@given(len_a=st.integers(0, 150_000), len_b=st.integers(0, 150_000), seed=st.integers(0, 2**32 - 1))
+def test_interleave_matches_the_mask_scatter(len_a, len_b, seed):
+    # the mix is written a window at a time; across windows it must hold
+    # what the boolean-mask scatter of the same shuffle gives
+    a = Trace(np.arange(len_a, dtype=np.uint64))
+    b = Trace(np.arange(len_b, dtype=np.uint64) + 2**40)
+    from_b = np.zeros(len_a + len_b, dtype=np.bool_)
+    from_b[len_a:] = True
+    np.random.default_rng(seed).shuffle(from_b)
+    expected = np.empty(len(from_b), dtype=np.uint64)
+    expected[~from_b] = a.keys
+    expected[from_b] = b.keys
+    assert np.array_equal(interleave_traces(a, b, seed).keys, expected)
+
+
+def test_interleave_stream_matches_golden_digest():
+    # the benchmark's attack stream at seed 5, recorded when the labels were
+    # scattered through two boolean masks
+    benign = gen_zipf(ZIPF_DIGESTS["attack"][0])
+    mixed = interleave_traces(benign, gen_attack(plan_attack(4096, 0.5), 6), 5)
+    assert len(mixed) == 1_226_784 and mixed.key_len == 8
+    assert hashlib.sha256(mixed.keys.tobytes()).hexdigest()[:16] == "89a10b0949d47539"
+
+
 def test_concat():
     a = Trace(np.array([1, 2], dtype=np.uint64))
     b = Trace(np.array([3], dtype=np.uint64))
@@ -274,6 +333,17 @@ def test_float_key_array_is_rejected():
     # a float array was once cast, so 1.5, 2.7 and 3.9 became flows 1, 2, 3
     with pytest.raises(TypeError):
         Trace(np.array([1.5, 2.7, 3.9]))
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[2**70, -1], [2**64, 0], np.array([-1])],
+    ids=["above-and-below", "2**64", "negative-array"],
+)
+def test_out_of_range_int_keys_are_rejected(keys):
+    # they were masked to 64 bits, so 2**64 and 0 became one flow
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        Trace(keys)
 
 
 @pytest.mark.parametrize(
