@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hashing import RowSketch, derive_seeds
+from .hashing import MAX_WIDTH, RowSketch, derive_seeds
 from .sketch import DynamicSketch, SketchConfig
 
 
@@ -48,8 +48,8 @@ class CountMinConfig:
     def __post_init__(self) -> None:
         if self.rows < 1:
             raise ValueError("rows must be at least 1")
-        if self.width < 1:
-            raise ValueError("width must be positive")
+        if not 1 <= self.width <= MAX_WIDTH:
+            raise ValueError("width must be in [1, 2**32]")
         if not self.seeds:
             object.__setattr__(self, "seeds", derive_seeds(0, self.rows))
         elif len(self.seeds) != self.rows:

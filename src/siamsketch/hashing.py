@@ -39,6 +39,10 @@ from . import _kernel
 
 MASK64 = (1 << 64) - 1
 
+# The most slots a row may have: the kernel reduces a hash to a slot in
+# 32-bit halves, which is exact only up to this width.
+MAX_WIDTH = 1 << 32
+
 # Packets placed and counted per step of ``RowSketch.encode_stream`` given raw
 # keys, and the longest segment ``run_experiment`` wraps in one ``KeyBatch``.
 # Both kernel passes, placement and encode, make one pass over a chunk
@@ -101,7 +105,7 @@ def place_u64(key: int, state: int, width: int) -> int:
     """The slot of ``key``, masked to 64 bits, in a row of ``width`` slots
     whose seed has the :func:`seed_state` ``state``: the high 64 bits of
     ``mix64(key ^ state) * width``. The caller keeps ``width`` in
-    ``[1, 2**32]``, as :func:`index_batch` checks it."""
+    ``[1, 2**32]``, as :func:`index_batch` and the sketch configs check it."""
     return (mix64(key ^ state) * width) >> 64
 
 
@@ -141,20 +145,14 @@ def hash_batch(keys: Sequence[int] | np.ndarray, seed: int) -> np.ndarray:
     return out
 
 
-def _check_width(width: int) -> None:
-    """The kernel reduces a hash to a slot in 32-bit halves, exact for
-    ``width <= 2**32`` only."""
-    if not 0 < width <= 1 << 32:
-        raise ValueError("width must be in [1, 2**32]")
-
-
 def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     """The slot of every key (see :func:`u64_keys`) in a row of ``width``
     slots hashed with ``seed``, as an int64 array: :func:`place_u64` of each
     key, exactly. The kernel library's ``place`` computes it; where the
     library cannot be built, every key goes through the scalar
     :func:`place_u64`, after the loader's one ``RuntimeWarning``."""
-    _check_width(width)
+    if not 0 < width <= MAX_WIDTH:
+        raise ValueError("width must be in [1, 2**32]")
     keys = u64_keys(keys)
     state = seed_state(seed)
     lib = _kernel.load()
@@ -271,7 +269,6 @@ class RowSketch:
 
     def _query_array(self, keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
         """:meth:`query_u64` of every key, as a uint64 array."""
-        _check_width(self._w)
         keys = u64_keys(keys)
         tables = np.stack([self._decode_row(r) for r in range(self._d)])
         tables = tables.astype(np.uint64, copy=False)

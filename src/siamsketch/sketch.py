@@ -129,7 +129,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel
-from .hashing import MASK64, RowSketch, derive_seeds
+from .hashing import MASK64, MAX_WIDTH, RowSketch, derive_seeds
 
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
@@ -220,8 +220,8 @@ class SketchConfig:
     def __post_init__(self) -> None:
         if self.rows < 1:
             raise ValueError("rows must be at least 1")
-        if self.width < 4 or self.width % 4:
-            raise ValueError("width must be a positive multiple of 4")
+        if not 4 <= self.width <= MAX_WIDTH or self.width % 4:
+            raise ValueError("width must be a multiple of 4 in [4, 2**32]")
         if not 2 <= self.counter_bits <= 16:
             raise ValueError("counter_bits must be in [2, 16]")
         if self.shared_bits % 2:

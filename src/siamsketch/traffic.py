@@ -5,7 +5,8 @@ as a uint64 array. A key of at most 8 bytes is its own id; a longer key (a
 13-byte 5-tuple, say) is folded once, with no seed, where it enters: by
 :func:`~siamsketch.hashing.flow_id` when a :class:`Trace` is built from
 ``bytes`` keys, and so when :func:`read_trace` reads a file whose records are
-wider than 8 bytes. Sketches, mixes and ground truth all read the ids.
+wider than 8 bytes. Sketches, mixes, ground truth and trace files all hold
+the ids.
 
 A Zipf stream draws one uniform number per packet and inverts the rank CDF
 at it. A plain binary search over a CDF of every rank misses the cache on
@@ -20,7 +21,8 @@ Binary trace format (``SKTR``), little-endian::
 
     magic   4 bytes  b"SKTR"
     version u16      1
-    key_len u16      bytes per key, >= 1 (a written trace has at most 8)
+    key_len u16      bytes per record: 8 in a written trace; a reader
+                     accepts any width of at least 1
     records key_len bytes each, back to back
 """
 
@@ -61,25 +63,17 @@ class Trace:
     folds each ``bytes`` key through ``flow_id`` and rejects other keys
     (floats, strings) with TypeError. An integer key is its own id, so one
     outside [0, 2**64) raises ValueError rather than being masked into
-    another flow's id; a uint64 array is taken unscanned.
-
-    ``key_len`` is the bytes per key a file holds, in [1, 8], and every id
-    must fit in it, so every trace written reads back equal."""
+    another flow's id, and a bool raises TypeError, as a bool array does; a
+    uint64 array is taken unscanned. :func:`write_trace` writes each id in 8
+    bytes, so every trace written reads back equal."""
 
     keys: np.ndarray
-    key_len: int = 8
 
     def __post_init__(self) -> None:
-        if not 1 <= self.key_len <= 8:
-            raise ValueError(f"key_len must satisfy 1 <= key_len <= 8, not {self.key_len}")
         if not isinstance(self.keys, (Sequence, np.ndarray)):
-            self.keys = list(self.keys)  # the checks below must see every key
+            self.keys = list(self.keys)  # the check below must see every key
         _reject_out_of_range(self.keys)
         self.keys = u64_keys(self.keys)
-        # every key must fit in key_len bytes, or trace I/O drops its
-        # high bytes; at key_len 8 every uint64 fits, so no scan
-        if self.key_len < 8 and len(self.keys) and int(self.keys.max()) >> (8 * self.key_len):
-            raise ValueError(f"keys wider than key_len={self.key_len} bytes")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -92,36 +86,36 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.key_len == other.key_len and bool(np.array_equal(self.keys, other.keys))
+        return bool(np.array_equal(self.keys, other.keys))
 
 
 def _reject_out_of_range(keys: Sequence[int | bytes] | np.ndarray) -> None:
-    """ValueError if an integer key lies outside [0, 2**64); only a signed
-    array or a sequence of keys can hold one."""
+    """ValueError if an integer key lies outside [0, 2**64), TypeError if a
+    key is a bool; only a signed array or a sequence of keys can hold one."""
     if isinstance(keys, np.ndarray) and keys.dtype != object:
-        bad = keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0
-    else:
-        bad = any(not isinstance(k, bytes) and not 0 <= operator.index(k) <= MASK64 for k in keys)
-    if bad:
-        raise ValueError("integer keys must lie in [0, 2**64)")
+        if keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0:
+            raise ValueError("integer keys must lie in [0, 2**64)")
+        return
+    for k in keys:
+        if isinstance(k, bool):
+            raise TypeError("keys must be integers or bytes, not bool")
+        if not isinstance(k, bytes) and not 0 <= operator.index(k) <= MASK64:
+            raise ValueError("integer keys must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
 class ZipfConfig:
     """Zipf-distributed stream: ``P(rank k) ~ k**-skew`` over ``flows`` ranks,
-    with keys of ``key_len`` bytes, at most 8."""
+    each rank a 64-bit flow id."""
 
     skew: float
     flows: int
     packets: int
     seed: int
-    key_len: int = 8
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.skew) and self.skew >= 0):
             raise ValueError("skew must be finite and non-negative")
-        if not 1 <= self.key_len <= 8:
-            raise ValueError("key_len must be in [1, 8]")
         if self.flows < 1:
             raise ValueError("flows must be at least 1")
         if self.packets < 0:
@@ -198,11 +192,8 @@ def gen_zipf(cfg: ZipfConfig) -> Trace:
     byte-identical streams. The guide table has the power of two at or above
     ``min(flows, packets)`` buckets, so it is never twice as long as the
     draws or the CDF, and a long CDF sampled a few times builds a short
-    table. The key of rank ``r`` is
-    ``flow_key(r, cfg.seed)``, all ranks hashed in one
-    :func:`~siamsketch.hashing.hash_batch` call, cut to its low ``key_len``
-    bytes as :func:`read_trace` reads a short key back; shorter keys can make
-    distinct ranks one flow.
+    table. The flow id of rank ``r`` is ``flow_key(r, cfg.seed)``, all ranks
+    hashed in one :func:`~siamsketch.hashing.hash_batch` call.
     """
     weights = np.arange(1, cfg.flows + 1, dtype=np.float64) ** -cfg.skew
     cdf = np.cumsum(weights)
@@ -211,8 +202,7 @@ def gen_zipf(cfg: ZipfConfig) -> Trace:
     draws = rng.random(cfg.packets)
     ranks = guide_search(cdf, draws, 1 << max(min(cfg.flows, cfg.packets) - 1, 0).bit_length())
     rank_keys = hash_batch(np.arange(1, cfg.flows + 1, dtype=np.uint64), cfg.seed ^ _FLOW_SALT)
-    rank_keys &= np.uint64((1 << 8 * cfg.key_len) - 1)
-    return Trace(rank_keys[ranks], key_len=cfg.key_len)
+    return Trace(rank_keys[ranks])
 
 
 @dataclass(frozen=True)
@@ -287,7 +277,7 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
 def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
     internal order; deterministic per seed. The result holds the flow ids of
-    both, at the wider ``key_len`` of the two."""
+    both."""
     from_b = np.zeros(len(a) + len(b), dtype=np.bool_)
     from_b[len(a) :] = True
     rng = np.random.default_rng(seed)
@@ -302,28 +292,28 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
         taken_a = start - taken_b
         window[np.flatnonzero(~here)] = a.keys[taken_a : taken_a + len(here) - len(at_b)]
         taken_b += len(at_b)
-    return Trace(out, key_len=max(a.key_len, b.key_len))
+    return Trace(out)
 
 
 def concat_traces(a: Trace, b: Trace) -> Trace:
-    """``a`` then ``b``, at the wider ``key_len`` of the two."""
-    return Trace(np.concatenate([a.keys, b.keys]), key_len=max(a.key_len, b.key_len))
+    """The flow ids of ``a``, then those of ``b``."""
+    return Trace(np.concatenate([a.keys, b.keys]))
 
 
 # -- file I/O ---------------------------------------------------------------
 
 
 def write_trace(path: str | Path, trace: Trace) -> None:
-    raw = trace.keys.astype("<u8").view(np.uint8).reshape(-1, 8)
+    """``trace`` to the file at ``path``, each flow id in 8 bytes."""
     with open(path, "wb") as fp:
-        fp.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, trace.key_len))
-        fp.write(np.ascontiguousarray(raw[:, : trace.key_len]).tobytes())
+        fp.write(_HEADER.pack(TRACE_MAGIC, TRACE_VERSION, 8))
+        fp.write(trace.keys.astype("<u8", copy=False).tobytes())
 
 
 def read_trace(path: str | Path) -> Trace:
-    """The trace in the file at ``path``. Records of at most 8 bytes are
-    their own flow ids; wider records are each folded once (``flow_id``) and
-    read back as a trace at ``key_len`` 8."""
+    """The trace in the file at ``path``, whatever its ``key_len``. Records
+    of at most 8 bytes are their own flow ids, zero-padded; wider records are
+    each folded once (``flow_id``)."""
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -347,4 +337,4 @@ def read_trace(path: str | Path) -> Trace:
     raw = np.frombuffer(body, dtype=np.uint8).reshape(n, key_len)
     padded = np.zeros((n, 8), dtype=np.uint8)
     padded[:, :key_len] = raw
-    return Trace(padded.view("<u8").reshape(n), key_len)
+    return Trace(padded.view("<u8").reshape(n))

@@ -78,20 +78,6 @@ def test_zipf_validation():
     for skew in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="skew"):
             ZipfConfig(skew=skew, flows=100, packets=10, seed=0)
-    for key_len in (0, 9, 13):
-        with pytest.raises(ValueError, match="key_len"):
-            ZipfConfig(skew=1.0, flows=100, packets=10, seed=0, key_len=key_len)
-
-
-@pytest.mark.parametrize("key_len", range(1, 9))
-def test_zipf_short_keys_round_trip(tmp_path, key_len):
-    # rank keys are cut to their low key_len bytes, as read_trace pads them
-    tr = gen_zipf(ZipfConfig(skew=1.0, flows=300, packets=2000, seed=4, key_len=key_len))
-    assert tr.key_len == key_len
-    assert int(tr.as_u64().max()) < 1 << 8 * key_len
-    path = tmp_path / "z.sktr"
-    write_trace(path, tr)
-    assert read_trace(path) == tr
 
 
 # Leading 16 hex digits of the sha256 of ``gen_zipf(cfg).as_u64().tobytes()``,
@@ -259,7 +245,7 @@ def test_interleave_stream_matches_golden_digest():
     # scattered through two boolean masks
     benign = gen_zipf(ZIPF_DIGESTS["attack"][0])
     mixed = interleave_traces(benign, gen_attack(plan_attack(4096, 0.5), 6), 5)
-    assert len(mixed) == 1_226_784 and mixed.key_len == 8
+    assert len(mixed) == 1_226_784
     assert hashlib.sha256(mixed.keys.tobytes()).hexdigest()[:16] == "89a10b0949d47539"
 
 
@@ -269,26 +255,32 @@ def test_concat():
     assert concat_traces(a, b).as_u64().tolist() == [1, 2, 3]
 
 
+def _write_raw_trace(path, key_len, records):
+    """An ``SKTR`` file written by hand: the header, then the records."""
+    path.write_bytes(struct.pack("<4sHH", b"SKTR", 1, key_len) + b"".join(records))
+
+
 @pytest.mark.parametrize(
-    "len_a, len_b, mixed",
+    "len_a, len_b, widest",
     [(4, 4, 4), (2, 6, 6), (6, 2, 6), (3, 8, 8), (13, 8, 8), (5, 13, 8), (13, 13, 8)],
 )
-def test_mixing_traces_of_different_key_len(len_a, len_b, mixed):
-    # both sides are flow ids; the mix takes the wider key width, and a trace
-    # of 13-byte keys holds their folds at key_len 8
+def test_mixing_traces_of_different_key_len(tmp_path, len_a, len_b, widest):
+    # traces read from files of any record width mix as flow ids: a short
+    # record is zero-padded with every byte kept, so the widest id of the mix
+    # takes ``widest`` bytes, and a 13-byte record is folded to 8
     def trace(key_len, base):
-        if key_len > 8:
-            keys = [bytes([base + i]) * key_len for i in range(3)]
-            tr = Trace(keys)
-            assert tr.key_len == 8 and tr.keys.tolist() == [flow_id(k) for k in keys]
-            return tr
-        return Trace(np.arange(base, base + 3, dtype=np.uint64), key_len)
+        records = [bytes([base + i]) * key_len for i in range(3)]
+        path = tmp_path / f"{key_len}-{base}.sktr"
+        _write_raw_trace(path, key_len, records)
+        tr = read_trace(path)
+        assert tr.keys.tolist() == [flow_id(r) for r in records]
+        return tr
 
     a, b = trace(len_a, 1), trace(len_b, 100)
     ids = np.concatenate([a.as_u64(), b.as_u64()])
     for mix in (interleave_traces(a, b, seed=1), concat_traces(a, b)):
-        assert mix.key_len == mixed
         assert np.array_equal(np.sort(mix.as_u64()), np.sort(ids))
+        assert (int(mix.as_u64().max()).bit_length() + 7) // 8 == widest
     assert np.array_equal(concat_traces(a, b).as_u64(), ids)
 
 
@@ -303,26 +295,28 @@ def test_binary_round_trip(tmp_path):
 
 
 def test_binary_round_trip_short_keys(tmp_path):
-    tr = Trace(np.array([1, 2**31, 5], dtype=np.uint64), key_len=4)
-    path = tmp_path / "t4.sktr"
-    write_trace(path, tr)
-    back = read_trace(path)
-    assert back == tr and back.key_len == 4
-
-
-def _write_raw_trace(path, key_len, records):
-    """An ``SKTR`` file written by hand: the header, then the records."""
-    path.write_bytes(struct.pack("<4sHH", b"SKTR", 1, key_len) + b"".join(records))
+    # a file of records of 1 to 8 bytes reads back as their zero-padded ids,
+    # and that trace is written at 8 bytes a key and read back unchanged
+    for key_len in range(1, 9):
+        records = [b"\xff" * key_len, bytes(key_len)]
+        records += [bytes(range(i, i + key_len)) for i in range(4)]
+        path = tmp_path / f"t{key_len}.sktr"
+        _write_raw_trace(path, key_len, records)
+        back = read_trace(path)
+        assert back.keys.tolist() == [int.from_bytes(r, "little") for r in records]
+        again = tmp_path / f"t{key_len}-again.sktr"
+        write_trace(again, back)
+        assert again.stat().st_size == 8 + 8 * len(records)
+        assert read_trace(again) == back
 
 
 def test_binary_round_trip_13_byte_keys(tmp_path):
-    # a file of 13-byte records reads back as their folds, at key_len 8,
-    # and that trace is written and read back unchanged
+    # a file of 13-byte records reads back as their folds, and that trace is
+    # written and read back unchanged
     keys = [bytes(range(i, i + 13)) for i in range(6)]
     path = tmp_path / "t13.sktr"
     _write_raw_trace(path, 13, keys)
     back = read_trace(path)
-    assert back.key_len == 8
     assert np.array_equal(back.keys, u64_keys(keys))
     again = tmp_path / "t13-again.sktr"
     write_trace(again, back)
@@ -346,47 +340,29 @@ def test_out_of_range_int_keys_are_rejected(keys):
         Trace(keys)
 
 
+def test_bool_keys_are_rejected():
+    # a list of bools was once held as flows 1 and 0, while a bool array and
+    # numpy bools were refused
+    for keys in ([True, False], [7, True], [np.True_], np.array([True])):
+        with pytest.raises(TypeError):
+            Trace(keys)
+
+
 @pytest.mark.parametrize(
-    "keys, key_len",
-    [([b"abc", b"de", b""], 3), ([1, 2, 3], 8), ([0, 2**16 - 1], 2), ([b"\x07" * 13, b"x"], 8)],
+    "keys",
+    [[b"abc", b"de", b""], [1, 2, 3], [0, 2**16 - 1], [b"\x07" * 13, b"x"]],
     ids=["bytes", "ints", "short-ints", "wide-bytes"],
 )
-def test_key_list_traces_round_trip(tmp_path, keys, key_len):
-    # a list of bytes or of ints is held as flow ids, so the file holds
-    # key_len bytes per key and reads back equal; a bytes list once wrote
-    # its keys' own lengths, and an int list could not be written at all
-    tr = Trace(keys, key_len)
+def test_key_list_traces_round_trip(tmp_path, keys):
+    # a list of bytes or of ints is held as flow ids, so the file holds 8
+    # bytes per key and reads back equal; a bytes list once wrote its keys'
+    # own lengths, and an int list could not be written at all
+    tr = Trace(keys)
     path = tmp_path / "list.sktr"
     write_trace(path, tr)
     assert read_trace(path) == tr
-    assert path.stat().st_size == 8 + key_len * len(keys)
+    assert path.stat().st_size == 8 + 8 * len(keys)
     assert tr.keys.dtype == np.uint64 and np.array_equal(tr.keys, u64_keys(keys))
-
-
-def test_key_len_out_of_range_is_rejected():
-    # a trace holds flow ids, which a file carries in 1 to 8 bytes each
-    for key_len in (0, 9, 13, 100):
-        for keys in ([b"abc"] * 2, [5, 7], np.array([5, 7], dtype=np.uint64)):
-            with pytest.raises(ValueError, match="key_len"):
-                Trace(keys, key_len)
-
-
-def test_key_array_wider_than_key_len_is_rejected():
-    # written, the first key would lose its high bytes and read back unequal
-    with pytest.raises(ValueError, match="key_len=4"):
-        Trace(np.array([2**40 + 5, 7], dtype=np.uint64), key_len=4)
-    with pytest.raises(ValueError, match="key_len=1"):
-        Trace(np.array([0, 256], dtype=np.uint64), key_len=1)
-    # the widest key that fits is accepted, as is any uint64 at key_len 8
-    assert len(Trace(np.array([2**32 - 1], dtype=np.uint64), key_len=4)) == 1
-    assert len(Trace(np.array([2**64 - 1], dtype=np.uint64))) == 1
-    assert len(Trace(np.empty(0, dtype=np.uint64), key_len=3)) == 0
-
-
-def test_key_array_with_key_len_above_8_is_rejected():
-    # written, each key would take 8 bytes against a 13-byte header
-    with pytest.raises(ValueError, match="key_len <= 8"):
-        Trace(np.array([5, 7], dtype=np.uint64), key_len=13)
 
 
 def test_empty_trace_round_trip(tmp_path):
@@ -422,6 +398,11 @@ def test_bad_magic_and_version(tmp_path):
 def test_header_truncation(tmp_path):
     path = tmp_path / "short.sktr"
     path.write_bytes(b"SK")
+    with pytest.raises(TraceError) as err:
+        read_trace(path)
+    assert err.value.code == "bad-header"
+    # a record must hold at least one byte
+    _write_raw_trace(path, 0, [])
     with pytest.raises(TraceError) as err:
         read_trace(path)
     assert err.value.code == "bad-header"
