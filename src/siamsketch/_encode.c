@@ -1,5 +1,5 @@
 /* The kernel library: batched hashing, batched row placement, batched
- * encode and batched query.
+ * encode, batched query and the shuffled interleave of two traces.
  *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
@@ -11,6 +11,11 @@
  * row, ``RowSketch.query_u64`` of each: per key it places the key in each row
  * as ``place`` does, reads the row's table there and keeps the minimum, in
  * one pass that writes only the answers.
+ *
+ * ``interleave`` mixes two traces as ``traffic.interleave_traces`` does: it
+ * labels the packets, shuffles the labels with numpy's own draws, calling
+ * the bit generator's ``next_uint32`` on its state, and fills the mix in
+ * label order, in one pass.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It ports
@@ -58,6 +63,7 @@
 
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Unit of a slot, 2 * level + shared, indexed by 2 * group code + pair bit
  * (``_UNIT`` in sketch.py). */
@@ -417,4 +423,51 @@ void query_rows(const uint64_t *keys, size_t n, const uint64_t *seed_states,
         }
         out[i] = best;
     }
+}
+
+/* numpy's ``random_interval(state, max)`` for ``1 <= max <= 2**32 - 1``: a
+ * draw in ``[0, max]``, masked to the smallest all-ones value at or above
+ * ``max`` and redrawn while above it. Every draw is a ``next_uint32`` there. */
+static inline uint32_t draw_at_most(uint32_t max, void *state, uint32_t (*next_uint32)(void *))
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = next_uint32(state) & mask) > max)
+        ;
+    return value;
+}
+
+/* ``traffic.interleave_traces``: ``na`` labels 0 then ``nb`` labels 1,
+ * shuffled as numpy's ``Generator.shuffle`` shuffles a 1-d array, and the
+ * mix ``out``, which takes the keys of ``a`` in order at the labels 0 and
+ * those of ``b`` at the labels 1. The shuffle is numpy's Fisher-Yates walk:
+ * for ``i`` from ``n - 1`` down to 1, swap labels ``i`` and
+ * ``draw_at_most(i)``. No later step touches a label above its own ``i``,
+ * so label ``i`` is final after its step, and the same pass writes
+ * ``out[i]``: the last key not yet placed of the side the label names.
+ * ``end[label]`` selects that side without a branch; only that side's
+ * pointer moves, and each side is read exactly once per key it holds, so
+ * every read lies inside ``a`` or ``b``. ``state`` and ``next_uint32`` are
+ * the bit generator's (``BitGenerator.ctypes``), left where ``shuffle``
+ * leaves them. The caller guarantees ``na + nb <= 2**32``. */
+void interleave(const uint64_t *a, size_t na, const uint64_t *b, size_t nb, void *state,
+                uint32_t (*next_uint32)(void *), uint8_t *labels, uint64_t *out)
+{
+    size_t n = na + nb;
+    const uint64_t *end[2] = {a + na, b + nb};
+    memset(labels, 0, na);
+    memset(labels + na, 1, nb);
+    for (size_t i = n; i-- > 1;) {
+        size_t j = draw_at_most((uint32_t)i, state, next_uint32);
+        uint8_t label = labels[j];
+        labels[j] = labels[i];
+        labels[i] = label;
+        out[i] = *--end[label];
+    }
+    if (n)
+        out[0] = *--end[labels[0]];
 }

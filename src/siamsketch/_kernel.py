@@ -1,15 +1,19 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has five entry points: ``hash_keys`` hashes a chunk of keys
+The library has six entry points: ``hash_keys`` hashes a chunk of keys
 under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
 their slots in one row (``hashing.index_batch``), ``encode_row`` counts a
 chunk of slots into one row of the dynamic-counter engine
 (``DynamicSketch._encode_batch``), ``decode_row`` decodes every slot of such
-a row (``DynamicSketch._decode_row``), and ``query_rows`` answers a batch of
+a row (``DynamicSketch._decode_row``), ``query_rows`` answers a batch of
 keys from every row's decoded table, placing each key and taking the minimum
-over rows in one pass (``hashing.RowSketch._query_array``). ``encode_row``
-takes the row's group count with its group codes: it reads every code once
-per call to choose between its two count loops (see ``_encode.c``).
+over rows in one pass (``hashing.RowSketch._query_array``), and
+``interleave`` mixes two traces (``traffic.interleave_traces``): it shuffles
+their labels as numpy's ``Generator.shuffle`` does, drawing from the
+generator's own state through the ``next_uint32`` function the generator
+hands out, and fills the mix in the same pass. ``encode_row`` takes the
+row's group count with its group codes: it reads every code once per call
+to choose between its two count loops (see ``_encode.c``).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -24,7 +28,8 @@ place, so a concurrent process never loads a partial file.
 Without a compiler, or when the build or the load fails, :func:`load` returns
 None after one ``RuntimeWarning`` per process: keys are then hashed and
 placed key by key with the scalar ``mix64``, the engine counts packets with
-its scalar ``_encode`` and decodes slots with its scalar ``_decode``.
+its scalar ``_encode`` and decodes slots with its scalar ``_decode``, and
+two traces are mixed by ``rng.shuffle`` and a numpy scatter.
 """
 
 from __future__ import annotations
@@ -91,8 +96,10 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel library, with its five entry points declared, built first
-    if needed; None if it cannot be built or loaded."""
+    """The kernel library, with its six entry points declared (``hash_keys``,
+    ``place``, ``encode_row``, ``decode_row``, ``query_rows`` and
+    ``interleave``), built first if needed; None if it cannot be built or
+    loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
@@ -100,7 +107,7 @@ def load():
             _build(path, command)
         lib = ctypes.CDLL(str(path))
         hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
-        decode_row, query_rows = lib.decode_row, lib.query_rows
+        decode_row, query_rows, interleave = lib.decode_row, lib.query_rows, lib.interleave
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
@@ -156,4 +163,15 @@ def load():
         ctypes.c_void_p,  # uint64 answers, written
     ]
     query_rows.restype = None
+    interleave.argtypes = [
+        ctypes.c_void_p,  # uint64 keys of a
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # uint64 keys of b
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # bit generator state
+        ctypes.c_void_p,  # its next_uint32
+        ctypes.c_void_p,  # uint8 labels, written
+        ctypes.c_void_p,  # uint64 mix, written
+    ]
+    interleave.restype = None
     return lib

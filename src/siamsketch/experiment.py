@@ -27,8 +27,8 @@ Each packet is placed once per (width, row seeds) and counted once per
 window it belongs to. The stream is cut into segments at every snapshot
 interval (where the census is taken), at ``half = len(stream) // 2`` and at
 every multiple of ``hashing.ENCODE_CHUNK``. Each segment is wrapped once in a
-``hashing.KeyBatch`` and fed to every scheme's main sketch in turn, so
-sc-lsb and instant, which share a width and the row seeds (``build_sketch``),
+``hashing.KeyBatch`` and fed to every scheme's main sketch in turn, so sc-lsb
+and instant, which share a width and the row seeds (``scheme_configs``),
 place it once between them, and Count-Min, at its own width, once more. The
 change app compares two windows, the stream's halves: the first is a copy of
 the main sketch taken at ``half``, the second a fresh sketch fed the same
@@ -186,22 +186,42 @@ def resolve_widths(spec: ExperimentSpec) -> tuple[int, int]:
     return spec.width, count_min_width_for(spec.width, spec.counter_bits)
 
 
-def build_sketch(scheme: str, spec: ExperimentSpec):
+def scheme_configs(
+    spec: ExperimentSpec, schemes: Sequence[str] | None = None
+) -> dict[str, SketchConfig | CountMinConfig]:
+    """The config of each scheme (``spec.schemes`` by default), from the
+    widths resolved once. A config checks its fields when it is built, so a
+    width or a field no scheme can take raises ValueError here, before any
+    sketch allocates a row."""
     dyn_width, cm_width = resolve_widths(spec)
     seeds = derive_seeds(spec.seed, spec.rows)
+    configs: dict[str, SketchConfig | CountMinConfig] = {}
+    for scheme in spec.schemes if schemes is None else schemes:
+        if scheme == "count-min":
+            configs[scheme] = CountMinConfig(rows=spec.rows, width=cm_width, seeds=seeds)
+        else:
+            configs[scheme] = SketchConfig(
+                rows=spec.rows,
+                width=dyn_width,
+                counter_bits=spec.counter_bits,
+                shared_bits=spec.shared_bits,
+                merge_mode=spec.merge_mode,
+                seeds=seeds,
+            )
+    return configs
+
+
+def _new_sketch(scheme: str, config: SketchConfig | CountMinConfig):
     if scheme == "count-min":
-        return CountMinSketch(CountMinConfig(rows=spec.rows, width=cm_width, seeds=seeds))
-    config = SketchConfig(
-        rows=spec.rows,
-        width=dyn_width,
-        counter_bits=spec.counter_bits,
-        shared_bits=spec.shared_bits,
-        merge_mode=spec.merge_mode,
-        seeds=seeds,
-    )
+        return CountMinSketch(config)
     if scheme == "sc-lsb":
         return SiameseSketch(config)
     return InstantMergeSketch(config)
+
+
+def build_sketch(scheme: str, spec: ExperimentSpec):
+    """A fresh sketch of ``scheme`` as ``run_experiment`` builds it."""
+    return _new_sketch(scheme, scheme_configs(spec, (scheme,))[scheme])
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -250,6 +270,7 @@ def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
+    configs = scheme_configs(spec)  # every config is checked before any work
     stream, benign = assemble_stream(spec)
     keys = stream.keys
     if benign is None:
@@ -278,9 +299,11 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         universe, changed = _change_truth(keys, threshold)
 
     # every scheme counts each segment before the next is cut (module docstring)
-    sketches = {scheme: build_sketch(scheme, spec) for scheme in spec.schemes}
+    sketches = {scheme: _new_sketch(scheme, config) for scheme, config in configs.items()}
     second_windows = (
-        {scheme: build_sketch(scheme, spec) for scheme in spec.schemes} if need_windows else {}
+        {scheme: _new_sketch(scheme, config) for scheme, config in configs.items()}
+        if need_windows
+        else {}
     )
     counter_rows = {scheme: [] for scheme in spec.schemes}
     # the dynamic schemes share a width, so they place a batch once between them

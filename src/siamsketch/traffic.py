@@ -28,6 +28,7 @@ Binary trace format (``SKTR``), little-endian::
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import struct
@@ -37,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _kernel
 from .analysis import coupon_expect
 from .hashing import MASK64, hash_batch, hash_u64, u64_keys
 
@@ -277,12 +279,42 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
 def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     """Uniform random interleaving of two traces, preserving each one's
     internal order; deterministic per seed. The result holds the flow ids of
-    both."""
-    from_b = np.zeros(len(a) + len(b), dtype=np.bool_)
-    from_b[len(a) :] = True
+    both.
+
+    The stream is defined by a shuffle: ``len(a)`` labels 0, then ``len(b)``
+    labels 1, shuffled by ``np.random.default_rng(seed).shuffle``, and the
+    mix takes the next key of ``a`` at each 0 and of ``b`` at each 1. numpy
+    2.4 shuffles a 1-d array by a Fisher-Yates walk from the last index down
+    to 1 that swaps index ``i`` with ``random_interval(i)``: a draw masked to
+    the smallest all-ones value at or above ``i``, redrawn while above ``i``,
+    each draw a ``next_uint32`` while ``i < 2**32``. The kernel library's
+    ``interleave`` makes that walk and fills the mix in one pass, calling the
+    generator's own ``next_uint32`` on its own state through
+    ``BitGenerator.ctypes``, so it gives the same mix and leaves the
+    generator where ``shuffle`` leaves it. It runs for mixes of at most
+    2**32 packets, where every draw is a ``next_uint32``; a longer mix, or a
+    machine without the library, takes ``rng.shuffle`` and a windowed
+    scatter. numpy does not promise stable ``Generator`` streams across
+    versions: if it changes the shuffle, the test that compares the kernel
+    with ``rng.shuffle`` fails together with the golden stream digests,
+    which depend on the shuffle whichever path made them."""
+    n = len(a) + len(b)
     rng = np.random.default_rng(seed)
+    out = np.empty(n, dtype=np.uint64)
+    lib = _kernel.load()
+    if lib is not None and n <= 1 << 32:
+        keys_a, keys_b = u64_keys(a.keys), u64_keys(b.keys)
+        labels = np.empty(n, dtype=np.uint8)
+        bitgen = rng.bit_generator.ctypes
+        next_uint32 = ctypes.cast(bitgen.next_uint32, ctypes.c_void_p)
+        lib.interleave(
+            keys_a.ctypes.data, len(keys_a), keys_b.ctypes.data, len(keys_b),
+            bitgen.state_address, next_uint32, labels.ctypes.data, out.ctypes.data,
+        )
+        return Trace(out)
+    from_b = np.zeros(n, dtype=np.bool_)
+    from_b[len(a) :] = True
     rng.shuffle(from_b)  # the shuffle defines the stream
-    out = np.empty(len(from_b), dtype=np.uint64)
     taken_b = 0  # keys of b placed so far; the rest of out[:start] came from a
     for start in range(0, len(out), _CHUNK):
         here = from_b[start : start + _CHUNK]

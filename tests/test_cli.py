@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from siamsketch import experiment
 from siamsketch.cli import main
 from siamsketch.traffic import Trace, read_trace, write_trace
 
@@ -155,6 +156,22 @@ def test_run_memory_budget_bad_shape_reports_json_error(tmp_path, capsys, flag):
                "--out", str(tmp_path / "r")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+
+
+def test_run_width_refused_by_one_scheme_allocates_nothing(tmp_path, capsys, monkeypatch):
+    # the sketch constructors are replaced, so that were the error to come
+    # late no row would be allocated here either
+    built = []
+    for name in ("SiameseSketch", "InstantMergeSketch", "CountMinSketch"):
+        monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    rc = main(["run", "--schemes", "count-min,sc-lsb", "--width", "4294967300",
+               "--benign", str(benign), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+    assert built == []
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])

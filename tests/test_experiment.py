@@ -18,7 +18,7 @@ from siamsketch import (
     plan_attack,
     run_experiment,
 )
-from siamsketch import hashing
+from siamsketch import experiment, hashing
 from siamsketch.experiment import assemble_stream, build_sketch, config_hash, resolve_widths
 from siamsketch.snapshot import dump_bytes
 
@@ -313,6 +313,21 @@ def test_window_copied_mid_stream_equals_fresh_encode(scheme, data):
 
     assert dump_bytes(window) == fresh(keys[:h])
     assert dump_bytes(sketch) == fresh(keys)
+
+
+@pytest.mark.parametrize(
+    "schemes", [("count-min", "sc-lsb"), ("count-min", "instant"), ("sc-lsb", "count-min")]
+)
+def test_width_refused_by_one_scheme_builds_no_sketch(monkeypatch, schemes):
+    # Count-Min's width derived from 4294967300 (1,207,959,553) is valid and
+    # the dynamic width is not: had Count-Min been built first, it would have
+    # asked for about 14.5 GB of rows before the error
+    built = []
+    for name in ("SiameseSketch", "InstantMergeSketch", "CountMinSketch"):
+        monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
+    with pytest.raises(ValueError, match="width"):
+        run_experiment(_small_spec(schemes=schemes, width=4294967300))
+    assert built == []
 
 
 def test_build_sketch_shares_row_seeds():

@@ -1,9 +1,10 @@
+import ctypes
 import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siamsketch import (
@@ -11,6 +12,7 @@ from siamsketch import (
     Trace,
     TraceError,
     ZipfConfig,
+    _kernel,
     concat_traces,
     gen_attack,
     gen_zipf,
@@ -224,29 +226,75 @@ def test_interleave_deterministic_and_order_preserving():
     assert not np.array_equal(m1.as_u64(), m3.as_u64())
 
 
+def _mask_scatter(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
+    """(the mix by its definition, the shuffled labels): ``rng.shuffle`` of
+    ``len(a)`` labels 0 and ``len(b)`` labels 1, then ``a`` scattered to the
+    0s and ``b`` to the 1s through boolean masks."""
+    from_b = np.zeros(len(a) + len(b), dtype=np.bool_)
+    from_b[len(a) :] = True
+    rng.shuffle(from_b)
+    expected = np.empty(len(from_b), dtype=np.uint64)
+    expected[~from_b] = a
+    expected[from_b] = b
+    return expected, from_b
+
+
 @settings(max_examples=30, deadline=None)
 @given(len_a=st.integers(0, 150_000), len_b=st.integers(0, 150_000), seed=st.integers(0, 2**32 - 1))
 def test_interleave_matches_the_mask_scatter(len_a, len_b, seed):
-    # the mix is written a window at a time; across windows it must hold
-    # what the boolean-mask scatter of the same shuffle gives
+    # the kernel fills the mix in its shuffle pass, the fallback a window at
+    # a time; both must hold what the boolean-mask scatter of the shuffle gives
     a = Trace(np.arange(len_a, dtype=np.uint64))
     b = Trace(np.arange(len_b, dtype=np.uint64) + 2**40)
-    from_b = np.zeros(len_a + len_b, dtype=np.bool_)
-    from_b[len_a:] = True
-    np.random.default_rng(seed).shuffle(from_b)
-    expected = np.empty(len(from_b), dtype=np.uint64)
-    expected[~from_b] = a.keys
-    expected[from_b] = b.keys
-    assert np.array_equal(interleave_traces(a, b, seed).keys, expected)
+    expected, _ = _mask_scatter(a.keys, b.keys, np.random.default_rng(seed))
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            assert np.array_equal(interleave_traces(a, b, seed).keys, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(len_a=st.integers(0, 100_000), len_b=st.integers(0, 100_000), seed=st.integers(0, 2**32 - 1))
+@example(len_a=0, len_b=0, seed=1)
+@example(len_a=1, len_b=0, seed=1)
+@example(len_a=0, len_b=1, seed=1)
+@example(len_a=1, len_b=1, seed=1)
+@example(len_a=2, len_b=0, seed=1)
+@example(len_a=100_000, len_b=0, seed=2)
+@example(len_a=0, len_b=100_000, seed=3)
+def test_interleave_kernel_matches_numpy_shuffle(len_a, len_b, seed):
+    # the kernel's own draws against numpy's: the same labels, the same mix
+    # and the bit generator left in the same state
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("no kernel library")
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 1 << 64, size=len_a, dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, size=len_b, dtype=np.uint64)
+    reference = np.random.default_rng(seed + 1)
+    expected, from_b = _mask_scatter(a, b, reference)
+    drawn = np.random.default_rng(seed + 1)
+    labels = np.empty(len_a + len_b, dtype=np.uint8)
+    out = np.empty(len_a + len_b, dtype=np.uint64)
+    bitgen = drawn.bit_generator.ctypes
+    lib.interleave(
+        a.ctypes.data, len_a, b.ctypes.data, len_b, bitgen.state_address,
+        ctypes.cast(bitgen.next_uint32, ctypes.c_void_p), labels.ctypes.data, out.ctypes.data,
+    )
+    assert np.array_equal(out, expected)
+    assert np.array_equal(labels.view(np.bool_), from_b)
+    assert drawn.bit_generator.state == reference.bit_generator.state
 
 
 def test_interleave_stream_matches_golden_digest():
     # the benchmark's attack stream at seed 5, recorded when the labels were
-    # scattered through two boolean masks
+    # scattered through two boolean masks; the kernel and the fallback
     benign = gen_zipf(ZIPF_DIGESTS["attack"][0])
-    mixed = interleave_traces(benign, gen_attack(plan_attack(4096, 0.5), 6), 5)
-    assert len(mixed) == 1_226_784
-    assert hashlib.sha256(mixed.keys.tobytes()).hexdigest()[:16] == "89a10b0949d47539"
+    attack = gen_attack(plan_attack(4096, 0.5), 6)
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            mixed = interleave_traces(benign, attack, 5)
+        assert len(mixed) == 1_226_784
+        assert hashlib.sha256(mixed.keys.tobytes()).hexdigest()[:16] == "89a10b0949d47539"
 
 
 def test_concat():
