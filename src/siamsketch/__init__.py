@@ -46,14 +46,12 @@ from .sketch import (
     PAIR_INDEPENDENT,
     PAIR_MERGED,
     PAIR_SHARED,
-    CounterRef,
-    CounterView,
     SiameseSketch,
     SketchConfig,
     group_code,
     pair_states,
 )
-from .snapshot import dump_bytes, load_bytes, load_sketch, save_sketch
+from .snapshot import dump_bytes, load_bytes
 from .traffic import (
     AttackPlan,
     Trace,

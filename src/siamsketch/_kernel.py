@@ -29,7 +29,8 @@ Without a compiler, or when the build or the load fails, :func:`load` returns
 None after one ``RuntimeWarning`` per process: keys are then hashed and
 placed key by key with the scalar ``mix64``, the engine counts packets with
 its scalar ``_encode`` and decodes slots with its scalar ``_decode``, and
-two traces are mixed by ``rng.shuffle`` and a numpy scatter.
+two traces are mixed by their definition: ``rng.shuffle`` of the labels,
+then a boolean-mask scatter of each trace to its labels.
 """
 
 from __future__ import annotations

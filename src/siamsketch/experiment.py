@@ -133,6 +133,9 @@ class ExperimentSpec:
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        # one sketch per scheme: a repeated name would feed it every segment twice
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError(f"repeated schemes: {list(self.schemes)}")
         if self.width is None and self.memory_bytes is None:
             raise ValueError("either width or memory_bytes is required")
         if self.snapshot_interval <= 0:

@@ -124,7 +124,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -182,25 +181,6 @@ def pair_states(code: int) -> tuple[int, int]:
     return _PAIR_A[code], _PAIR_B[code]
 
 
-class CounterRef(NamedTuple):
-    """Locates one logical counter: level in bits, first slot, slot span."""
-
-    level_bits: int
-    start: int
-    span: int
-    shared: bool
-
-
-class CounterView(NamedTuple):
-    """Decoded view of the counter a key resolves to in one row."""
-
-    level_bits: int
-    shared: bool
-    msb_value: int
-    lsb_value: int | None
-    value: int
-
-
 @dataclass(frozen=True)
 class SketchConfig:
     """Shape of a sketch: rows ``d``, slots per row ``w``, base counter bits
@@ -255,7 +235,6 @@ class DynamicSketch(RowSketch):
         self._rows = [array(typecode, [0]) * self._w for _ in range(self._d)]
         self._states = [array("B", [0]) * (self._w >> 2) for _ in range(self._d)]
         self._lsb_discards = [0] * self._d
-        self._pair_bit = (np.arange(self._w) >> 1) & 1
 
     def _unit(self, row_idx: int, slot: int) -> int:
         return _UNIT[(self._states[row_idx][slot >> 2] << 1) | ((slot >> 1) & 1)]
@@ -408,11 +387,6 @@ class DynamicSketch(RowSketch):
         joint = ((slots[first] & hmask) << hk) | (slots[first + span] & hmask)
         return ((value >> hk) << self._k) | joint
 
-    def _unit_row(self, row_idx: int) -> np.ndarray:
-        """``_unit`` of every slot of one row."""
-        codes = np.frombuffer(self._states[row_idx], dtype=np.uint8)
-        return _UNITS[(np.repeat(codes, 4) << 1) | self._pair_bit]
-
     def _decode_row(self, row_idx: int) -> np.ndarray:
         """``_decode`` of every slot of one row, as a uint64 array: with the C
         kernel when it could be built, else with ``_decode`` itself."""
@@ -440,38 +414,6 @@ class DynamicSketch(RowSketch):
             raise IndexError(f"group {group} out of range")
         return self._states[row][group]
 
-    def find_counter(self, row: int, key: bytes) -> tuple[CounterRef, CounterRef | None]:
-        """Locate the key's logical counter and its same-level peer.
-
-        Below the quad level the peer is the other slot of the pair; a fused
-        pair's peer is the sibling pair of the group. The quad-width counter
-        has no peer. Peers are positions; their own state may lag behind the
-        referenced counter's level.
-        """
-        return self.find_counter_at(row, self.slot_of(row, key))
-
-    def find_counter_at(self, row: int, slot: int) -> tuple[CounterRef, CounterRef | None]:
-        unit = self._unit(row, slot)
-        level = unit >> 1
-        span = 1 << level
-        start = slot & -span
-        ref = CounterRef(self._s << level, start, span, bool(unit & 1))
-        if level == 2:
-            return ref, None
-        peer = start ^ span
-        return ref, CounterRef(self._s << level, peer, span, bool(self._unit(row, peer) & 1))
-
-    def counter_view(self, row: int, key: bytes) -> CounterView:
-        return self.counter_view_at(row, self.slot_of(row, key))
-
-    def counter_view_at(self, row: int, slot: int) -> CounterView:
-        unit = self._unit(row, slot)
-        level_bits = self._s << (unit >> 1)
-        value = self._decode(row, slot)
-        if unit & 1:
-            return CounterView(level_bits, True, value >> self._k, value & self._kmask, value)
-        return CounterView(level_bits, False, value, None, value)
-
     def counter_count(self) -> list[int]:
         """Logical counters remaining per row, as Python ints: each group
         contributes ``GROUP_COUNTER_COUNT`` of its code (fused counters count
@@ -492,9 +434,10 @@ class DynamicSketch(RowSketch):
         slots, 70,000 packets of one key leave 65,535 on every row. ROADMAP
         item 2 plans a per-row count of those packets.
         """
-        unit = self._unit_row(row)
-        span = 1 << (unit >> 1)
         slot = np.arange(self._w)
+        codes = np.frombuffer(self._states[row], dtype=np.uint8)
+        unit = _UNITS[(np.repeat(codes, 4) << 1) | ((slot >> 1) & 1)]
+        span = 1 << (unit >> 1)
         values = self._decode_row(row)
         # both members of a shared pair decode with the joint; count it once,
         # with the first member

@@ -42,7 +42,6 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from pathlib import Path
 
 import numpy as np
 
@@ -219,11 +218,3 @@ def _expect_body(raw: bytes, off: int, size: int) -> None:
         raise SnapshotError("truncated", f"body has {len(raw) - off} of {size} bytes")
     if off + size < len(raw):
         raise SnapshotError("trailing-bytes", f"{len(raw) - off - size} bytes past the body")
-
-
-def save_sketch(path: str | Path, sketch) -> None:
-    Path(path).write_bytes(dump_bytes(sketch))
-
-
-def load_sketch(path: str | Path):
-    return load_bytes(Path(path).read_bytes())

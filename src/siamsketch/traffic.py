@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernel
 from .analysis import coupon_expect
-from .hashing import MASK64, hash_batch, hash_u64, u64_keys
+from .hashing import MASK64, hash_batch, u64_keys
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -126,15 +126,9 @@ class ZipfConfig:
 
 _FLOW_SALT = 0x5A1F_0000
 
-# Draws searched, and packets interleaved, per step: it bounds each step's
-# index and mask arrays to 512 KB, which stay in cache and keep a 1.23 M-packet
-# attack mix from allocating stream-sized index arrays on top of the stream.
+# Draws searched per step: it bounds each step's index and mask arrays to
+# 512 KB, which stay in cache.
 _CHUNK = 1 << 16
-
-
-def flow_key(rank: int, seed: int) -> int:
-    """Stable 64-bit key of a flow rank within one stream's key space."""
-    return hash_u64(rank, seed ^ _FLOW_SALT)
 
 
 def guide_search(cdf: np.ndarray, draws: np.ndarray, buckets: int) -> np.ndarray:
@@ -194,8 +188,8 @@ def gen_zipf(cfg: ZipfConfig) -> Trace:
     byte-identical streams. The guide table has the power of two at or above
     ``min(flows, packets)`` buckets, so it is never twice as long as the
     draws or the CDF, and a long CDF sampled a few times builds a short
-    table. The flow id of rank ``r`` is ``flow_key(r, cfg.seed)``, all ranks
-    hashed in one :func:`~siamsketch.hashing.hash_batch` call.
+    table. The flow id of rank ``r`` is ``hash_u64(r, cfg.seed ^ _FLOW_SALT)``,
+    all ranks hashed in one :func:`~siamsketch.hashing.hash_batch` call.
     """
     weights = np.arange(1, cfg.flows + 1, dtype=np.float64) ** -cfg.skew
     cdf = np.cumsum(weights)
@@ -293,11 +287,13 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     ``BitGenerator.ctypes``, so it gives the same mix and leaves the
     generator where ``shuffle`` leaves it. It runs for mixes of at most
     2**32 packets, where every draw is a ``next_uint32``; a longer mix, or a
-    machine without the library, takes ``rng.shuffle`` and a windowed
-    scatter. numpy does not promise stable ``Generator`` streams across
-    versions: if it changes the shuffle, the test that compares the kernel
-    with ``rng.shuffle`` fails together with the golden stream digests,
-    which depend on the shuffle whichever path made them."""
+    machine without the library, is made by the definition itself:
+    ``rng.shuffle`` of the labels, then ``a`` scattered to the 0s and ``b``
+    to the 1s through boolean masks. numpy does not promise stable
+    ``Generator`` streams across versions: if it changes the shuffle, the
+    test that compares the kernel with ``rng.shuffle`` fails together with
+    the golden stream digests, which depend on the shuffle whichever path
+    made them."""
     n = len(a) + len(b)
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.uint64)
@@ -315,15 +311,8 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     from_b = np.zeros(n, dtype=np.bool_)
     from_b[len(a) :] = True
     rng.shuffle(from_b)  # the shuffle defines the stream
-    taken_b = 0  # keys of b placed so far; the rest of out[:start] came from a
-    for start in range(0, len(out), _CHUNK):
-        here = from_b[start : start + _CHUNK]
-        window = out[start : start + _CHUNK]
-        at_b = np.flatnonzero(here)
-        window[at_b] = b.keys[taken_b : taken_b + len(at_b)]
-        taken_a = start - taken_b
-        window[np.flatnonzero(~here)] = a.keys[taken_a : taken_a + len(here) - len(at_b)]
-        taken_b += len(at_b)
+    out[~from_b] = a.keys
+    out[from_b] = b.keys
     return Trace(out)
 
 

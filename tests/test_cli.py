@@ -133,10 +133,13 @@ def test_run_missing_trace_reports_json_error(tmp_path, capsys):
 
 
 def test_run_bad_scheme_reports_json_error(tmp_path, capsys):
-    rc = main(["run", "--schemes", "nope", "--width", "256",
-               "--benign", "x", "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+    # an unknown scheme, and a repeated one, which would count every packet
+    # into one sketch twice
+    for schemes in ("nope", "sc-lsb,sc-lsb"):
+        rc = main(["run", "--schemes", schemes, "--width", "256",
+                   "--benign", "x", "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
 
 
 def test_run_threshold_not_positive_reports_json_error(tmp_path, capsys):

@@ -46,6 +46,9 @@ def test_spec_validation():
         ExperimentSpec(apps=("nope",))
     with pytest.raises(ValueError):
         ExperimentSpec(interleave="sorted")
+    # one sketch per scheme: a repeated name would count every packet twice
+    with pytest.raises(ValueError, match="repeated"):
+        ExperimentSpec(schemes=("sc-lsb", "sc-lsb"))
 
 
 def test_spec_rejects_thresholds_that_are_not_positive():

@@ -1,3 +1,5 @@
+import copy
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -21,6 +23,15 @@ from siamsketch import (
 from siamsketch.sketch import GROUP_COUNTER_COUNT, LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 from conftest import collision_free_keys, key_bytes, keys_for_slots, plant_state
+
+
+def counter_at(sk, row: int, slot: int) -> tuple[int, int, int, bool]:
+    """(bits, first slot, span, shared) of the counter ``slot`` belongs to,
+    read off the specification's unit: level ``unit >> 1``, shared
+    ``unit & 1``, span ``1 << level`` slots from ``slot & -span``."""
+    unit = sk._unit(row, slot)
+    span = 1 << (unit >> 1)
+    return sk.config.counter_bits << (unit >> 1), slot & -span, span, bool(unit & 1)
 
 
 # -- configuration ------------------------------------------------------------
@@ -68,7 +79,7 @@ def test_narrow_counters_are_valid():
     for _ in range(600):  # past the 8-bit shared level's 2**9 capacity
         sk.encode(key)
     assert sk.query(key) == 600
-    assert sk.counter_view(0, key).level_bits == 16
+    assert counter_at(sk, 0, 0)[0] == 16
 
 
 def test_k2_through_k6_all_run():
@@ -85,37 +96,35 @@ def test_seed_mismatch_rejected():
         SketchConfig(rows=3, seeds=(1, 2))
 
 
-# -- find counter -------------------------------------------------------------
+# -- counters of a group ------------------------------------------------------
 
 
 def test_adjacency_follows_pairing():
-    sk = SiameseSketch(SketchConfig(rows=1, width=8, seeds=(0,)))
-    ref, adj = sk.find_counter_at(0, 4)
-    assert (ref.start, ref.span, ref.level_bits) == (4, 1, 8)
-    assert adj.start == 5
-    ref, adj = sk.find_counter_at(0, 5)
-    assert ref.start == 5
-    assert adj.start == 4
+    # slots 4 and 5 are each their own 8-bit counter and the pair that
+    # shares low bits: a share from either one shares both, and not 6 or 7
+    for slot in (4, 5):
+        sk = SiameseSketch(SketchConfig(rows=1, width=8, seeds=(0,)))
+        assert counter_at(sk, 0, slot) == (8, slot, 1, False)
+        sk._share(0, slot, 0)
+        assert [counter_at(sk, 0, s) for s in range(4, 8)] == [
+            (8, 4, 1, True), (8, 5, 1, True), (8, 6, 1, False), (8, 7, 1, False)
+        ]
 
 
-def test_find_counter_fused_group_has_no_peer():
+def test_quad_counter_spans_its_group():
     sk = SiameseSketch(SketchConfig(rows=1, width=8, seeds=(0,)))
     sk._states[0][0] = GROUP_MERGED_WIDE
-    ref, adj = sk.find_counter_at(0, 0)
-    assert (ref.level_bits, ref.start, ref.span) == (32, 0, 4)
-    assert adj is None
+    assert [counter_at(sk, 0, s) for s in range(4)] == [(32, 0, 4, False)] * 4
 
 
-def test_find_counter_levels():
+def test_counter_levels_follow_the_group_code():
     sk = SiameseSketch(SketchConfig(rows=1, width=8, seeds=(0,)))
     sk._states[0][0] = group_code(PAIR_MERGED, PAIR_INDEPENDENT)
-    ref, adj = sk.find_counter_at(0, 1)
-    assert (ref.level_bits, ref.start, ref.span) == (16, 0, 2)
-    assert (adj.start, adj.span) == (2, 2)
+    assert counter_at(sk, 0, 1) == (16, 0, 2, False)
+    assert counter_at(sk, 0, 2) == (8, 2, 1, False)
     sk._states[0][1] = GROUP_SHARED_WIDE
-    ref, adj = sk.find_counter_at(0, 6)
-    assert (ref.level_bits, ref.start, ref.shared) == (16, 6, True)
-    assert adj.start == 4
+    assert counter_at(sk, 0, 6) == (16, 6, 2, True)
+    assert counter_at(sk, 0, 4) == (16, 4, 2, True)
 
 
 # The module docstring's table of the 11 group codes, as (pair A, pair B):
@@ -139,32 +148,23 @@ def test_inspection_follows_the_state_table(code):
     for slot in range(4):
         pair = slot >> 1
         kind = STATE_TABLE[code][pair]
-        other = STATE_TABLE[code][pair ^ 1]
-        ref, peer = sk.find_counter_at(0, slot)
-        view = sk.counter_view_at(0, slot)
+        value = sk._decode(0, slot)
         if kind in "is":
-            assert ref == (8, slot, 1, kind == "s")
-            assert peer == (8, slot ^ 1, 1, kind == "s")
+            assert counter_at(sk, 0, slot) == (8, slot, 1, kind == "s")
+            own = cells[slot]
             joint = (cells[2 * pair] & 3) << 2 | cells[2 * pair + 1] & 3
-            value = cells[slot] if kind == "i" else (cells[slot] >> 2) << 4 | joint
         elif kind in "fS":
-            assert ref == (16, 2 * pair, 2, kind == "S")
-            # a fused pair's peer is its sibling pair, shared only while that
-            # pair is still sharing at the base level
-            assert peer == (16, 2 * (pair ^ 1), 2, other in "sS")
+            assert counter_at(sk, 0, slot) == (16, 2 * pair, 2, kind == "S")
+            own = wide[pair]
             joint = (wide[0] & 3) << 2 | wide[1] & 3
-            value = wide[pair] if kind == "f" else (wide[pair] >> 2) << 4 | joint
         else:
-            assert ref == (32, 0, 4, False)
-            assert peer is None
-            value = quad
-        assert view.level_bits == ref.level_bits
-        assert view.shared == ref.shared
-        assert view.value == value
-        if ref.shared:
-            assert (view.msb_value, view.lsb_value) == (value >> 4, value & 15)
+            assert counter_at(sk, 0, slot) == (32, 0, 4, False)
+            own = quad
+        if kind in "sS":
+            # the high part is the member's prefix, the low part the joint
+            assert (value >> 4, value & 15) == (own >> 2, joint)
         else:
-            assert (view.msb_value, view.lsb_value) == (value, None)
+            assert value == own
 
 
 # -- lifecycle ----------------------------------------------------------------
@@ -196,9 +196,10 @@ def test_share_moment_decodes(adjacent_pair_sketch):
     assert sk._rows[0][0] == 255
     assert sk.group_state(0, 0) == 0
     sk.encode(key)
-    view = sk.counter_view(0, key)
-    assert view.shared and view.value == 256
-    assert view.msb_value == 16 and view.lsb_value == 0
+    assert counter_at(sk, 0, 0)[3]
+    value = sk._decode(0, 0)
+    assert value == 256
+    assert (value >> 4, value & 15) == (16, 0)
 
 
 def test_illustrative_interleaving_decodes_34_and_658(adjacent_pair_sketch):
@@ -219,9 +220,9 @@ def test_share_initialization_bounds():
         sk = SiameseSketch(cfg)
         sk._rows[0][0] = 255
         sk._rows[0][1] = adj_value
-        before = (sk.counter_view_at(0, 0).value, sk.counter_view_at(0, 1).value)
+        before = (sk._decode(0, 0), sk._decode(0, 1))
         sk._share(0, 0, 0)
-        after = (sk.counter_view_at(0, 0).value, sk.counter_view_at(0, 1).value)
+        after = (sk._decode(0, 0), sk._decode(0, 1))
         for v, v2 in zip(before, after):
             assert v <= v2 < v + 16
 
@@ -351,15 +352,15 @@ def test_row_total_conservation_with_tracked_discards():
 
 
 def walked_row_total(sk, row: int) -> int:
-    """A row's total summed counter by counter through ``counter_view_at``:
-    the joint of a shared pair goes with its first member."""
+    """A row's total summed counter by counter through ``_unit`` and
+    ``_decode``: the joint of a shared pair goes with its first member."""
+    k = sk.config.shared_bits
     total, slot = 0, 0
     while slot < sk.config.width:
-        ref, _ = sk.find_counter_at(row, slot)
-        view = sk.counter_view_at(row, slot)
-        second = ref.shared and ref.start & ref.span
-        total += view.msb_value << sk.config.shared_bits if second else view.value
-        slot = ref.start + ref.span
+        _, start, span, shared = counter_at(sk, row, slot)
+        value = sk._decode(row, slot)
+        total += (value >> k) << k if shared and start & span else value
+        slot = start + span
     return total
 
 
@@ -434,6 +435,24 @@ def test_counter_count_matches_census_table(cls, legal, seed):
     counts = sk.counter_count()
     assert counts == [sum(GROUP_COUNTER_COUNT[c] for c in row.tolist()) for row in codes]
     assert all(type(c) is int for c in counts)
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch])
+def test_sketch_holds_what_it_reports(cls):
+    # a fresh sketch, and the deep copy run_experiment takes of it at the
+    # stream's half, each hold at most 1.25 times what memory_bits() reports:
+    # the code arrays spend a byte on each group's 4 state bits
+    tracemalloc.start()
+    try:
+        sk = cls(SketchConfig(rows=3, width=1 << 20))
+        held = tracemalloc.get_traced_memory()[0]
+        twin = copy.deepcopy(sk)
+        held_twin = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * sk.memory_bits() / 8
+    assert held <= bound
+    assert held_twin <= bound
 
 
 def test_group_state_bounds():

@@ -19,9 +19,10 @@ from siamsketch import (
     interleave_traces,
     plan_attack,
     read_trace,
+    traffic,
     write_trace,
 )
-from siamsketch.hashing import flow_id, index_batch, u64_keys
+from siamsketch.hashing import flow_id, hash_u64, index_batch, u64_keys
 from siamsketch.traffic import ROUND_ROBIN, guide_search
 
 from conftest import kernel_unbuildable
@@ -61,14 +62,12 @@ def test_zipf_rank_frequency_slope():
 
 
 def test_zipf_rank_one_most_frequent():
-    from siamsketch.traffic import flow_key
-
     cfg = ZipfConfig(skew=1.2, flows=500, packets=100_000, seed=4)
     tr = gen_zipf(cfg)
     o = ExactCounter()
     o.observe_stream(tr.as_u64())
     best_key = max(o.flows(), key=lambda kv: kv[1])[0]
-    assert best_key == flow_key(1, cfg.seed)
+    assert best_key == hash_u64(1, cfg.seed ^ traffic._FLOW_SALT)
 
 
 def test_zipf_validation():
@@ -83,7 +82,7 @@ def test_zipf_validation():
 
 
 # Leading 16 hex digits of the sha256 of ``gen_zipf(cfg).as_u64().tobytes()``,
-# recorded when rank keys were still hashed one ``flow_key`` call at a time.
+# recorded when rank keys were still hashed one ``hash_u64`` call at a time.
 # The first two are the benchmark's benign streams (``many-flows``, and the
 # Zipf part of ``attack``) at seed 5.
 ZIPF_DIGESTS = {
@@ -242,8 +241,8 @@ def _mask_scatter(a: np.ndarray, b: np.ndarray, rng: np.random.Generator):
 @settings(max_examples=30, deadline=None)
 @given(len_a=st.integers(0, 150_000), len_b=st.integers(0, 150_000), seed=st.integers(0, 2**32 - 1))
 def test_interleave_matches_the_mask_scatter(len_a, len_b, seed):
-    # the kernel fills the mix in its shuffle pass, the fallback a window at
-    # a time; both must hold what the boolean-mask scatter of the shuffle gives
+    # the kernel fills the mix in its shuffle pass; it must hold what the
+    # fallback, the boolean-mask scatter of the shuffle, gives
     a = Trace(np.arange(len_a, dtype=np.uint64))
     b = Trace(np.arange(len_b, dtype=np.uint64) + 2**40)
     expected, _ = _mask_scatter(a.keys, b.keys, np.random.default_rng(seed))
