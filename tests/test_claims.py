@@ -9,6 +9,10 @@ sc-lsb's ARE must be at most 0.53 times instant's; on the benign stream it
 must be below instant's. Over seeds 1-10 the attack ratio was 0.37 to 0.39
 and the benign ratio 0.92 to 0.94, so the bounds hold with a wide margin
 without being tuned to one seed.
+
+"X % more accurate" is read as ``1 - sc/instant`` (ROADMAP item 3): 47 %
+more accurate is an ARE ratio of at most 0.53. The other reading,
+``instant/sc - 1``, would allow a ratio up to 1/1.47, about 0.68.
 """
 
 import pytest

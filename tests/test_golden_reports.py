@@ -11,6 +11,12 @@ is cut at half the stream; streams of odd length and of one packet, a half
 on a snapshot, a snapshot interval above the stream length and apps without
 ``change`` pin where that cut falls. A change to how the report is computed
 must leave every digest in place. The constants were recorded once.
+
+Two more digests pin the reports of the benchmark's workloads at their full
+shapes (``perfbench/workloads.py``), seed 5: ``many-flows`` scores about
+185k flows and ``attack`` a 1.23M-packet mix, so the evaluation's paths for
+large inputs (counted flow-size histograms, integer RMSE sums, change truth
+from the held benign counts) are pinned at the sizes the benchmark times.
 """
 
 import functools
@@ -124,7 +130,11 @@ CASES = {
 
 
 def digest(fields: dict) -> str:
-    result = run_experiment(spec(**fields))
+    return report_digest(spec(**fields))
+
+
+def report_digest(experiment: ExperimentSpec) -> str:
+    result = run_experiment(experiment)
     blob = json.dumps([result.metric_rows, result.counter_rows], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -133,6 +143,38 @@ def digest(fields: dict) -> str:
 def test_report_matches_golden_digest(case):
     fields, expected = CASES[case]
     assert digest(fields) == expected
+
+
+# workload -> (Zipf fields, attack fraction, digest). The traces are built
+# as perfbench's build_inputs builds them from the seed: the attack plan
+# covers the 4096-slot rows with 256 packets a flow, drawn from seed + 1.
+FULL_SHAPES = {
+    "many-flows": (dict(skew=0.6, flows=500_000, packets=300_000), None, "f58b052d6af6abd5"),
+    "attack": (dict(skew=1.0, flows=20_000, packets=500_000), 0.5, "12ac308d9d1e2a43"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(FULL_SHAPES))
+def test_full_shape_report_matches_golden_digest(workload):
+    zipf, fraction, expected = FULL_SHAPES[workload]
+    seed = 5
+    attack = None
+    if fraction is not None:
+        attack = gen_attack(plan_attack(4096, fraction, packets_per_flow=256), seed + 1)
+    experiment = ExperimentSpec(
+        schemes=("sc-lsb", "instant", "count-min"),
+        rows=3,
+        width=4096,
+        counter_bits=8,
+        shared_bits=4,
+        merge_mode="sum",
+        benign=gen_zipf(ZipfConfig(seed=seed, **zipf)),
+        attack=attack,
+        attack_fraction=fraction,
+        seed=seed,
+        experiment_id=f"{workload}-{seed}",
+    )
+    assert report_digest(experiment) == expected
 
 
 def test_cases_reach_every_report_path():

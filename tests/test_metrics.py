@@ -1,8 +1,12 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from siamsketch import metrics
 from siamsketch import (
     CountMinConfig,
     CountMinSketch,
@@ -50,6 +54,32 @@ def test_rmse_cases():
     assert metric_rmse(truths, [t + 7 for t in truths]) == pytest.approx(7.0)
     with pytest.raises(ValueError):
         metric_rmse([], [])
+
+
+@pytest.mark.parametrize(
+    "top, n, integer_sum",
+    [
+        (94_906_265, 5, True),  # the largest square at most 2**53
+        (94_906_266, 5, False),  # the smallest square above it
+        (2**26, 2047, True),  # n * top**2 = 2**63 - 2**52
+        (2**26, 2048, False),  # n * top**2 = 2**63
+    ],
+)
+def test_rmse_integer_sum_at_its_guards(top, n, integer_sum):
+    # int64 squares are summed as integers while the largest is at most
+    # 2**53 and n times it is below 2**63; either path gives the value of
+    # fsum over the per-flow squares, rounded sums past 2**53 included
+    rng = np.random.default_rng(top + n)
+    truths = rng.integers(1, 1000, size=n)
+    diffs = rng.integers(-top, top + 1, size=n)
+    diffs[n // 2] = top
+    estimates = truths + diffs
+    tl, el = truths.tolist(), estimates.tolist()
+    want = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(tl, el)) / n)
+    with patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        assert metric_rmse(truths, estimates) == want
+        assert metric_rmse(tl, el) == want
+    assert fsum.called is not integer_sum
 
 
 def _mask(*hits, n=6):
@@ -150,6 +180,74 @@ def test_fsd_from_lists_and_arrays_alike():
     assert FlowSizeDistribution.from_sizes(np.array([], dtype=np.int64)).counts == {}
     assert FlowSizeDistribution.from_sizes([2**63 + 1, 5, 2**63 + 1]).counts == {2**63 + 1: 2, 5: 1}
     assert FlowSizeDistribution.from_sizes([]).counts == {}
+
+
+def _histogram_paths(sizes) -> tuple[FlowSizeDistribution, FlowSizeDistribution, bool]:
+    """(``from_sizes`` as it chooses, ``from_sizes`` kept on its np.unique
+    path, whether the first counted with np.bincount)."""
+    with patch.object(np, "bincount", wraps=np.bincount) as bincount:
+        chosen = FlowSizeDistribution.from_sizes(sizes)
+    with patch.object(metrics, "_COUNTED_SPAN", -1):
+        sorted_ = FlowSizeDistribution.from_sizes(sizes)
+    return chosen, sorted_, bincount.called
+
+
+@st.composite
+def size_arrays(draw) -> np.ndarray:
+    """Integer arrays around the counted path's bound: zeros, small sizes,
+    a largest size at or just past ``_COUNTED_SPAN * n``, negatives, and
+    values near the top of the dtype."""
+    dtype = np.dtype(draw(st.sampled_from([np.int64, np.uint64, np.int32, np.uint8])))
+    n = draw(st.integers(0, 40))
+    top = int(np.iinfo(dtype).max)
+    bound = min(metrics._COUNTED_SPAN * n, top)
+    low = -3 if dtype.kind == "i" else 0
+    value = st.one_of(st.integers(0, 4), st.integers(low, bound), st.integers(top - 2, top))
+    sizes = draw(st.lists(value, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        sizes[draw(st.integers(0, n - 1))] = min(bound + draw(st.integers(0, 1)), top)
+    return np.array(sizes, dtype=dtype)
+
+
+@given(size_arrays())
+@settings(max_examples=300, deadline=None)
+@example(np.array([0, 0, 3, 0, 1], dtype=np.int64))
+@example(np.array([2**64 - 1, 5, 2**64 - 2, 5], dtype=np.uint64))
+@example(np.array([], dtype=np.uint64))
+def test_counted_and_sorted_histograms_agree(sizes):
+    chosen, sorted_, _ = _histogram_paths(sizes)
+    by_flow: dict[int, int] = {}
+    for size in sizes.tolist():
+        by_flow[size] = by_flow.get(size, 0) + 1
+    assert list(chosen.counts.items()) == list(sorted_.counts.items()) == list(by_flow.items())
+    assert all(type(k) is int and type(c) is int for k, c in chosen.counts.items())
+
+
+def test_histogram_path_follows_the_rule():
+    sizes = [3, 1, 3, 7, 1, 3, 2]
+    n = 10
+    bound = metrics._COUNTED_SPAN * n
+    at_bound = np.array([bound] + [0] * (n - 1), dtype=np.uint64)
+    cases = [
+        (at_bound, True),
+        (at_bound + np.uint64(1), False),
+        (np.array([0] * n), True),
+        (np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64), False),
+        (np.array([], dtype=np.int64), False),
+        ([], False),
+        (np.array([1, -1, 2]), False),
+        (np.array([1, 2], dtype=object), False),
+        # the inputs of test_fsd_from_lists_and_arrays_alike
+        (sizes, True),
+        (np.array(sizes), True),
+        (np.array(sizes, dtype=np.uint64), True),
+        (np.array(sizes, dtype=float), False),
+        ([2**63 + 1, 5, 2**63 + 1], False),
+    ]
+    for form, counted in cases:
+        chosen, sorted_, used_bincount = _histogram_paths(form)
+        assert used_bincount is counted, form
+        assert list(chosen.counts.items()) == list(sorted_.counts.items())
 
 
 def test_wmre_cases():
