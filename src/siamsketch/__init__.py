@@ -17,7 +17,6 @@ from .experiment import (
 )
 from .hashing import (
     derive_seeds,
-    flow_id,
     hash_batch,
     hash_u64,
     index_batch,
@@ -58,6 +57,7 @@ from .traffic import (
     TraceError,
     ZipfConfig,
     concat_traces,
+    flow_id,
     gen_attack,
     gen_zipf,
     interleave_traces,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hashing import MAX_WIDTH, RowSketch, derive_seeds
+from .hashing import RowSketch, config_seeds
 from .sketch import DynamicSketch, SketchConfig
 
 
@@ -46,14 +46,7 @@ class CountMinConfig:
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise ValueError("rows must be at least 1")
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError("width must be in [1, 2**32]")
-        if not self.seeds:
-            object.__setattr__(self, "seeds", derive_seeds(0, self.rows))
-        elif len(self.seeds) != self.rows:
-            raise ValueError("seeds must provide one seed per row")
+        object.__setattr__(self, "seeds", config_seeds(self))
 
 
 _MAX32 = (1 << 32) - 1

@@ -5,9 +5,9 @@ comparisons use identical placements: one seed per row, one reduction per
 table width. Reduction takes the high bits of ``hash * width`` instead of a
 modulo, which stays bias-free for widths that are not powers of two.
 
-Sketches see one key type, a 64-bit flow id. An integer key is its own
-flow id, modulo 2**64; a ``bytes`` key is :func:`flow_id` of it, folded once
-and without a seed, whatever its length. :func:`u64_keys` converts a batch.
+Sketches see one key type, a 64-bit flow id: an integer, modulo 2**64.
+:func:`u64_keys` converts a batch; a key of any other form becomes an id in
+``traffic``, where its trace is built or read, never here.
 
 Hashing and placement each have two implementations: the scalar
 :func:`hash_u64` and :func:`place_u64`, which are the specification and
@@ -18,17 +18,18 @@ without a compiler. A :class:`KeyBatch` keeps a segment's slots per row, so
 sketches that count one segment at one width place it once.
 
 :class:`RowSketch` is the base of every scheme. It owns the row seeds, the
-packet total, and the entry points (``encode``, ``query`` and their ``u64``
-forms, ``encode_stream``, ``query_many``, ``slot_of``); a scheme supplies
-only what one slot does with a packet and what it reads back, per slot and
-per row. ``query_many`` reads decoded-row tables: each row is decoded once,
-whatever the number of keys, and the library's ``query_rows`` places every
-key, looks it up in each table and takes the minimum over rows in one pass.
+packet total, and the entry points (``encode_u64``, ``query_u64``,
+``encode_stream``, ``query_many``); a scheme supplies only what one slot
+does with a packet and what it reads back, per slot and per row.
+``query_many`` reads decoded-row tables: each row is decoded once, whatever
+the number of keys, and the library's ``query_rows`` places every key, looks
+it up in each table and takes the minimum over rows in one pass.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from array import array
 from typing import Sequence
@@ -77,25 +78,6 @@ def hash_u64(key: int, seed: int) -> int:
     return mix64((key & MASK64) ^ seed_state(seed))
 
 
-def flow_id(key: bytes) -> int:
-    """The 64-bit flow id of a key of any length, with no seed: the one key
-    type below the trace. A key of at most 8 bytes is its little-endian value,
-    so it places exactly as that integer does through ``encode_u64``. A longer
-    key (a 13-byte 5-tuple, say) is folded once, ``mix64`` over its length
-    and then over each 8-byte word, and every row hashes the fold.
-
-    The fold can give two flows one id, which then count as one flow. For
-    ``n`` distinct wide keys the chance that any two collide is about
-    ``n**2 / 2**65``: about 7e-9 at 500k flows.
-    """
-    if len(key) <= 8:
-        return int.from_bytes(key, "little")
-    h = mix64(len(key))
-    for off in range(0, len(key), 8):
-        h = mix64(h ^ int.from_bytes(key[off : off + 8], "little"))
-    return h
-
-
 def derive_seeds(master: int, count: int) -> tuple[int, ...]:
     """Deterministic per-row seeds from one master seed."""
     return tuple(hash_u64(0x52_4F_57 + r, master) for r in range(count))
@@ -109,25 +91,23 @@ def place_u64(key: int, state: int, width: int) -> int:
     return (mix64(key ^ state) * width) >> 64
 
 
-def u64_keys(keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
-    """Keys as a contiguous uint64 array of flow ids: an integer masked to 64
-    bits as ``encode_u64`` and ``query_u64`` mask it, a ``bytes`` key as its
-    :func:`flow_id`, as ``encode`` and ``query`` take it. Other keys raise
-    TypeError: a float or a string in a sequence, and an array whose dtype is
-    not an integer one (float, complex, string)."""
+def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Keys as a contiguous uint64 array of flow ids, each integer masked to
+    64 bits as ``encode_u64`` and ``query_u64`` mask it. Other keys raise
+    TypeError: a float, a string or a ``bytes`` key in a sequence, and an
+    array whose dtype is not an integer one (float, complex, string)."""
     if isinstance(keys, np.ndarray) and keys.dtype != object:
         if keys.dtype.kind not in "iu":
             raise TypeError(f"keys must be integers, not {keys.dtype}")
         return np.ascontiguousarray(keys, dtype=np.uint64)
+    if isinstance(keys, (bytes, bytearray)):
+        raise TypeError("keys must be a sequence of integers, not bytes")
     if not isinstance(keys, (Sequence, np.ndarray)):
         keys = list(keys)  # the fallback below must see every key again
     try:
         return np.frombuffer(array("Q", keys), dtype=np.uint64)
     except (OverflowError, TypeError):
-        return np.array(
-            [flow_id(k) if isinstance(k, bytes) else operator.index(k) & MASK64 for k in keys],
-            dtype=np.uint64,
-        )
+        return np.array([operator.index(k) & MASK64 for k in keys], dtype=np.uint64)
 
 
 def hash_batch(keys: Sequence[int] | np.ndarray, seed: int) -> np.ndarray:
@@ -177,7 +157,7 @@ class KeyBatch:
 
     __slots__ = ("keys", "_width", "_slots")
 
-    def __init__(self, keys: Sequence[int | bytes] | np.ndarray) -> None:
+    def __init__(self, keys: Sequence[int] | np.ndarray) -> None:
         self.keys = u64_keys(keys)
         self._width = 0
         self._slots: dict[int, np.ndarray] = {}
@@ -195,8 +175,38 @@ class KeyBatch:
         return idx
 
 
+def require_ints(config, *names: str) -> None:
+    """TypeError unless each named field of ``config`` is an int, not a float or bool."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+
+
+def config_seeds(config, width_step: int = 1) -> tuple[int, ...]:
+    """``config.seeds``, or ``derive_seeds(0, rows)`` if it names none, once
+    ``rows``, ``width`` (a multiple of ``width_step``) and the seeds are
+    checked to be ints that a snapshot header stores: a u16, a u32, u64s."""
+    require_ints(config, "rows", "width")
+    if not 1 <= config.rows < 1 << 16:
+        raise ValueError("rows must be in [1, 2**16 - 1]")
+    if not 1 <= config.width < 1 << 32 or config.width % width_step:
+        step = f" and a multiple of {width_step}" if width_step > 1 else ""
+        raise ValueError(f"width must be in [1, 2**32 - 1]{step}")
+    seeds = config.seeds or derive_seeds(0, config.rows)
+    if len(seeds) != config.rows:
+        raise ValueError("seeds must provide one seed per row")
+    if not all(0 <= operator.index(seed) <= MASK64 for seed in seeds):
+        raise ValueError("seeds must lie in [0, 2**64)")
+    return seeds
+
+
 class RowSketch:
     """Count-Min-shaped front door: one slot per row, minimum over rows.
+
+    Every entry point takes flow ids, masked to 64 bits: ``encode_u64`` and
+    ``query_u64`` one, ``encode_stream`` and ``query_many`` a batch (see
+    :func:`u64_keys`).
 
     A scheme supplies the per-slot pair ``_encode(row, slot)`` (count one
     packet) and ``_decode(row, slot)`` (the value the slot resolves to), which
@@ -227,7 +237,7 @@ class RowSketch:
         self._seed_states = [seed_state(seed) for seed in config.seeds]
         self.packet_count = 0
 
-    def encode_stream(self, keys: KeyBatch | Sequence[int | bytes] | np.ndarray) -> None:
+    def encode_stream(self, keys: KeyBatch | Sequence[int] | np.ndarray) -> None:
         """Count every packet of a :class:`KeyBatch` or of a key array (see
         :func:`u64_keys`), in stream order."""
         if isinstance(keys, KeyBatch):
@@ -244,30 +254,21 @@ class RowSketch:
                 self._encode_batch(r, place(seed, self._w))
             self.packet_count += packets
 
-    def encode(self, key: bytes) -> None:
-        """Count one packet for ``key``: ``encode_u64`` of its :func:`flow_id`."""
-        self.encode_u64(flow_id(key))
-
     def encode_u64(self, key: int) -> None:
         for r, ss in enumerate(self._seed_states):
             self._encode(r, place_u64(key, ss, self._w))
         self.packet_count += 1
-
-    def query(self, key: bytes) -> int:
-        """Minimum decoded value for ``key`` over all rows: ``query_u64`` of
-        its :func:`flow_id`."""
-        return self.query_u64(flow_id(key))
 
     def query_u64(self, key: int) -> int:
         return min(
             self._decode(r, place_u64(key, ss, self._w)) for r, ss in enumerate(self._seed_states)
         )
 
-    def query_many(self, keys: Sequence[int | bytes] | np.ndarray) -> list[int]:
+    def query_many(self, keys: Sequence[int] | np.ndarray) -> list[int]:
         """:meth:`query_u64` of every key, as a list of Python ints."""
         return self._query_array(keys).tolist()
 
-    def _query_array(self, keys: Sequence[int | bytes] | np.ndarray) -> np.ndarray:
+    def _query_array(self, keys: Sequence[int] | np.ndarray) -> np.ndarray:
         """:meth:`query_u64` of every key, as a uint64 array."""
         keys = u64_keys(keys)
         tables = np.stack([self._decode_row(r) for r in range(self._d)])
@@ -285,6 +286,3 @@ class RowSketch:
             out.ctypes.data,
         )
         return out
-
-    def slot_of(self, row: int, key: bytes) -> int:
-        return place_u64(flow_id(key), self._seed_states[row], self._w)

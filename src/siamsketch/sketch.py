@@ -67,8 +67,8 @@ counters through one ``_read`` / ``_write`` pair.
 :class:`DynamicSketch` is the one engine for this lifecycle. The schemes
 are its leaf classes: :class:`SiameseSketch` (``sc-lsb``) here, and
 ``baselines.InstantMergeSketch`` (``instant``), which pins
-``shared_bits`` to 0. Hashing and the per-key entry points come from
-``hashing.RowSketch``.
+``shared_bits`` to 0. Hashing and the entry points, which take flow ids
+only, come from ``hashing.RowSketch``.
 
 Storage: each row is an ``array.array`` of slots (``'B'`` up to 8-bit
 counters, ``'H'`` above) and each row's group codes an ``array('B')``. The
@@ -128,7 +128,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .hashing import MASK64, MAX_WIDTH, RowSketch, derive_seeds
+from .hashing import MASK64, RowSketch, config_seeds, require_ints
 
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
@@ -198,10 +198,8 @@ class SketchConfig:
     seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rows < 1:
-            raise ValueError("rows must be at least 1")
-        if not 4 <= self.width <= MAX_WIDTH or self.width % 4:
-            raise ValueError("width must be a multiple of 4 in [4, 2**32]")
+        require_ints(self, "counter_bits", "shared_bits")
+        object.__setattr__(self, "seeds", config_seeds(self, width_step=4))
         if not 2 <= self.counter_bits <= 16:
             raise ValueError("counter_bits must be in [2, 16]")
         if self.shared_bits % 2:
@@ -210,10 +208,6 @@ class SketchConfig:
             raise ValueError("shared_bits must satisfy 0 <= shared_bits < counter_bits")
         if self.merge_mode not in (MERGE_SUM, MERGE_MAX):
             raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
-        if not self.seeds:
-            object.__setattr__(self, "seeds", derive_seeds(0, self.rows))
-        elif len(self.seeds) != self.rows:
-            raise ValueError("seeds must provide one seed per row")
 
 
 class DynamicSketch(RowSketch):

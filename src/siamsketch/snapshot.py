@@ -3,7 +3,7 @@
 Layout, little-endian throughout::
 
     magic        4 bytes   SKSC | SKIM | SKCM (scheme tag)
-    version      u16       2 (1 is still read)
+    version      u16       2 (1, without the counts below, is refused)
     rows         u16
     width        u32       base slots per row (Count-Min: counters per row)
     counter_bits u8        base counter width (Count-Min: 32)
@@ -11,9 +11,8 @@ Layout, little-endian throughout::
     merge_mode   u8        0 = sum, 1 = max (Count-Min: 0)
     reserved     u8        0
     seeds        rows * u64
-    packets      u64       packets encoded (version 2 only)
-    discards     rows * u64  each row's ``lsb_discard`` (version 2 only;
-                           absent for Count-Min)
+    packets      u64       packets encoded
+    discards     rows * u64  each row's ``lsb_discard`` (absent for Count-Min)
     body, per row:
         counters  width * ceil(counter_bits / 8) bytes, one slot each
         states    width / 4 packed nibbles, low nibble first
@@ -34,7 +33,7 @@ unpacked with numpy; nothing is converted slot by slot.
 
 The packet total and the share-time discards are carried too, so that the
 sum-mode ``row_total + lsb_discard == packets`` check holds on a loaded
-sketch. A version 1 snapshot has neither and loads with both at 0.
+sketch; a version 1 snapshot has neither, so it is refused (``bad-version``).
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ def load_bytes(raw: bytes):
     )
     if magic not in (MAGIC_SIAMESE, MAGIC_INSTANT, MAGIC_COUNT_MIN):
         raise SnapshotError("bad-magic", f"unknown magic {magic!r}")
-    if version not in (1, SNAPSHOT_VERSION):
+    if version != SNAPSHOT_VERSION:
         raise SnapshotError("bad-version", f"unsupported version {version}")
     if reserved:
         raise SnapshotError("bad-header", f"reserved byte {reserved}, not 0")
@@ -145,12 +144,11 @@ def load_bytes(raw: bytes):
         raise SnapshotError("truncated", "seed table truncated")
     seeds = struct.unpack_from(f"<{rows}Q", raw, off)
     off += 8 * rows
-    counts = [0] * (1 if magic == MAGIC_COUNT_MIN else 1 + rows)
-    if version > 1:
-        if off + 8 * len(counts) > len(raw):
-            raise SnapshotError("truncated", "packet and discard counts truncated")
-        counts = list(struct.unpack_from(f"<{len(counts)}Q", raw, off))
-        off += 8 * len(counts)
+    count_words = 1 if magic == MAGIC_COUNT_MIN else 1 + rows
+    if off + 8 * count_words > len(raw):
+        raise SnapshotError("truncated", "packet and discard counts truncated")
+    counts = list(struct.unpack_from(f"<{count_words}Q", raw, off))
+    off += 8 * count_words
     if magic == MAGIC_COUNT_MIN:
         if (counter_bits, shared_bits, mode) != (32, 0, 0):
             raise SnapshotError(

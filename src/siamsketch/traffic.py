@@ -1,12 +1,11 @@
 """Synthetic stream generation, slot-saturation attack streams, trace file I/O.
 
 Traces are flat packet sequences of 64-bit flow ids, one per packet, carried
-as a uint64 array. A key of at most 8 bytes is its own id; a longer key (a
-13-byte 5-tuple, say) is folded once, with no seed, where it enters: by
-:func:`~siamsketch.hashing.flow_id` when a :class:`Trace` is built from
-``bytes`` keys, and so when :func:`read_trace` reads a file whose records are
-wider than 8 bytes. Sketches, mixes, ground truth and trace files all hold
-the ids.
+as a uint64 array. Here, and nowhere else, a key becomes a flow id: an
+integer is its own, and a ``bytes`` key (a 13-byte 5-tuple, say) is folded
+by :func:`flow_id` once, with no seed, as a :class:`Trace` is built from it
+or :func:`read_trace` reads it. Sketches, whose entry points take ids only,
+mixes, ground truth and trace files all hold the ids.
 
 A Zipf stream draws one uniform number per packet and inverts the rank CDF
 at it. A plain binary search over a CDF of every rank misses the cache on
@@ -34,13 +33,12 @@ import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import _kernel
 from .analysis import coupon_expect
-from .hashing import MASK64, hash_batch, u64_keys
+from .hashing import MASK64, hash_batch, mix64, u64_keys
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -58,24 +56,56 @@ class TraceError(Exception):
         self.code = code
 
 
+def flow_id(key: bytes) -> int:
+    """The 64-bit flow id of a key of any length, with no seed. A key of at
+    most 8 bytes is its little-endian value, so it places exactly as that
+    integer does. A longer key (a 13-byte 5-tuple, say) is folded once,
+    ``mix64`` over its length and then over each 8-byte word, and every row
+    hashes the fold.
+
+    The fold can give two flows one id, which then count as one flow. For
+    ``n`` distinct wide keys the chance that any two collide is about
+    ``n**2 / 2**65``: about 7e-9 at 500k flows.
+    """
+    if len(key) <= 8:
+        return int.from_bytes(key, "little")
+    h = mix64(len(key))
+    for off in range(0, len(key), 8):
+        h = mix64(h ^ int.from_bytes(key[off : off + 8], "little"))
+    return h
+
+
 @dataclass
 class Trace:
     """In-memory packet stream. ``keys`` is a contiguous uint64 array of flow
-    ids, whatever it is built from: :func:`~siamsketch.hashing.u64_keys`
-    folds each ``bytes`` key through ``flow_id`` and rejects other keys
-    (floats, strings) with TypeError. An integer key is its own id, so one
-    outside [0, 2**64) raises ValueError rather than being masked into
-    another flow's id, and a bool raises TypeError, as a bool array does; a
-    uint64 array is taken unscanned. :func:`write_trace` writes each id in 8
-    bytes, so every trace written reads back equal."""
+    ids, whatever it is built from. An integer array is cast (a uint64 one
+    taken unscanned); any other collection is read in one pass that folds
+    each ``bytes`` key to its :func:`flow_id` and keeps each integer as its
+    own id. An integer outside [0, 2**64) raises ValueError rather than being
+    masked into another flow's id; a bool, a float or a string, alone or as
+    an array's dtype, and one ``bytes`` object given as the whole collection
+    raise TypeError. :func:`write_trace` writes each id in 8 bytes, so every
+    trace written reads back equal."""
 
     keys: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.keys, (Sequence, np.ndarray)):
-            self.keys = list(self.keys)  # the check below must see every key
-        _reject_out_of_range(self.keys)
-        self.keys = u64_keys(self.keys)
+        keys = self.keys
+        if isinstance(keys, (bytes, bytearray)):
+            raise TypeError("keys must be a collection of keys, not one bytes object")
+        if isinstance(keys, np.ndarray) and keys.dtype != object:
+            if keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0:
+                raise ValueError("integer keys must lie in [0, 2**64)")
+        else:
+            keys = []
+            for k in self.keys:
+                if isinstance(k, bool):
+                    raise TypeError("keys must be integers or bytes, not bool")
+                k = flow_id(k) if isinstance(k, bytes) else operator.index(k)
+                if not 0 <= k <= MASK64:
+                    raise ValueError("integer keys must lie in [0, 2**64)")
+                keys.append(k)
+        self.keys = u64_keys(keys)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -89,20 +119,6 @@ class Trace:
         if not isinstance(other, Trace):
             return NotImplemented
         return bool(np.array_equal(self.keys, other.keys))
-
-
-def _reject_out_of_range(keys: Sequence[int | bytes] | np.ndarray) -> None:
-    """ValueError if an integer key lies outside [0, 2**64), TypeError if a
-    key is a bool; only a signed array or a sequence of keys can hold one."""
-    if isinstance(keys, np.ndarray) and keys.dtype != object:
-        if keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0:
-            raise ValueError("integer keys must lie in [0, 2**64)")
-        return
-    for k in keys:
-        if isinstance(k, bool):
-            raise TypeError("keys must be integers or bytes, not bool")
-        if not isinstance(k, bytes) and not 0 <= operator.index(k) <= MASK64:
-            raise ValueError("integer keys must lie in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -334,7 +350,7 @@ def write_trace(path: str | Path, trace: Trace) -> None:
 def read_trace(path: str | Path) -> Trace:
     """The trace in the file at ``path``, whatever its ``key_len``. Records
     of at most 8 bytes are their own flow ids, zero-padded; wider records are
-    each folded once (``flow_id``)."""
+    each folded once, by :func:`flow_id`, straight into the trace's ids."""
     with open(path, "rb") as fp:
         header = fp.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -354,8 +370,8 @@ def read_trace(path: str | Path) -> Trace:
         )
     n = len(body) // key_len
     if key_len > 8:
-        return Trace([body[i * key_len : (i + 1) * key_len] for i in range(n)])
-    raw = np.frombuffer(body, dtype=np.uint8).reshape(n, key_len)
+        ids = (flow_id(body[off : off + key_len]) for off in range(0, len(body), key_len))
+        return Trace(np.fromiter(ids, dtype=np.uint64, count=n))
     padded = np.zeros((n, 8), dtype=np.uint8)
-    padded[:, :key_len] = raw
+    padded[:, :key_len] = np.frombuffer(body, dtype=np.uint8).reshape(n, key_len)
     return Trace(padded.view("<u8").reshape(n))

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from siamsketch import SketchConfig, SiameseSketch, _kernel
+from siamsketch.hashing import place_u64, seed_state
 from siamsketch.sketch import LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 
-def key_bytes(value: int) -> bytes:
-    return value.to_bytes(8, "little")
+def slot_of(sketch, row: int, key: int) -> int:
+    """The slot of flow id ``key`` in one row of ``sketch``."""
+    cfg = sketch.config
+    return place_u64(key, seed_state(cfg.seeds[row]), cfg.width)
 
 
 def keys_for_slots(sketch, row: int, wanted: list[int], limit: int = 500_000) -> list[int]:
@@ -23,7 +26,7 @@ def keys_for_slots(sketch, row: int, wanted: list[int], limit: int = 500_000) ->
     found: dict[int, int] = {}
     k = 0
     while len(found) < len(set(wanted)) and k < limit:
-        slot = sketch.slot_of(row, key_bytes(k))
+        slot = slot_of(sketch, row, k)
         if slot in wanted and slot not in found:
             found[slot] = k
         k += 1
@@ -44,7 +47,7 @@ def collision_free_keys(sketch, count: int, rng: np.random.Generator) -> list[in
         if attempts > 100_000:
             raise RuntimeError("could not find enough collision-free keys")
         k = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-        groups = [sketch.slot_of(r, key_bytes(k)) >> 2 for r in range(rows)]
+        groups = [slot_of(sketch, r, k) >> 2 for r in range(rows)]
         if any(g in taken[r] for r, g in enumerate(groups)):
             continue
         for r, g in enumerate(groups):

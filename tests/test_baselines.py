@@ -16,7 +16,7 @@ from siamsketch import (
 from siamsketch.hashing import index_batch
 from siamsketch.sketch import GROUP_MERGED_WIDE, PAIR_MERGED, group_code, pair_states
 
-from conftest import key_bytes, keys_for_slots
+from conftest import keys_for_slots
 from reference_impls import RefInstantMerge
 
 
@@ -24,23 +24,23 @@ def _pair_sketch(merge_mode="sum"):
     cfg = SketchConfig(rows=1, width=4, shared_bits=4, merge_mode=merge_mode, seeds=(42,))
     sk = InstantMergeSketch(cfg)
     k0, k1 = keys_for_slots(sk, 0, [0, 1])
-    return sk, key_bytes(k0), key_bytes(k1)
+    return sk, k0, k1
 
 
 def test_empty_query_zero():
     sk, a, _ = _pair_sketch()
-    assert sk.query(a) == 0
+    assert sk.query_u64(a) == 0
 
 
 def test_merges_at_first_overflow_sum_exact():
     sk, a, _ = _pair_sketch()
     for n in range(1, 256):
-        sk.encode(a)
-        assert sk.query(a) == n
+        sk.encode_u64(a)
+        assert sk.query_u64(a) == n
     assert sk.group_state(0, 0) == 0
-    sk.encode(a)  # 256th packet fuses the pair
+    sk.encode_u64(a)  # 256th packet fuses the pair
     assert pair_states(sk.group_state(0, 0))[0] == PAIR_MERGED
-    assert sk.query(a) == 256
+    assert sk.query_u64(a) == 256
 
 
 def test_illustrative_interleaving_674_max_690_sum():
@@ -48,9 +48,9 @@ def test_illustrative_interleaving_674_max_690_sum():
         sk, a, b = _pair_sketch(mode)
         for key, reps in ((a, 16), (b, 256), (a, 17), (b, 401)):
             for _ in range(reps):
-                sk.encode(key)
-        assert sk.query(a) == expected  # fused: both keys read the same counter
-        assert sk.query(b) == expected
+                sk.encode_u64(key)
+        assert sk.query_u64(a) == expected  # fused: both keys read the same counter
+        assert sk.query_u64(b) == expected
 
 
 def test_group_fuse_includes_lagging_sibling():
@@ -60,9 +60,9 @@ def test_group_fuse_includes_lagging_sibling():
     sk._rows[0][1] = 255  # fused pair at 65535
     sk._rows[0][2] = 40
     sk._rows[0][3] = 2
-    sk.encode(a)
+    sk.encode_u64(a)
     assert sk.group_state(0, 0) == GROUP_MERGED_WIDE
-    assert sk.query(a) == 65535 + 42 + 1  # sibling content survives a sum fuse
+    assert sk.query_u64(a) == 65535 + 42 + 1  # sibling content survives a sum fuse
 
 
 def test_instant_row_conservation():

@@ -26,7 +26,7 @@ from siamsketch.sketch import (
     _UNIT, GROUP_MERGED_WIDE, LEGAL_GROUP_STATES, PAIR_SHARED, UNSHARED_GROUP_STATES, group_code,
 )
 
-from conftest import key_bytes, kernel_unbuildable, plant_state
+from conftest import kernel_unbuildable, plant_state, slot_of
 
 # Group codes holding a shared pair, and the share of a row's groups in them
 # from which the kernel counts an 8-bit row with its pair-word loop.
@@ -228,7 +228,7 @@ def test_saturated_quad_counter_drops_packets_from_row_total(path):
     key = 12345
     if path == "pair-word loop":
         for r in range(2):
-            own = sk.slot_of(r, key_bytes(key)) >> 2
+            own = slot_of(sk, r, key) >> 2
             for g in range(width // 4):
                 sk._states[r][g] = group_code(PAIR_SHARED, PAIR_SHARED) if g != own else 0
             assert shared_pair_share(sk, r) >= PAIR_LOOP_SHARE

@@ -169,10 +169,21 @@ def test_run_width_refused_by_one_scheme_allocates_nothing(tmp_path, capsys, mon
         monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
     benign = tmp_path / "b.sktr"
     write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
-    rc = main(["run", "--schemes", "count-min,sc-lsb", "--width", "4294967300",
-               "--benign", str(benign), "--out", str(tmp_path / "r")])
-    assert rc == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+    # a float width from a JSON config was taken whole by the configs, and
+    # 256.0 failed only inside a sketch constructor
+    for width in (4294967296.0, 256.0):
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"width": width, "schemes": ["count-min", "sc-lsb"]}))
+        rc = main(["run", "--config", str(config), "--benign", str(benign),
+                   "--out", str(tmp_path / "r")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "bad-arguments" and "width" in err["detail"]
+    for width in ("4294967300", "4294967296"):
+        rc = main(["run", "--schemes", "count-min,sc-lsb", "--width", width,
+                   "--benign", str(benign), "--out", str(tmp_path / "r")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
     assert built == []
     assert not (tmp_path / "r").exists()
 

@@ -18,7 +18,7 @@ from siamsketch import (
     plan_attack,
     run_experiment,
 )
-from siamsketch import experiment, hashing
+from siamsketch import experiment, hashing, traffic
 from siamsketch.experiment import assemble_stream, build_sketch, config_hash, resolve_widths
 from siamsketch.snapshot import dump_bytes
 
@@ -99,8 +99,8 @@ def test_wide_benign_trace_is_folded_once(monkeypatch, tmp_path):
     # each wide key is folded once, where its trace is built or read; the
     # interleave and the ground truth read the folds, and the run folds none
     folds = []
-    real = hashing.flow_id
-    monkeypatch.setattr(hashing, "flow_id", lambda key: folds.append(key) or real(key))
+    real = traffic.flow_id
+    monkeypatch.setattr(traffic, "flow_id", lambda key: folds.append(key) or real(key))
     benign, attack = _wide_trace(3, packets=2000), _wide_trace(4, packets=10)
     assert len(folds) == len(benign) + len(attack)
     folds.clear()
@@ -322,14 +322,16 @@ def test_window_copied_mid_stream_equals_fresh_encode(scheme, data):
     "schemes", [("count-min", "sc-lsb"), ("count-min", "instant"), ("sc-lsb", "count-min")]
 )
 def test_width_refused_by_one_scheme_builds_no_sketch(monkeypatch, schemes):
-    # Count-Min's width derived from 4294967300 (1,207,959,553) is valid and
-    # the dynamic width is not: had Count-Min been built first, it would have
-    # asked for about 14.5 GB of rows before the error
+    # Count-Min's width derived from 4294967300 (1,207,959,553), or from the
+    # float 4294967296.0 a JSON config gives, is valid and the dynamic width
+    # is not: had Count-Min been built first, it would have asked for about
+    # 14.5 GB of rows before the error
     built = []
     for name in ("SiameseSketch", "InstantMergeSketch", "CountMinSketch"):
         monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
-    with pytest.raises(ValueError, match="width"):
-        run_experiment(_small_spec(schemes=schemes, width=4294967300))
+    for width, error in ((4294967300, ValueError), (4294967296.0, TypeError)):
+        with pytest.raises(error, match="width"):
+            run_experiment(_small_spec(schemes=schemes, width=width))
     assert built == []
 
 

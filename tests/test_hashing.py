@@ -12,18 +12,20 @@ from siamsketch import (
     InstantMergeSketch,
     SiameseSketch,
     SketchConfig,
+    Trace,
+    flow_id,
 )
 from siamsketch.hashing import (
     ENCODE_CHUNK,
     KeyBatch,
     derive_seeds,
-    flow_id,
     hash_batch,
     hash_u64,
     index_batch,
     mix64,
     place_u64,
     seed_state,
+    u64_keys,
 )
 from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 from siamsketch.snapshot import dump_bytes
@@ -170,14 +172,17 @@ def test_invalid_width():
 @pytest.mark.parametrize("cls", [SiameseSketch, CountMinSketch])
 def test_query_refuses_a_width_the_kernel_cannot_place(cls):
     # the kernel's query pass reduces as index_batch does, exactly only up
-    # to 2**32 slots, so a config refuses a wider row before it is allocated;
+    # to 2**32 slots, so a config refuses a wider row before it is allocated,
+    # and 2**32 itself too, as a snapshot header stores the width in a u32;
     # only configs are built here, never a sketch that wide
     config = CountMinConfig if cls is CountMinSketch else SketchConfig
     with pytest.raises(ValueError, match="width must be in"):
         index_batch(np.arange(3, dtype=np.uint64), 0, 2**32 + 4)
-    with pytest.raises(ValueError, match=r"2\*\*32\]"):
-        config(rows=2, width=2**32 + 4)
-    assert config(rows=2, width=2**32).width == 2**32
+    for width in (2**32 + 4, 2**32):
+        with pytest.raises(ValueError, match=r"2\*\*32 - 1\]"):
+            config(rows=2, width=width)
+    widest = 2**32 - 1 if cls is CountMinSketch else 2**32 - 4
+    assert config(rows=2, width=widest).width == widest
 
 
 def test_query_many_matches_query_u64_for_every_scheme():
@@ -219,8 +224,7 @@ def test_query_many_matches_query_u64_for_every_scheme():
 @pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
 def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     # encode_u64/query_u64 take any int modulo 2**64; the batched entry points
-    # take the same keys, and a bytes key in a key list as encode/query take
-    # it (its flow id), never parsed as digits
+    # take the same keys
     cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
     keys = [-1, 1 << 64, (1 << 64) + 5, 5, np.uint64(7), np.int64(-2)]
     batched, scalar = cls(cfg), cls(cfg)
@@ -228,13 +232,15 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
     for k in keys:
         scalar.encode_u64(int(k))
     assert batched._rows == scalar._rows
+    # a one-shot iterator gives every key to the fallback too
+    once = cls(cfg)
+    once.encode_stream(iter(keys))
+    assert once._rows == scalar._rows and once.packet_count == len(keys)
     # queries with the kernel's query pass and with the per-row fallback
     for fallback in (False, True):
         with kernel_unbuildable(fallback):
             assert batched.query_many(keys) == [scalar.query_u64(int(k)) for k in keys]
             assert batched.query_many([-1]) == [1]
-            assert batched.query_many([5, b"12"]) == [batched.query_u64(5), batched.query(b"12")]
-            assert flow_id(b"12") != 12
             with pytest.raises(TypeError):
                 batched.query_many([5, 1.5])
             with pytest.raises(TypeError):
@@ -249,30 +255,38 @@ def test_batched_entry_points_mask_keys_like_the_scalar_ones(cls):
 
 
 @pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
-def test_batched_entry_points_take_ints_and_bytes_mixed(cls):
-    # a key list mixing ints, short bytes and 13-byte keys counts and answers
-    # exactly as the per-key calls do, and a wide key as its flow id
+def test_trace_of_ints_and_bytes_counts_as_its_flow_ids(cls):
+    # a trace built from ints, short bytes and 13-byte keys holds each int as
+    # itself and each bytes key as its flow id, and a sketch fed those ids
+    # counts and answers exactly as per-key encode_u64 and query_u64 do
     cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
     rng = np.random.default_rng(6)
-    pool = [3, b"\x03", 2**64 + 9, b"ab", bytes(range(13)), bytes(range(1, 14)), np.uint64(11)]
-    keys = [pool[i] for i in rng.integers(0, len(pool), size=600)]
+    pool = [3, b"\x03", b"ab", bytes(range(13)), bytes(range(1, 14)), np.uint64(11)]
+    ids = Trace(pool).keys.tolist()
+    assert ids == [flow_id(k) if isinstance(k, bytes) else int(k) for k in pool]
+    assert ids[:2] == [3, 3]  # a key of at most 8 bytes is its little-endian value
+    trace = Trace([pool[i] for i in rng.integers(0, len(pool), size=600)])
     batched, scalar = cls(cfg), cls(cfg)
-    batched.encode_stream(keys)
-    for k in keys:
-        if isinstance(k, bytes):
-            scalar.encode(k)
-        else:
-            scalar.encode_u64(int(k))
+    batched.encode_stream(trace.keys)
+    for k in trace.keys.tolist():
+        scalar.encode_u64(k)
     assert batched._rows == scalar._rows
-    assert batched.packet_count == scalar.packet_count == len(keys)
-    # a one-shot iterator gives every key to the fallback too
-    once = cls(cfg)
-    once.encode_stream(iter(keys))
-    assert once._rows == scalar._rows and once.packet_count == len(keys)
-    expected = [scalar.query(k) if isinstance(k, bytes) else scalar.query_u64(int(k)) for k in pool]
-    assert batched.query_many(pool) == expected
-    assert batched.query(b"\x03") == batched.query_u64(3)
-    assert batched.query(bytes(range(13))) == batched.query_u64(flow_id(bytes(range(13))))
+    assert batched.packet_count == scalar.packet_count == len(trace)
+    assert batched.query_many(ids) == [scalar.query_u64(k) for k in ids]
+
+
+@pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
+def test_sketch_entry_points_refuse_bytes_keys(cls):
+    # a bytes key becomes a flow id only where its trace is built: below it,
+    # every batched entry point refuses one, alone or among ints
+    cfg = (CountMinConfig if cls is CountMinSketch else SketchConfig)(rows=2, width=8)
+    sk = cls(cfg)
+    for keys in ([b"x"], [5, b"12"], [bytes(range(13))], b"12345678"):
+        for refuse in (u64_keys, sk.encode_stream, sk.query_many, KeyBatch):
+            with pytest.raises(TypeError):
+                refuse(keys)
+    assert sk.packet_count == 0
+    assert not hasattr(sk, "encode") and not hasattr(sk, "query") and not hasattr(sk, "slot_of")
 
 
 @settings(max_examples=6, deadline=None)
@@ -314,7 +328,7 @@ def test_shared_key_batch_counts_as_raw_keys(extra, cuts, pool_seed):
 
 
 def test_key_batch_keeps_the_slots_of_one_width():
-    batch = KeyBatch([1, 2, b"\x03" * 13])
+    batch = KeyBatch([1, 2, 2**64 - 1])
     assert len(batch) == 3 and batch.keys.dtype == np.uint64
     first = batch.slots(7, 100)
     assert batch.slots(7, 100) is first

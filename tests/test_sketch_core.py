@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from siamsketch import (
+    CountMinConfig,
     GROUP_MERGED_WIDE,
     GROUP_SHARED_WIDE,
     PAIR_INDEPENDENT,
@@ -15,6 +16,7 @@ from siamsketch import (
     InstantMergeSketch,
     SiameseSketch,
     SketchConfig,
+    Trace,
     dump_bytes,
     flow_id,
     group_code,
@@ -22,7 +24,7 @@ from siamsketch import (
 )
 from siamsketch.sketch import GROUP_COUNTER_COUNT, LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
-from conftest import collision_free_keys, key_bytes, keys_for_slots, plant_state
+from conftest import collision_free_keys, keys_for_slots, plant_state
 
 
 def counter_at(sk, row: int, slot: int) -> tuple[int, int, int, bool]:
@@ -43,7 +45,7 @@ def test_fresh_sketch_is_empty():
     assert all(v == 0 for row in sk._rows for v in row)
     assert all(c == 0 for states in sk._states for c in states)
     assert sk.counter_count() == [4096, 4096, 4096]
-    assert sk.query(b"anything") == 0
+    assert sk.query_many([0, 2**64 - 1]) == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -66,6 +68,19 @@ def test_invalid_configs(kwargs):
         SketchConfig(**{"rows": 3, "width": 4096, **kwargs})
 
 
+@pytest.mark.parametrize("field", ["rows", "width", "counter_bits", "shared_bits"])
+def test_float_or_bool_sizes_are_refused(field):
+    # a float width read from JSON was once taken whole, and a Count-Min
+    # config was built from it; every size must be an int, in both configs
+    for value in (float(getattr(SketchConfig(), field)), True):
+        with pytest.raises(TypeError, match=field):
+            SketchConfig(**{field: value})
+        if field in ("rows", "width"):
+            with pytest.raises(TypeError, match=field):
+                CountMinConfig(**{field: value})
+    assert SketchConfig(rows=np.int64(2), width=np.uint32(8)).width == 8
+
+
 def test_k6_is_valid():
     sk = SiameseSketch(SketchConfig(shared_bits=6))
     assert sk.config.shared_bits == 6
@@ -75,20 +90,20 @@ def test_narrow_counters_are_valid():
     # 4-bit counters with 2 shared bits; levels are 4, 8 and 16 bits wide
     cfg = SketchConfig(rows=1, width=8, counter_bits=4, shared_bits=2, seeds=(1,))
     sk = SiameseSketch(cfg)
-    key = key_bytes(keys_for_slots(sk, 0, [0])[0])
+    key = keys_for_slots(sk, 0, [0])[0]
     for _ in range(600):  # past the 8-bit shared level's 2**9 capacity
-        sk.encode(key)
-    assert sk.query(key) == 600
+        sk.encode_u64(key)
+    assert sk.query_u64(key) == 600
     assert counter_at(sk, 0, 0)[0] == 16
 
 
 def test_k2_through_k6_all_run():
     for k in (2, 4, 6):
         sk = SiameseSketch(SketchConfig(rows=1, width=8, shared_bits=k, seeds=(1,)))
-        key = key_bytes(keys_for_slots(sk, 0, [0])[0])
+        key = keys_for_slots(sk, 0, [0])[0]
         for _ in range(3000):
-            sk.encode(key)
-        assert sk.query(key) == 3000
+            sk.encode_u64(key)
+        assert sk.query_u64(key) == 3000
 
 
 def test_seed_mismatch_rejected():
@@ -171,31 +186,29 @@ def test_inspection_follows_the_state_table(code):
 
 
 def test_capacity_single_flow_exact_through_1023(adjacent_pair_sketch):
-    sk, k0, _ = adjacent_pair_sketch
-    key = key_bytes(k0)
+    sk, key, _ = adjacent_pair_sketch
     for n in range(1, 256):
-        sk.encode(key)
-        assert sk.query(key) == n
+        sk.encode_u64(key)
+        assert sk.query_u64(key) == n
     assert sk.group_state(0, 0) == 0  # still independent at 255
     for n in range(256, 1024):
-        sk.encode(key)
-        assert sk.query(key) == n
+        sk.encode_u64(key)
+        assert sk.query_u64(key) == n
         assert pair_states(sk.group_state(0, 0))[0] == PAIR_SHARED
-    sk.encode(key)  # increment past 1023 fuses the pair
-    assert sk.query(key) == 1024
+    sk.encode_u64(key)  # increment past 1023 fuses the pair
+    assert sk.query_u64(key) == 1024
     assert pair_states(sk.group_state(0, 0))[0] == PAIR_MERGED
 
 
 def test_share_moment_decodes(adjacent_pair_sketch):
     # 255 packets leave the counter raw and independent; the 256th shares
     # and decodes 256 exactly
-    sk, k0, _ = adjacent_pair_sketch
-    key = key_bytes(k0)
+    sk, key, _ = adjacent_pair_sketch
     for _ in range(255):
-        sk.encode(key)
+        sk.encode_u64(key)
     assert sk._rows[0][0] == 255
     assert sk.group_state(0, 0) == 0
-    sk.encode(key)
+    sk.encode_u64(key)
     assert counter_at(sk, 0, 0)[3]
     value = sk._decode(0, 0)
     assert value == 256
@@ -203,13 +216,12 @@ def test_share_moment_decodes(adjacent_pair_sketch):
 
 
 def test_illustrative_interleaving_decodes_34_and_658(adjacent_pair_sketch):
-    sk, k0, k1 = adjacent_pair_sketch
-    a, b = key_bytes(k0), key_bytes(k1)
+    sk, a, b = adjacent_pair_sketch
     for key, reps in ((a, 16), (b, 256), (a, 17), (b, 401)):
         for _ in range(reps):
-            sk.encode(key)
-    assert sk.query(a) == 34
-    assert sk.query(b) == 658
+            sk.encode_u64(key)
+    assert sk.query_u64(a) == 34
+    assert sk.query_u64(b) == 658
 
 
 def test_share_initialization_bounds():
@@ -228,32 +240,31 @@ def test_share_initialization_bounds():
 
 
 def test_counter_count_transitions(adjacent_pair_sketch):
-    sk, k0, _ = adjacent_pair_sketch
-    key = key_bytes(k0)
+    sk, key, _ = adjacent_pair_sketch
     assert sk.counter_count() == [4]
     for _ in range(300):  # into the shared state
-        sk.encode(key)
+        sk.encode_u64(key)
     assert pair_states(sk.group_state(0, 0))[0] == PAIR_SHARED
     assert sk.counter_count() == [4]  # sharing does not reduce the census
     for _ in range(1024 - 300):  # past capacity: fused
-        sk.encode(key)
+        sk.encode_u64(key)
     assert pair_states(sk.group_state(0, 0))[0] == PAIR_MERGED
     assert sk.counter_count() == [3]
 
 
 def test_crafted_stream_reaches_wide_share_and_quad():
     sk = SiameseSketch(SketchConfig(rows=1, width=4, shared_bits=4, seeds=(42,)))
-    key = key_bytes(keys_for_slots(sk, 0, [0])[0])
-    arr = np.full(65536, int.from_bytes(key, "little"), dtype=np.uint64)
+    key = keys_for_slots(sk, 0, [0])[0]
+    arr = np.full(65536, key, dtype=np.uint64)
     sk.encode_stream(arr)  # one increment past the fused 16-bit capacity
-    sk.encode(key)
+    sk.encode_u64(key)
     assert sk.group_state(0, 0) == GROUP_SHARED_WIDE
-    assert sk.query(key) == 65537
+    assert sk.query_u64(key) == 65537
     # keep counting exactly until the quad-width fuse
     target = 1 << 18  # wide prefix exhausted at 2**(2S + K/2)
     remaining = target - 65537
-    sk.encode_stream(np.full(remaining, int.from_bytes(key, "little"), dtype=np.uint64))
-    assert sk.query(key) == target
+    sk.encode_stream(np.full(remaining, key, dtype=np.uint64))
+    assert sk.query_u64(key) == target
     assert sk.group_state(0, 0) == GROUP_MERGED_WIDE
 
 
@@ -263,22 +274,22 @@ def test_quad_counter_saturates():
         top = (1 << (4 * bits)) - 1
         cfg = SketchConfig(rows=1, width=4, counter_bits=bits, shared_bits=4, seeds=(42,))
         sk = SiameseSketch(cfg)
-        key = key_bytes(keys_for_slots(sk, 0, [0])[0])
+        key = keys_for_slots(sk, 0, [0])[0]
         sk._states[0][0] = GROUP_MERGED_WIDE
         sk._write(sk._rows[0], 0, 4, top - 1)
-        sk.encode(key)
-        assert sk.query(key) == top
-        sk.encode(key)
-        sk.encode(key)
-        assert sk.query(key) == top  # saturating, never wraps
-        stream = np.full(3, int.from_bytes(key, "little"), dtype=np.uint64)
+        sk.encode_u64(key)
+        assert sk.query_u64(key) == top
+        sk.encode_u64(key)
+        sk.encode_u64(key)
+        assert sk.query_u64(key) == top  # saturating, never wraps
+        stream = np.full(3, key, dtype=np.uint64)
         sk._write(sk._rows[0], 0, 4, top - 1)
         sk.encode_stream(stream)
-        assert sk.query(key) == top
+        assert sk.query_u64(key) == top
         # a carry out of the lowest slot is not a saturation
         sk._write(sk._rows[0], 0, 4, (1 << bits) - 1)
         sk.encode_stream(stream)
-        assert sk.query(key) == (1 << bits) + 2
+        assert sk.query_u64(key) == (1 << bits) + 2
 
 
 def test_wide_share_force_merges_lagging_sibling():
@@ -290,10 +301,10 @@ def test_wide_share_force_merges_lagging_sibling():
     sk._write(sk._rows[0], 0, 2, 65535)
     sk._rows[0][2] = 37
     sk._rows[0][3] = 11
-    sk.encode(key_bytes(k0))
+    sk.encode_u64(k0)
     assert sk.group_state(0, 0) == GROUP_SHARED_WIDE
-    assert sk.query(key_bytes(k0)) == 65536
-    assert sk.query(key_bytes(k2)) == 48  # fused sibling; wrap cleared the joint
+    assert sk.query_u64(k0) == 65536
+    assert sk.query_u64(k2) == 48  # fused sibling; wrap cleared the joint
 
 
 # -- exactness and conservation ----------------------------------------------
@@ -401,17 +412,16 @@ def test_shared_competition_can_underestimate(adjacent_pair_sketch):
     # winner-take-all artifact: bursts timed so the neighbour always claims
     # the wrap leave the slow flow's low bits permanently uncredited; its
     # estimate can fall below its true count (bounded in expectation only)
-    sk, k0, k1 = adjacent_pair_sketch
-    a, b = key_bytes(k0), key_bytes(k1)
+    sk, a, b = adjacent_pair_sketch
     for _ in range(256):
-        sk.encode(b)
+        sk.encode_u64(b)
     truth_a = 0
     for _ in range(20):
         for _ in range(15):
-            sk.encode(a)
+            sk.encode_u64(a)
             truth_a += 1
-        sk.encode(b)  # triggers the wrap, credits the neighbour
-    assert sk.query(a) < truth_a
+        sk.encode_u64(b)  # triggers the wrap, credits the neighbour
+    assert sk.query_u64(a) < truth_a
 
 
 def test_group_counter_census_table():
@@ -464,42 +474,42 @@ def test_group_state_bounds():
 
 
 def test_long_key_encode_query():
+    # a 13-byte key is counted through the flow id its trace holds
     sk = SiameseSketch(SketchConfig(rows=2, width=16, seeds=(3, 4)))
     key = b"\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d"  # 13 bytes
-    for _ in range(7):
-        sk.encode(key)
-    assert sk.query(key) == 7
+    sk.encode_stream(Trace([key] * 7).keys)
+    assert sk.query_many(Trace([key]).keys) == [7]
 
 
 def test_wide_key_counts_as_its_flow_id():
-    # a 13-byte key is folded once into a flow id, and the sketch holds what
-    # the same packets leave through encode_u64 of that id, in every row
+    # a 13-byte key is folded once into a flow id where its trace is built,
+    # and the sketch holds what the same packets leave through encode_u64 of
+    # that id, in every row
     cfg = SketchConfig(rows=3, width=16, counter_bits=4, shared_bits=2, seeds=(3, 4, 5))
     wide = [bytes(range(i, i + 13)) for i in range(5)]
+    stream = [wide[i * i % 5] for i in range(400)]
     by_key, by_id = SiameseSketch(cfg), SiameseSketch(cfg)
-    for i in range(400):
-        key = wide[i * i % 5]
-        by_key.encode(key)
+    by_key.encode_stream(Trace(stream).keys)
+    for key in stream:
         by_id.encode_u64(flow_id(key))
     assert dump_bytes(by_key) == dump_bytes(by_id)
-    for key in wide:
-        assert by_key.query(key) == by_id.query_u64(flow_id(key))
-        assert [by_key.slot_of(r, key) for r in range(3)] == [
-            by_key.slot_of(r, flow_id(key).to_bytes(8, "little")) for r in range(3)
-        ]
+    assert by_key.query_many(Trace(wide).keys) == [by_id.query_u64(flow_id(k)) for k in wide]
 
 
 def test_bytes_and_u64_encode_agree():
+    # an 8-byte key's flow id is its little-endian value, so a trace of the
+    # keys' bytes counts exactly as the integers do
     a = SiameseSketch(SketchConfig(rows=2, width=16, seeds=(3, 4)))
     b = SiameseSketch(SketchConfig(rows=2, width=16, seeds=(3, 4)))
     rng = np.random.default_rng(1)
     keys = rng.integers(0, 1 << 64, size=200, dtype=np.uint64).tolist()
+    as_bytes = Trace([k.to_bytes(8, "little") for k in keys])
+    assert as_bytes.keys.tolist() == keys
+    a.encode_stream(as_bytes.keys)
     for k in keys:
-        a.encode(key_bytes(k))
         b.encode_u64(k)
     assert a._rows == b._rows and a._states == b._states
-    for k in keys:
-        assert a.query(key_bytes(k)) == b.query_u64(k)
+    assert a.query_many(as_bytes.keys) == [b.query_u64(k) for k in keys]
 
 
 def test_encode_stream_matches_scalar_encode():

@@ -68,8 +68,7 @@ def test_round_trip_count_min(tmp_path):
 
 def test_round_trip_keeps_packets_and_discards():
     # a version 2 snapshot carries the diagnostics, so the sum-mode total
-    # invariant can be checked on the loaded sketch; version 1 still loads,
-    # with both at 0
+    # invariant can be checked on the loaded sketch
     sk = _driven(SiameseSketch)
     rows = range(sk.config.rows)
     assert all(sk.lsb_discard(r) > 0 for r in rows)
@@ -80,10 +79,6 @@ def test_round_trip_keeps_packets_and_discards():
         assert back.row_total(r) + back.lsb_discard(r) == back.packet_count
     raw = dump_bytes(sk)
     counts_end = _SEEDS_AT + 8 * sk.config.rows + 8 * (1 + sk.config.rows)
-    v1 = _patched(raw[: _SEEDS_AT + 8 * sk.config.rows] + raw[counts_end:], _VERSION_AT, 1)
-    old = load_bytes(v1)
-    assert old._rows == sk._rows and old._states == sk._states
-    assert old.packet_count == 0 and [old.lsb_discard(r) for r in rows] == [0, 0]
     with pytest.raises(SnapshotError) as err:
         load_bytes(raw[: counts_end - 3])
     assert err.value.code == "truncated"
@@ -110,11 +105,17 @@ def test_bad_magic():
 
 
 def test_bad_version():
-    raw = bytearray(dump_bytes(_driven(SiameseSketch)))
-    raw[4] = 99
-    with pytest.raises(SnapshotError) as err:
-        load_bytes(bytes(raw))
-    assert err.value.code == "bad-version"
+    # version 1 had no packet or discard counts: a v1 sketch would load with
+    # both at 0 and fail row_total + lsb_discard == packets, so it is refused,
+    # in its own layout and in today's
+    sk = _driven(SiameseSketch)
+    raw = dump_bytes(sk)
+    counts_at = _SEEDS_AT + 8 * sk.config.rows
+    v1 = raw[:counts_at] + raw[counts_at + 8 * (1 + sk.config.rows) :]
+    for version, body in ((99, raw), (1, raw), (1, v1)):
+        with pytest.raises(SnapshotError) as err:
+            load_bytes(_patched(body, _VERSION_AT, version))
+        assert err.value.code == "bad-version"
 
 
 def test_truncated_body():
@@ -256,3 +257,31 @@ def test_count_min_counter_bits_checked():
         with pytest.raises(SnapshotError) as err:
             load_bytes(_patched(dump_bytes(cm), offset, value))
         assert err.value.code == code
+
+
+def test_round_trip_at_the_widest_header_fields():
+    # the largest seed a u64 holds, and the most rows a u16 holds
+    sk = SiameseSketch(SketchConfig(rows=2, width=8, seeds=(2**64 - 1, 0)))
+    sk.encode_stream(np.arange(300, dtype=np.uint64) % 7)
+    back = load_bytes(dump_bytes(sk))
+    assert back.config.seeds == (2**64 - 1, 0)
+    assert dump_bytes(back) == dump_bytes(sk)
+    cm = CountMinSketch(CountMinConfig(rows=2**16 - 1, width=4))
+    cm._rows[-1][3] = 9
+    raw = dump_bytes(cm)
+    back = load_bytes(raw)
+    assert back.config == cm.config and back._rows[-1][3] == 9
+    assert dump_bytes(back) == raw
+
+
+@pytest.mark.parametrize("config", [SketchConfig, CountMinConfig])
+@pytest.mark.parametrize(
+    "fields",
+    [dict(seeds=(-1,)), dict(seeds=(2**64,)), dict(rows=2**16), dict(width=2**32)],
+    ids=["seed-below", "seed-above", "rows", "width"],
+)
+def test_config_refuses_a_shape_the_header_cannot_store(config, fields):
+    # each of these once passed its config and then made dump_bytes raise
+    # struct.error; none builds a sketch, and a refused width allocates nothing
+    with pytest.raises(ValueError):
+        config(**{"rows": 1, **fields})

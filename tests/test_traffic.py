@@ -22,8 +22,8 @@ from siamsketch import (
     traffic,
     write_trace,
 )
-from siamsketch.hashing import flow_id, hash_u64, index_batch, u64_keys
-from siamsketch.traffic import ROUND_ROBIN, guide_search
+from siamsketch.hashing import hash_u64, index_batch
+from siamsketch.traffic import ROUND_ROBIN, flow_id, guide_search
 
 from conftest import kernel_unbuildable
 
@@ -364,7 +364,7 @@ def test_binary_round_trip_13_byte_keys(tmp_path):
     path = tmp_path / "t13.sktr"
     _write_raw_trace(path, 13, keys)
     back = read_trace(path)
-    assert np.array_equal(back.keys, u64_keys(keys))
+    assert back.keys.tolist() == [flow_id(k) for k in keys]
     again = tmp_path / "t13-again.sktr"
     write_trace(again, back)
     assert read_trace(again) == back
@@ -385,6 +385,14 @@ def test_out_of_range_int_keys_are_rejected(keys):
     # they were masked to 64 bits, so 2**64 and 0 became one flow
     with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
         Trace(keys)
+
+
+def test_one_bytes_object_is_not_a_trace():
+    # its bytes were once taken as keys: b"abc" was the flows 97, 98 and 99
+    for keys in (b"abc", bytearray(b"abc"), b"12345678"):
+        with pytest.raises(TypeError):
+            Trace(keys)
+    assert Trace([b"abc"]).keys.tolist() == [flow_id(b"abc")]
 
 
 def test_bool_keys_are_rejected():
@@ -409,7 +417,8 @@ def test_key_list_traces_round_trip(tmp_path, keys):
     write_trace(path, tr)
     assert read_trace(path) == tr
     assert path.stat().st_size == 8 + 8 * len(keys)
-    assert tr.keys.dtype == np.uint64 and np.array_equal(tr.keys, u64_keys(keys))
+    assert tr.keys.dtype == np.uint64
+    assert tr.keys.tolist() == [flow_id(k) if isinstance(k, bytes) else k for k in keys]
 
 
 def test_empty_trace_round_trip(tmp_path):
