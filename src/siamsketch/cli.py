@@ -7,6 +7,10 @@ Subcommands:
 * ``run``      — drive schemes over traces, write metric/counter reports
 * ``theory``   — print closed-form attack and wrap-split numbers
 
+``run --config FILE`` reads spec fields from a JSON file. Each flag given
+overrides its own field, and ``--width`` also drops the file's
+``memory_bytes`` (a ``--memory-bytes`` flag still applies).
+
 Failures exit nonzero and print one JSON object ``{"error": <class>,
 "detail": <message>}`` on stderr.
 """
@@ -17,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import coupon_expect, hyper_mean, hyper_pmf, hyper_var
@@ -67,37 +72,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    file_values = {}
-    if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text())
-    merged = dict(file_values)
-    overrides = {
-        "schemes": tuple(args.schemes.split(",")) if args.schemes else None,
-        "rows": args.rows,
-        "width": args.width,
-        "memory_bytes": args.memory_bytes,
-        "counter_bits": args.counter_bits,
-        "shared_bits": args.shared_bits,
-        "merge_mode": args.merge_mode,
-        "benign": args.benign,
-        "attack": args.attack,
-        "attack_fraction": args.attack_fraction,
-        "interleave": args.interleave,
-        "snapshot_interval": args.snapshot_interval,
-        "apps": tuple(args.apps.split(",")) if args.apps else None,
-        "threshold": args.threshold,
-        "threshold_fraction": args.threshold_fraction,
-        "seed": args.seed,
-        "experiment_id": args.experiment_id,
-    }
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    if "schemes" in merged:
-        merged["schemes"] = tuple(merged["schemes"])
-    if "apps" in merged:
-        merged["apps"] = tuple(merged["apps"])
-    if merged.get("width") and file_values.get("memory_bytes") and args.width:
-        merged["memory_bytes"] = None
-    return ExperimentSpec(**merged)
+    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    if args.width is not None:
+        values.pop("memory_bytes", None)
+    for f in fields(ExperimentSpec):
+        flag = getattr(args, f.name)
+        if flag is not None:
+            values[f.name] = flag.split(",") if f.name in ("schemes", "apps") else flag
+    return ExperimentSpec(**values)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -154,7 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     atk.set_defaults(func=cmd_attack)
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file of spec fields; flags override")
+        p.add_argument(
+            "--config",
+            help="JSON file of spec fields; each flag overrides its field, and "
+            "--width also drops the file's memory_bytes",
+        )
         p.add_argument("--schemes", help=f"comma list of {','.join(SCHEMES)}")
         p.add_argument("--rows", type=int)
         p.add_argument("--width", type=int)

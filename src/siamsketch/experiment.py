@@ -71,7 +71,7 @@ from .baselines import (
     count_min_width_for,
     equal_memory_widths,
 )
-from .hashing import ENCODE_CHUNK, KeyBatch, derive_seeds
+from .hashing import ENCODE_CHUNK, KeyBatch, derive_seeds, require_ints
 from .metrics import (
     detect_changes,
     estimate_entropy,
@@ -89,7 +89,9 @@ from .metrics import (
 from .sketch import SiameseSketch, SketchConfig
 from .traffic import Trace, concat_traces, interleave_traces, read_trace
 
-SCHEMES = ("sc-lsb", "instant", "count-min")
+# the scheme table: each scheme's name, in report order, and its class
+SCHEME_CLASSES = {cls.scheme: cls for cls in (SiameseSketch, InstantMergeSketch, CountMinSketch)}
+SCHEMES = tuple(SCHEME_CLASSES)
 
 INTERLEAVE_SHUFFLE = "shuffle"
 INTERLEAVE_APPEND = "append"
@@ -135,6 +137,12 @@ class ExperimentSpec:
     experiment_id: str = ""
 
     def __post_init__(self) -> None:
+        # a JSON list, a Python list and a flag give one spec and one hash
+        self.schemes, self.apps = tuple(self.schemes), tuple(self.apps)
+        # a float or a bool is no count (a JSON config can hold either)
+        given = [n for n in ("width", "memory_bytes", "threshold") if getattr(self, n) is not None]
+        require_ints(self, "rows", "counter_bits", "shared_bits", "snapshot_interval", "seed",
+                     *given)
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -219,17 +227,9 @@ def scheme_configs(
     return configs
 
 
-def _new_sketch(scheme: str, config: SketchConfig | CountMinConfig):
-    if scheme == "count-min":
-        return CountMinSketch(config)
-    if scheme == "sc-lsb":
-        return SiameseSketch(config)
-    return InstantMergeSketch(config)
-
-
 def build_sketch(scheme: str, spec: ExperimentSpec):
     """A fresh sketch of ``scheme`` as ``run_experiment`` builds it."""
-    return _new_sketch(scheme, scheme_configs(spec, (scheme,))[scheme])
+    return SCHEME_CLASSES[scheme](scheme_configs(spec, (scheme,))[scheme])
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -308,9 +308,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         universe, changed = _change_truth(keys, threshold, held)
 
     # every scheme counts each segment before the next is cut (module docstring)
-    sketches = {scheme: _new_sketch(scheme, config) for scheme, config in configs.items()}
+    sketches = {scheme: SCHEME_CLASSES[scheme](config) for scheme, config in configs.items()}
     second_windows = (
-        {scheme: _new_sketch(scheme, config) for scheme, config in configs.items()}
+        {scheme: SCHEME_CLASSES[scheme](config) for scheme, config in configs.items()}
         if need_windows
         else {}
     )

@@ -57,15 +57,8 @@ from .sketch import (
 SNAPSHOT_VERSION = 2
 _HEADER = struct.Struct("<4sHHIBBBB")
 
-MAGIC_SIAMESE = b"SKSC"
-MAGIC_INSTANT = b"SKIM"
-MAGIC_COUNT_MIN = b"SKCM"
-
-_MAGIC_OF = {
-    SiameseSketch: MAGIC_SIAMESE,
-    InstantMergeSketch: MAGIC_INSTANT,
-    CountMinSketch: MAGIC_COUNT_MIN,
-}
+_MAGIC_OF = {SiameseSketch: b"SKSC", InstantMergeSketch: b"SKIM", CountMinSketch: b"SKCM"}
+_CLASS_OF = {magic: cls for cls, magic in _MAGIC_OF.items()}
 
 
 class SnapshotError(Exception):
@@ -106,12 +99,12 @@ def _unpack_states(raw: bytes, off: int, count: int) -> np.ndarray:
 
 
 def dump_bytes(sketch) -> bytes:
-    magic = _MAGIC_OF.get(type(sketch))
-    if magic is None:
-        raise TypeError(f"cannot snapshot {type(sketch).__name__}")
+    cls = type(sketch)
+    if cls not in _MAGIC_OF:
+        raise TypeError(f"cannot snapshot {cls.__name__}")
     cfg = sketch.config
     counts = [sketch.packet_count]
-    if magic == MAGIC_COUNT_MIN:
+    if cls is CountMinSketch:
         shape = (cfg.rows, cfg.width, 32, 0, 0, 0)
         body = [_row_bytes(row) for row in sketch._rows]
     else:
@@ -124,7 +117,7 @@ def dump_bytes(sketch) -> bytes:
             for part in (_row_bytes(row), _pack_states(states))
         ]
     words = struct.pack(f"<{cfg.rows}Q{len(counts)}Q", *cfg.seeds, *counts)
-    return b"".join([_HEADER.pack(magic, SNAPSHOT_VERSION, *shape), words, *body])
+    return b"".join([_HEADER.pack(_MAGIC_OF[cls], SNAPSHOT_VERSION, *shape), words, *body])
 
 
 def load_bytes(raw: bytes):
@@ -133,7 +126,8 @@ def load_bytes(raw: bytes):
     magic, version, rows, width, counter_bits, shared_bits, mode, reserved = _HEADER.unpack(
         raw[: _HEADER.size]
     )
-    if magic not in (MAGIC_SIAMESE, MAGIC_INSTANT, MAGIC_COUNT_MIN):
+    cls = _CLASS_OF.get(magic)
+    if cls is None:
         raise SnapshotError("bad-magic", f"unknown magic {magic!r}")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError("bad-version", f"unsupported version {version}")
@@ -144,12 +138,12 @@ def load_bytes(raw: bytes):
         raise SnapshotError("truncated", "seed table truncated")
     seeds = struct.unpack_from(f"<{rows}Q", raw, off)
     off += 8 * rows
-    count_words = 1 if magic == MAGIC_COUNT_MIN else 1 + rows
+    count_words = 1 if cls is CountMinSketch else 1 + rows
     if off + 8 * count_words > len(raw):
         raise SnapshotError("truncated", "packet and discard counts truncated")
     counts = list(struct.unpack_from(f"<{count_words}Q", raw, off))
     off += 8 * count_words
-    if magic == MAGIC_COUNT_MIN:
+    if cls is CountMinSketch:
         if (counter_bits, shared_bits, mode) != (32, 0, 0):
             raise SnapshotError(
                 "bad-config",
@@ -164,7 +158,7 @@ def load_bytes(raw: bytes):
             off += width * 4
         sketch.packet_count = counts[0]
         return sketch
-    if magic == MAGIC_INSTANT and shared_bits:
+    if cls is InstantMergeSketch and shared_bits:
         raise SnapshotError("bad-config", f"instant-merge shared_bits {shared_bits}, not 0")
     if mode > 1:
         raise SnapshotError("bad-config", f"unknown merge_mode code {mode}")
@@ -181,7 +175,7 @@ def load_bytes(raw: bytes):
     group_count = width // 4
     state_bytes = (group_count + 1) // 2
     _expect_body(raw, off, rows * (row_bytes + state_bytes))
-    sketch = SiameseSketch(config) if magic == MAGIC_SIAMESE else InstantMergeSketch(config)
+    sketch = cls(config)
     legal = np.zeros(16, dtype=bool)
     legal[list(LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES)] = True
     max_slot = (1 << counter_bits) - 1

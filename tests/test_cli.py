@@ -1,12 +1,13 @@
 import hashlib
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from siamsketch import experiment
-from siamsketch.cli import main
+from siamsketch.cli import build_parser, main
 from siamsketch.traffic import Trace, read_trace, write_trace
 
 def _sha256(path):
@@ -165,8 +166,10 @@ def test_run_width_refused_by_one_scheme_allocates_nothing(tmp_path, capsys, mon
     # the sketch constructors are replaced, so that were the error to come
     # late no row would be allocated here either
     built = []
-    for name in ("SiameseSketch", "InstantMergeSketch", "CountMinSketch"):
-        monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
+    for scheme in experiment.SCHEMES:
+        monkeypatch.setitem(
+            experiment.SCHEME_CLASSES, scheme, lambda config, scheme=scheme: built.append(scheme)
+        )
     benign = tmp_path / "b.sktr"
     write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
     # a float width from a JSON config was taken whole by the configs, and
@@ -225,3 +228,55 @@ def test_run_config_file_with_flag_override(tmp_path):
                  "--out", str(out2)]) == 0
     rows2 = (out2 / "metrics.csv").read_text().splitlines()
     assert all(",instant," in r for r in rows2[1:])
+
+
+def test_every_spec_field_has_a_run_flag():
+    # the run command reads each field from the flag of the same name
+    args = build_parser().parse_args(["run", "--out", "r"])
+    for f in fields(experiment.ExperimentSpec):
+        assert getattr(args, f.name, "missing") is None, f.name
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [({"memory_bytes": 4096.0}, "memory_bytes"),
+     ({"width": 256, "snapshot_interval": 2500.5}, "snapshot_interval"),
+     ({"width": 256, "rows": 3.0}, "rows"),
+     ({"width": 256, "seed": True}, "seed")],
+)
+def test_run_config_field_of_wrong_type_reports_json_error(tmp_path, capsys, spec, field):
+    # a float or a bool where a count belongs is refused, naming the field
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(spec))
+    rc = main(["run", "--config", str(config), "--benign", str(benign),
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and field in err["detail"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_memory_bytes_flag_overrides_config_file(tmp_path):
+    # --width drops only the file's memory_bytes: a --memory-bytes flag
+    # still applies, so the run matches the same flags without a file
+    benign = tmp_path / "b.sktr"
+    main(["generate", "--zipf", "1.0", "--flows", "300", "--packets", "20000",
+          "--seed", "5", "--out", str(benign)])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"memory_bytes": 4096}))
+    flags = ["run", "--benign", str(benign), "--width", "256", "--memory-bytes", "8192",
+             "--snapshot-interval", "5000"]
+    assert main(flags + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(flags + ["--config", str(config), "--out", str(tmp_path / "file")]) == 0
+    plain = (tmp_path / "plain" / "metrics.json").read_bytes()
+    assert plain == (tmp_path / "file" / "metrics.json").read_bytes()
+    assert {row["memory_bytes"] for row in json.loads(plain)} == {8181, 8184}
+    # a --width alone still drops the file's budget
+    assert main(["run", "--benign", str(benign), "--width", "256", "--config", str(config),
+                 "--snapshot-interval", "5000", "--out", str(tmp_path / "width")]) == 0
+    assert main(["run", "--benign", str(benign), "--width", "256",
+                 "--snapshot-interval", "5000", "--out", str(tmp_path / "nofile")]) == 0
+    assert (tmp_path / "width" / "metrics.json").read_bytes() == (
+        tmp_path / "nofile" / "metrics.json").read_bytes()

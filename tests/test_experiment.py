@@ -49,6 +49,20 @@ def test_spec_validation():
     # one sketch per scheme: a repeated name would count every packet twice
     with pytest.raises(ValueError, match="repeated"):
         ExperimentSpec(schemes=("sc-lsb", "sc-lsb"))
+    # a float, or a bool, is no count: each names its field
+    for bad in (dict(memory_bytes=4096.0, width=None), dict(snapshot_interval=2500.5),
+                dict(rows=3.0), dict(seed=True), dict(counter_bits=8.0),
+                dict(shared_bits=4.0), dict(width=256.0), dict(threshold=10.0)):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            ExperimentSpec(**bad)
+    ExperimentSpec(width=None, memory_bytes=4096, threshold=np.int64(10), seed=np.uint64(3))
+
+
+def test_spec_lists_are_tuples():
+    # a JSON list, a Python list and a flag give one spec and one hash
+    listed = ExperimentSpec(schemes=["count-min", "sc-lsb"], apps=["size"])
+    assert listed == ExperimentSpec(schemes=("count-min", "sc-lsb"), apps=("size",))
+    assert (listed.schemes, listed.apps) == (("count-min", "sc-lsb"), ("size",))
 
 
 def test_spec_rejects_thresholds_that_are_not_positive():
@@ -322,13 +336,15 @@ def test_window_copied_mid_stream_equals_fresh_encode(scheme, data):
     "schemes", [("count-min", "sc-lsb"), ("count-min", "instant"), ("sc-lsb", "count-min")]
 )
 def test_width_refused_by_one_scheme_builds_no_sketch(monkeypatch, schemes):
-    # Count-Min's width derived from 4294967300 (1,207,959,553), or from the
-    # float 4294967296.0 a JSON config gives, is valid and the dynamic width
-    # is not: had Count-Min been built first, it would have asked for about
-    # 14.5 GB of rows before the error
+    # Count-Min's width derived from 4294967300 (1,207,959,553) is valid and
+    # the dynamic width is not: had Count-Min been built first, it would have
+    # asked for about 14.5 GB of rows before the error. The float
+    # 4294967296.0 a JSON config gives is refused by the spec itself.
     built = []
-    for name in ("SiameseSketch", "InstantMergeSketch", "CountMinSketch"):
-        monkeypatch.setattr(experiment, name, lambda config, name=name: built.append(name))
+    for scheme in experiment.SCHEMES:
+        monkeypatch.setitem(
+            experiment.SCHEME_CLASSES, scheme, lambda config, scheme=scheme: built.append(scheme)
+        )
     for width, error in ((4294967300, ValueError), (4294967296.0, TypeError)):
         with pytest.raises(error, match="width"):
             run_experiment(_small_spec(schemes=schemes, width=width))
