@@ -7,9 +7,20 @@ Subcommands:
 * ``run``      — drive schemes over traces, write metric/counter reports
 * ``theory``   — print closed-form attack and wrap-split numbers
 
-``run --config FILE`` reads spec fields from a JSON file. Each flag given
-overrides its own field, and ``--width`` also drops the file's
-``memory_bytes`` (a ``--memory-bytes`` flag still applies).
+The ``run`` flags are the fields of ``ExperimentSpec``, one flag per field
+(``--memory-bytes`` for ``memory_bytes``), each parsed as the field's
+annotation says: an integer, a real number, a comma list for ``schemes`` and
+``apps``, or a string. ``run --config FILE`` reads spec fields from a JSON
+file. Each flag given overrides its own field, and ``--width`` also drops the
+file's ``memory_bytes`` (a ``--memory-bytes`` flag still applies).
+
+The spec checks every value, from a flag or a file alike: a bad
+``--merge-mode`` or ``--interleave`` is a ``bad-arguments`` error (exit 1),
+as the same value in a ``--config`` file is. A flag whose text does not
+parse as its type (``--rows abc``) is still a usage error (exit 2).
+``schemes`` must name at least one scheme, while an empty ``apps`` list still
+takes the counter census and scores nothing. A run whose traces hold no
+packet is refused.
 
 Failures exit nonzero and print one JSON object ``{"error": <class>,
 "detail": <message>}`` on stderr.
@@ -19,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .analysis import coupon_expect, hyper_mean, hyper_pmf, hyper_var
-from .experiment import ALL_APPS, SCHEMES, ExperimentSpec, run_experiment
+from .experiment import ExperimentSpec, run_experiment
 from .snapshot import SnapshotError
 from .traffic import (
     ROUND_ROBIN,
@@ -76,9 +87,8 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     if args.width is not None:
         values.pop("memory_bytes", None)
     for f in fields(ExperimentSpec):
-        flag = getattr(args, f.name)
-        if flag is not None:
-            values[f.name] = flag.split(",") if f.name in ("schemes", "apps") else flag
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     return ExperimentSpec(**values)
 
 
@@ -95,13 +105,10 @@ def cmd_theory(args: argparse.Namespace) -> int:
     if args.theory_cmd == "coupon":
         width = args.width
         if args.m is not None:
-            targets = args.m
+            targets, expected = args.m, coupon_expect(width, args.m)
         else:
-            scaled = width * args.fraction
-            if not math.isfinite(scaled):
-                raise ValueError("fraction must be finite")
-            targets = round(scaled)
-        expected = coupon_expect(width, targets)
+            plan = plan_attack(width, args.fraction)
+            targets, expected = plan.targets, plan.expected_flows
         print(f"width={width} targets={targets} expected_flows={expected:.6g}")
         return 0
     mean = hyper_mean(args.s1, args.s2, args.n)
@@ -141,25 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON file of spec fields; each flag overrides its field, and "
             "--width also drops the file's memory_bytes",
         )
-        p.add_argument("--schemes", help=f"comma list of {','.join(SCHEMES)}")
-        p.add_argument("--rows", type=int)
-        p.add_argument("--width", type=int)
-        p.add_argument("--memory-bytes", dest="memory_bytes", type=int)
-        p.add_argument("--counter-bits", dest="counter_bits", type=int)
-        p.add_argument("--shared-bits", dest="shared_bits", type=int)
-        p.add_argument("--merge-mode", dest="merge_mode", choices=("sum", "max"))
-        p.add_argument("--benign", help="benign trace path")
-        p.add_argument("--attack", help="attack trace path")
-        p.add_argument("--attack-fraction", dest="attack_fraction", type=float)
-        p.add_argument("--interleave", choices=("shuffle", "append"))
-        p.add_argument("--snapshot-interval", dest="snapshot_interval", type=int)
-        p.add_argument("--apps", help=f"comma list of {','.join(ALL_APPS)}")
-        p.add_argument("--threshold", type=int)
-        p.add_argument(
-            "--threshold-fraction", dest="threshold_fraction", type=float
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument("--experiment-id", dest="experiment_id")
+        # one flag per spec field, parsed as the field's annotation says
+        hints = get_type_hints(ExperimentSpec)
+        for f in fields(ExperimentSpec):
+            flag, hint = "--" + f.name.replace("_", "-"), hints[f.name]
+            if get_origin(hint) is tuple:
+                doc = f"comma list of {','.join(f.default)}"
+                p.add_argument(flag, type=lambda text: text.split(","), help=doc)
+                continue
+            kinds = get_args(hint) or (hint,)
+            p.add_argument(flag, type=int if int in kinds else float if float in kinds else str)
 
     run = sub.add_parser("run", help="run an experiment, write reports")
     add_spec_args(run)

@@ -32,7 +32,8 @@ Each packet is placed once per (width, row seeds) and counted once per
 window it belongs to. The stream is cut into segments at every snapshot
 interval (where the census is taken), at ``half = len(stream) // 2`` and at
 every multiple of ``hashing.ENCODE_CHUNK``. Each segment is wrapped once in a
-``hashing.KeyBatch`` and fed to every scheme's main sketch in turn, so sc-lsb
+``hashing.KeyBatch`` and fed to every scheme's main sketch in ``spec.schemes``
+order. The batch keeps the slots of each width it is asked for, so sc-lsb
 and instant, which share a width and the row seeds (``scheme_configs``),
 place it once between them, and Count-Min, at its own width, once more. The
 change app compares two windows, the stream's halves: the first is a copy of
@@ -59,6 +60,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -71,7 +73,7 @@ from .baselines import (
     count_min_width_for,
     equal_memory_widths,
 )
-from .hashing import ENCODE_CHUNK, KeyBatch, derive_seeds, require_ints
+from .hashing import ENCODE_CHUNK, MASK64, MAX_ROWS, KeyBatch, derive_seeds, require_ints
 from .metrics import (
     detect_changes,
     estimate_entropy,
@@ -86,7 +88,7 @@ from .metrics import (
     true_fsd,
     true_heavy_hitters,
 )
-from .sketch import SiameseSketch, SketchConfig
+from .sketch import MERGE_MAX, MERGE_SUM, SiameseSketch, SketchConfig
 from .traffic import Trace, concat_traces, interleave_traces, read_trace
 
 # the scheme table: each scheme's name, in report order, and its class
@@ -137,12 +139,38 @@ class ExperimentSpec:
     experiment_id: str = ""
 
     def __post_init__(self) -> None:
+        # a string is no list of names: "half" would be read letter by letter
+        for name in ("schemes", "apps"):
+            names = getattr(self, name)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+                raise TypeError(f"{name} must be a list or tuple of names")
         # a JSON list, a Python list and a flag give one spec and one hash
         self.schemes, self.apps = tuple(self.schemes), tuple(self.apps)
-        # a float or a bool is no count (a JSON config can hold either)
+        # a float or a bool is no count, and a bool or a string no fraction
+        # (a JSON config can hold any of them)
         given = [n for n in ("width", "memory_bytes", "threshold") if getattr(self, n) is not None]
         require_ints(self, "rows", "counter_bits", "shared_bits", "snapshot_interval", "seed",
                      *given)
+        for name in ("attack_fraction", "threshold_fraction"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
+                raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
+        # an int path would be opened as a file descriptor (0 reads stdin)
+        for name in ("benign", "attack"):
+            trace = getattr(self, name)
+            if trace is not None and not isinstance(trace, (Trace, str, Path)):
+                raise TypeError(f"{name} must be a Trace or a path, not {type(trace).__name__}")
+        if not isinstance(self.experiment_id, str):
+            raise TypeError(f"experiment_id must be a str, not {type(self.experiment_id).__name__}")
+        # rows are counted out (derive_seeds) before any sketch checks them
+        if not 1 <= self.rows <= MAX_ROWS:
+            raise ValueError(f"rows must be in [1, {MAX_ROWS}]")
+        if not 0 <= self.seed <= MASK64:
+            raise ValueError("seed must be in [0, 2**64)")
+        if self.attack_fraction is not None and not 0 <= self.attack_fraction <= 1:
+            raise ValueError("attack_fraction must be in [0, 1]")
+        if not self.schemes:
+            raise ValueError("schemes must name at least one scheme")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
@@ -153,6 +181,8 @@ class ExperimentSpec:
             raise ValueError("either width or memory_bytes is required")
         if self.snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive")
+        if self.merge_mode not in (MERGE_SUM, MERGE_MAX):
+            raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
         if self.interleave not in (INTERLEAVE_SHUFFLE, INTERLEAVE_APPEND):
             raise ValueError(f"unknown interleave mode {self.interleave!r}")
         bad = set(self.apps) - set(ALL_APPS)
@@ -266,8 +296,9 @@ def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
     """(mixed stream, benign part). The benign part feeds the oracle."""
     benign = _load(spec.benign)
     attack = _load(spec.attack)
-    if benign is None and attack is None:
-        raise ValueError("experiment needs at least one trace")
+    # no trace, or traces of no packets, would report nothing and exit 0
+    if not sum(len(trace) for trace in (benign, attack) if trace is not None):
+        raise ValueError("experiment needs a trace of at least one packet")
     if benign is None:
         return attack, None
     if attack is None or len(attack) == 0:
@@ -315,8 +346,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         else {}
     )
     counter_rows = {scheme: [] for scheme in spec.schemes}
-    # the dynamic schemes share a width, so they place a batch once between them
-    encode_order = sorted(spec.schemes, key=lambda scheme: scheme == "count-min")
     interval = spec.snapshot_interval
     cuts = sorted(
         {*range(interval, len(keys), interval), *range(ENCODE_CHUNK, len(keys), ENCODE_CHUNK),
@@ -326,8 +355,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     for stop in cuts:
         if stop > start:
             batch = KeyBatch(keys[start:stop])
-            for scheme in encode_order:
-                sketches[scheme].encode_stream(batch)
+            for scheme, sketch in sketches.items():
+                sketch.encode_stream(batch)
                 if start >= half and need_windows:
                     second_windows[scheme].encode_stream(batch)
         start = stop

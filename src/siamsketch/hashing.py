@@ -44,6 +44,9 @@ MASK64 = (1 << 64) - 1
 # 32-bit halves, which is exact only up to this width.
 MAX_WIDTH = 1 << 32
 
+# The most rows a sketch may have: a snapshot header stores the count as a u16.
+MAX_ROWS = (1 << 16) - 1
+
 # Packets placed and counted per step of ``RowSketch.encode_stream`` given raw
 # keys, and the longest segment ``run_experiment`` wraps in one ``KeyBatch``.
 # Both kernel passes, placement and encode, make one pass over a chunk
@@ -145,33 +148,30 @@ def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
 
 class KeyBatch:
     """A segment of flow ids (see :func:`u64_keys`) and the slots of each row,
-    placed on first request and kept for the width last asked: sketches of
-    one width and one set of row seeds that count the same segment place it
-    once between them. A request at another width drops the slots kept, so
-    the batch holds at most one int64 array per row seed of one width.
+    placed on first request and kept for each (seed, width) asked: sketches
+    that count the same segment under one seed and width place it once
+    between them, whatever order they come in. The batch holds one int64
+    array per pair asked, for as long as the batch lives.
 
     ``RowSketch.encode_stream`` takes a batch whole; a caller that wraps a
     segment keeps it to ``ENCODE_CHUNK`` packets, as ``encode_stream`` cuts
     raw keys.
     """
 
-    __slots__ = ("keys", "_width", "_slots")
+    __slots__ = ("keys", "_slots")
 
     def __init__(self, keys: Sequence[int] | np.ndarray) -> None:
         self.keys = u64_keys(keys)
-        self._width = 0
-        self._slots: dict[int, np.ndarray] = {}
+        self._slots: dict[tuple[int, int], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def slots(self, seed: int, width: int) -> np.ndarray:
         """:func:`index_batch` of the keys under ``seed`` and ``width``."""
-        if width != self._width:
-            self._width, self._slots = width, {}
-        idx = self._slots.get(seed)
+        idx = self._slots.get((seed, width))
         if idx is None:
-            idx = self._slots[seed] = index_batch(self.keys, seed, width)
+            idx = self._slots[seed, width] = index_batch(self.keys, seed, width)
         return idx
 
 
@@ -188,8 +188,8 @@ def config_seeds(config, width_step: int = 1) -> tuple[int, ...]:
     ``rows``, ``width`` (a multiple of ``width_step``) and the seeds are
     checked to be ints that a snapshot header stores: a u16, a u32, u64s."""
     require_ints(config, "rows", "width")
-    if not 1 <= config.rows < 1 << 16:
-        raise ValueError("rows must be in [1, 2**16 - 1]")
+    if not 1 <= config.rows <= MAX_ROWS:
+        raise ValueError(f"rows must be in [1, {MAX_ROWS}]")
     if not 1 <= config.width < 1 << 32 or config.width % width_step:
         step = f" and a multiple of {width_step}" if width_step > 1 else ""
         raise ValueError(f"width must be in [1, 2**32 - 1]{step}")

@@ -249,7 +249,7 @@ def plan_attack(
     if width < 1:
         raise ValueError("width must be positive")
     if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
+        raise ValueError("fraction must be finite and in [0, 1]")
     if packets_per_flow < 1:
         raise ValueError("packets_per_flow must be positive")
     if interleave not in (SEQUENTIAL, ROUND_ROBIN):

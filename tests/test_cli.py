@@ -8,7 +8,7 @@ import pytest
 
 from siamsketch import experiment
 from siamsketch.cli import build_parser, main
-from siamsketch.traffic import Trace, read_trace, write_trace
+from siamsketch.traffic import Trace, plan_attack, read_trace, write_trace
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -206,6 +206,28 @@ def test_non_finite_fraction_reports_json_error(tmp_path, capsys, value):
         assert "positive" in err["detail"] or "finite" in err["detail"]
 
 
+@pytest.mark.parametrize("flag", ["merge_mode", "interleave"])
+def test_run_bad_enum_flag_reports_json_error(tmp_path, capsys, flag):
+    # the spec checks the value, as it checks the same value from a --config
+    # file, even where no scheme reads it (Count-Min has no merge mode)
+    rc = main(["run", "--" + flag.replace("_", "-"), "bogus", "--schemes", "count-min",
+               "--width", "256", "--benign", "x", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and flag in err["detail"]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.5, 1.0])
+def test_theory_coupon_fraction_prints_the_attack_plan(capsys, fraction):
+    # the targets and expected flows are the ones `attack` would size
+    assert main(["theory", "coupon", "--width", "4096", "--fraction", str(fraction)]) == 0
+    plan = plan_attack(4096, fraction)
+    assert capsys.readouterr().out == (
+        f"width=4096 targets={plan.targets} expected_flows={plan.expected_flows:.6g}\n"
+    )
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     benign = tmp_path / "b.sktr"
     main(["generate", "--zipf", "0.8", "--flows", "100", "--packets", "5000",
@@ -231,10 +253,25 @@ def test_run_config_file_with_flag_override(tmp_path):
 
 
 def test_every_spec_field_has_a_run_flag():
-    # the run command reads each field from the flag of the same name
+    # the run command reads each field from the flag of the same name, parsed
+    # as the field's annotation says
     args = build_parser().parse_args(["run", "--out", "r"])
     for f in fields(experiment.ExperimentSpec):
         assert getattr(args, f.name, "missing") is None, f.name
+    given = {
+        "schemes": ("a,b", ["a", "b"]), "rows": ("3", 3), "width": ("64", 64),
+        "memory_bytes": ("4096", 4096), "counter_bits": ("8", 8), "shared_bits": ("4", 4),
+        "merge_mode": ("max", "max"), "benign": ("b.sktr", "b.sktr"),
+        "attack": ("a.sktr", "a.sktr"), "attack_fraction": ("0.5", 0.5),
+        "interleave": ("append", "append"), "snapshot_interval": ("100", 100),
+        "apps": ("size", ["size"]), "threshold": ("7", 7),
+        "threshold_fraction": ("0.25", 0.25), "seed": ("9", 9), "experiment_id": ("x", "x"),
+    }
+    assert set(given) == {f.name for f in fields(experiment.ExperimentSpec)}
+    flags = [("--" + name.replace("_", "-"), text) for name, (text, _) in given.items()]
+    args = build_parser().parse_args(["run", *sum(flags, ()), "--out", "r"])
+    for name, (_, value) in given.items():
+        assert getattr(args, name) == value and type(getattr(args, name)) is type(value), name
 
 
 @pytest.mark.parametrize(
@@ -242,10 +279,17 @@ def test_every_spec_field_has_a_run_flag():
     [({"memory_bytes": 4096.0}, "memory_bytes"),
      ({"width": 256, "snapshot_interval": 2500.5}, "snapshot_interval"),
      ({"width": 256, "rows": 3.0}, "rows"),
-     ({"width": 256, "seed": True}, "seed")],
+     ({"width": 256, "seed": True}, "seed"),
+     ({"width": 256, "attack_fraction": "half"}, "attack_fraction"),
+     ({"width": 256, "threshold_fraction": "0.1"}, "threshold_fraction"),
+     ({"width": 256, "rows": 2**70}, "rows"),
+     ({"width": 256, "schemes": "half"}, "schemes"),
+     ({"width": 256, "experiment_id": 5}, "experiment_id")],
 )
 def test_run_config_field_of_wrong_type_reports_json_error(tmp_path, capsys, spec, field):
-    # a float or a bool where a count belongs is refused, naming the field
+    # a float or a bool where a count belongs, a string where a fraction, a
+    # list or an id belongs, or a count out of range is refused, naming the
+    # field; 2**70 rows are refused before they are counted out one by one
     benign = tmp_path / "b.sktr"
     write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
     config = tmp_path / "c.json"

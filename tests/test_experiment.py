@@ -55,7 +55,35 @@ def test_spec_validation():
                 dict(shared_bits=4.0), dict(width=256.0), dict(threshold=10.0)):
         with pytest.raises(TypeError, match=next(iter(bad))):
             ExperimentSpec(**bad)
+    # a string where a fraction, an id or a list of names belongs, a bool
+    # where a fraction belongs, or a number where a trace belongs, names its
+    # field (an int path would be opened as a file descriptor)
+    for bad in (dict(attack_fraction="half"), dict(attack_fraction=True),
+                dict(threshold_fraction="0.1"), dict(threshold_fraction=False),
+                dict(experiment_id=5), dict(schemes="half"), dict(apps="size"),
+                dict(schemes=("sc-lsb", 5)), dict(benign=0), dict(attack=3.5)):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            ExperimentSpec(**bad)
+    # a value of the right type out of its field's range; 2**70 rows would
+    # be counted out one by one before any sketch refused them
+    for bad in (dict(attack_fraction=1.5), dict(attack_fraction=-0.1),
+                dict(attack_fraction=float("nan")), dict(seed=-1), dict(seed=2**64),
+                dict(rows=0), dict(rows=2**16), dict(rows=2**70), dict(schemes=[]),
+                dict(merge_mode="bogus")):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ExperimentSpec(**bad)
     ExperimentSpec(width=None, memory_bytes=4096, threshold=np.int64(10), seed=np.uint64(3))
+    for ok in (dict(attack_fraction=0), dict(attack_fraction=np.float64(0.5)),
+               dict(attack_fraction=1), dict(seed=2**64 - 1), dict(rows=2**16 - 1)):
+        spec = ExperimentSpec(**ok)
+        assert getattr(spec, next(iter(ok))) is next(iter(ok.values()))  # not coerced
+    # no apps still takes the census; no packets is refused
+    census = run_experiment(_small_spec(apps=()))
+    assert census.metric_rows == [] and census.counter_rows
+    for benign, attack in ((Trace([]), None), (None, Trace([])), (Trace([]), Trace([])),
+                           (None, None)):
+        with pytest.raises(ValueError, match="at least one packet"):
+            assemble_stream(_small_spec(benign=benign, attack=attack))
 
 
 def test_spec_lists_are_tuples():
@@ -143,9 +171,6 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
     # its main sketch and both change windows once.
     benign = gen_zipf(ZipfConfig(skew=1.0, flows=2000, packets=50_000, seed=3))
     attack = gen_attack(plan_attack(256, 0.5), seed=9)
-    spec = _small_spec(benign=benign, attack=attack, attack_fraction=0.5, snapshot_interval=20_000)
-    stream, _ = assemble_stream(spec)
-    assert len(stream) > hashing.ENCODE_CHUNK  # segments are also cut at the chunk size
     placed = {"encode": 0, "query": 0}
     caller = ["encode"]
     queries = []
@@ -165,10 +190,20 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
 
     monkeypatch.setattr(hashing, "index_batch", index_batch)
     monkeypatch.setattr(hashing.RowSketch, "_query_array", query_array)
-    result = run_experiment(spec)
-    assert {r["metric"] for r in result.metric_rows} >= {"are", "f1_change", "wmre"}
-    assert placed["encode"] == 2 * spec.rows * len(stream)
-    assert sorted(queries) == sorted(spec.schemes * 3)
+    # a batch keeps the slots of every width, so the count holds whatever
+    # the order the schemes are fed in: Count-Min last, first or between
+    orders = (experiment.SCHEMES, ("count-min", "sc-lsb", "instant"),
+              ("sc-lsb", "count-min", "instant"))
+    for schemes in orders:
+        spec = _small_spec(benign=benign, attack=attack, attack_fraction=0.5,
+                           snapshot_interval=20_000, schemes=schemes)
+        stream, _ = assemble_stream(spec)
+        assert len(stream) > hashing.ENCODE_CHUNK  # segments are also cut at the chunk size
+        placed["encode"], queries[:] = 0, []
+        result = run_experiment(spec)
+        assert {r["metric"] for r in result.metric_rows} >= {"are", "f1_change", "wmre"}
+        assert placed["encode"] == 2 * spec.rows * len(stream)
+        assert sorted(queries) == sorted(spec.schemes * 3)
 
 
 def test_resolve_widths_equal_memory():

@@ -333,7 +333,8 @@ def test_key_batch_keeps_the_slots_of_one_width():
     first = batch.slots(7, 100)
     assert batch.slots(7, 100) is first
     assert batch.slots(8, 100) is not first
-    # another width drops the slots kept, and they are placed again after it
-    assert np.array_equal(batch.slots(7, 50), index_batch(batch.keys, 7, 50))
-    again = batch.slots(7, 100)
-    assert again is not first and np.array_equal(again, first)
+    # another width is placed on its own and keeps the first width's slots,
+    # so sketches of two widths may count the batch in any order
+    other = batch.slots(7, 50)
+    assert np.array_equal(other, index_batch(batch.keys, 7, 50))
+    assert batch.slots(7, 100) is first and batch.slots(7, 50) is other
