@@ -16,7 +16,10 @@ file's ``memory_bytes`` (a ``--memory-bytes`` flag still applies).
 
 The spec checks every value, from a flag or a file alike: a bad
 ``--merge-mode`` or ``--interleave`` is a ``bad-arguments`` error (exit 1),
-as the same value in a ``--config`` file is. A flag whose text does not
+as the same value in a ``--config`` file is. The shape fields (``--rows``,
+``--width``, ``--memory-bytes``, ``--counter-bits``, ``--shared-bits``,
+``--merge-mode``) are checked when the spec is built, for every scheme list:
+``--schemes count-min --counter-bits 100`` is refused too. A flag whose text does not
 parse as its type (``--rows abc``) is still a usage error (exit 2).
 ``schemes`` must name at least one scheme, while an empty ``apps`` list still
 takes the counter census and scores nothing. A run whose traces hold no

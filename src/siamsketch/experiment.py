@@ -4,7 +4,11 @@ An experiment fixes a memory budget, builds every requested scheme at equal
 memory (state-tracking bits charged against the dynamic schemes), drives all
 of them over the same packet stream with the same row seeds, snapshots the
 logical-counter census at a fixed packet interval, and evaluates the
-requested applications against exact benign ground truth.
+requested applications against exact benign ground truth. The widths and
+seeds resolve to one dynamic config, which sc-lsb and instant share, and one
+Count-Min config (``scheme_configs``). Both are built for every spec,
+whatever schemes it runs, when the spec is built, so a shape no config
+accepts is refused by ``ExperimentSpec(...)``, before any trace is read.
 
 Metrics are computed over the benign flow universe: attack packets pollute
 the sketches but are not themselves measurement targets. Reports are fully
@@ -59,6 +63,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field, fields
 from numbers import Real
 from pathlib import Path
@@ -88,7 +93,7 @@ from .metrics import (
     true_fsd,
     true_heavy_hitters,
 )
-from .sketch import MERGE_MAX, MERGE_SUM, SiameseSketch, SketchConfig
+from .sketch import SiameseSketch, SketchConfig
 from .traffic import Trace, concat_traces, interleave_traces, read_trace
 
 # the scheme table: each scheme's name, in report order, and its class
@@ -149,8 +154,12 @@ class ExperimentSpec:
         # a float or a bool is no count, and a bool or a string no fraction
         # (a JSON config can hold any of them)
         given = [n for n in ("width", "memory_bytes", "threshold") if getattr(self, n) is not None]
-        require_ints(self, "rows", "counter_bits", "shared_bits", "snapshot_interval", "seed",
-                     *given)
+        counts = ("rows", "counter_bits", "shared_bits", "snapshot_interval", "seed", *given)
+        require_ints(self, *counts)
+        # a numpy int would overflow in the seed hash, change the config hash
+        # and fail the JSON report; a Python int is kept as the same object
+        for name in counts:
+            setattr(self, name, operator.index(getattr(self, name)))
         for name in ("attack_fraction", "threshold_fraction"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
@@ -181,8 +190,6 @@ class ExperimentSpec:
             raise ValueError("either width or memory_bytes is required")
         if self.snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive")
-        if self.merge_mode not in (MERGE_SUM, MERGE_MAX):
-            raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
         if self.interleave not in (INTERLEAVE_SHUFFLE, INTERLEAVE_APPEND):
             raise ValueError(f"unknown interleave mode {self.interleave!r}")
         bad = set(self.apps) - set(ALL_APPS)
@@ -192,8 +199,13 @@ class ExperimentSpec:
         for name in ("threshold", "threshold_fraction"):
             if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.threshold_fraction is not None and not math.isfinite(self.threshold_fraction):
-            raise ValueError("threshold_fraction must be finite")
+        if self.threshold_fraction is not None:
+            if not math.isfinite(self.threshold_fraction):
+                raise ValueError("threshold_fraction must be finite")
+            if self.threshold_fraction > 1:
+                raise ValueError("threshold_fraction must be in (0, 1]")
+        # each shape rule is checked by the config that carries it
+        scheme_configs(self)
 
 
 @dataclass
@@ -225,41 +237,26 @@ def _write_csv(path: Path, columns: Sequence[str], rows: list[dict]) -> None:
             writer.writerow(row)
 
 
-def resolve_widths(spec: ExperimentSpec) -> tuple[int, int]:
-    """(dynamic width, Count-Min width) under the spec's budget."""
+def scheme_configs(spec: ExperimentSpec) -> dict[str, SketchConfig | CountMinConfig]:
+    """The config of every scheme under the spec's budget, whatever schemes
+    it runs: one ``SketchConfig``, which sc-lsb and instant share, and one
+    ``CountMinConfig`` at the same memory, with the same row seeds. A config
+    checks its fields when it is built, so a width or a field no scheme can
+    take raises ValueError here, before any sketch allocates a row."""
     if spec.memory_bytes is not None:
-        return equal_memory_widths(spec.memory_bytes, spec.rows, spec.counter_bits)
-    return spec.width, count_min_width_for(spec.width, spec.counter_bits)
-
-
-def scheme_configs(
-    spec: ExperimentSpec, schemes: Sequence[str] | None = None
-) -> dict[str, SketchConfig | CountMinConfig]:
-    """The config of each scheme (``spec.schemes`` by default), from the
-    widths resolved once. A config checks its fields when it is built, so a
-    width or a field no scheme can take raises ValueError here, before any
-    sketch allocates a row."""
-    dyn_width, cm_width = resolve_widths(spec)
+        width, cm_width = equal_memory_widths(spec.memory_bytes, spec.rows, spec.counter_bits)
+    else:
+        width, cm_width = spec.width, count_min_width_for(spec.width, spec.counter_bits)
     seeds = derive_seeds(spec.seed, spec.rows)
-    configs: dict[str, SketchConfig | CountMinConfig] = {}
-    for scheme in spec.schemes if schemes is None else schemes:
-        if scheme == "count-min":
-            configs[scheme] = CountMinConfig(rows=spec.rows, width=cm_width, seeds=seeds)
-        else:
-            configs[scheme] = SketchConfig(
-                rows=spec.rows,
-                width=dyn_width,
-                counter_bits=spec.counter_bits,
-                shared_bits=spec.shared_bits,
-                merge_mode=spec.merge_mode,
-                seeds=seeds,
-            )
-    return configs
+    dynamic = SketchConfig(rows=spec.rows, width=width, counter_bits=spec.counter_bits,
+                           shared_bits=spec.shared_bits, merge_mode=spec.merge_mode, seeds=seeds)
+    count_min = CountMinConfig(rows=spec.rows, width=cm_width, seeds=seeds)
+    return {scheme: count_min if scheme == CountMinSketch.scheme else dynamic for scheme in SCHEMES}
 
 
 def build_sketch(scheme: str, spec: ExperimentSpec):
     """A fresh sketch of ``scheme`` as ``run_experiment`` builds it."""
-    return SCHEME_CLASSES[scheme](scheme_configs(spec, (scheme,))[scheme])
+    return SCHEME_CLASSES[scheme](scheme_configs(spec)[scheme])
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -309,7 +306,7 @@ def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    configs = scheme_configs(spec)  # every config is checked before any work
+    configs = scheme_configs(spec)
     stream, benign = assemble_stream(spec)
     keys = stream.keys
     if benign is None:
@@ -339,9 +336,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         universe, changed = _change_truth(keys, threshold, held)
 
     # every scheme counts each segment before the next is cut (module docstring)
-    sketches = {scheme: SCHEME_CLASSES[scheme](config) for scheme, config in configs.items()}
+    sketches = {scheme: SCHEME_CLASSES[scheme](configs[scheme]) for scheme in spec.schemes}
     second_windows = (
-        {scheme: SCHEME_CLASSES[scheme](config) for scheme, config in configs.items()}
+        {scheme: SCHEME_CLASSES[scheme](configs[scheme]) for scheme in spec.schemes}
         if need_windows
         else {}
     )

@@ -59,6 +59,10 @@ _HEADER = struct.Struct("<4sHHIBBBB")
 
 _MAGIC_OF = {SiameseSketch: b"SKSC", InstantMergeSketch: b"SKIM", CountMinSketch: b"SKCM"}
 _CLASS_OF = {magic: cls for cls, magic in _MAGIC_OF.items()}
+# the merge_mode byte is the mode's index here, both to dump and to load
+_MERGE_MODES = (MERGE_SUM, MERGE_MAX)
+# Count-Min's counter_bits, shared_bits and merge_mode bytes
+_COUNT_MIN_SHAPE = (32, 0, 0)
 
 
 class SnapshotError(Exception):
@@ -103,21 +107,15 @@ def dump_bytes(sketch) -> bytes:
     if cls not in _MAGIC_OF:
         raise TypeError(f"cannot snapshot {cls.__name__}")
     cfg = sketch.config
-    counts = [sketch.packet_count]
     if cls is CountMinSketch:
-        shape = (cfg.rows, cfg.width, 32, 0, 0, 0)
-        body = [_row_bytes(row) for row in sketch._rows]
+        shape, discards, states = _COUNT_MIN_SHAPE, [], [b""] * cfg.rows
     else:
-        mode = 0 if cfg.merge_mode == MERGE_SUM else 1
-        shape = (cfg.rows, cfg.width, cfg.counter_bits, cfg.shared_bits, mode, 0)
-        counts += sketch._lsb_discards
-        body = [
-            part
-            for row, states in zip(sketch._rows, sketch._states)
-            for part in (_row_bytes(row), _pack_states(states))
-        ]
-    words = struct.pack(f"<{cfg.rows}Q{len(counts)}Q", *cfg.seeds, *counts)
-    return b"".join([_HEADER.pack(_MAGIC_OF[cls], SNAPSHOT_VERSION, *shape), words, *body])
+        shape = (cfg.counter_bits, cfg.shared_bits, _MERGE_MODES.index(cfg.merge_mode))
+        discards, states = sketch._lsb_discards, map(_pack_states, sketch._states)
+    header = _HEADER.pack(_MAGIC_OF[cls], SNAPSHOT_VERSION, cfg.rows, cfg.width, *shape, 0)
+    words = (*cfg.seeds, sketch.packet_count, *discards)
+    body = [part for row, packed in zip(sketch._rows, states) for part in (_row_bytes(row), packed)]
+    return b"".join([header, struct.pack(f"<{len(words)}Q", *words), *body])
 
 
 def load_bytes(raw: bytes):
@@ -133,46 +131,35 @@ def load_bytes(raw: bytes):
         raise SnapshotError("bad-version", f"unsupported version {version}")
     if reserved:
         raise SnapshotError("bad-header", f"reserved byte {reserved}, not 0")
+    # the dynamic schemes carry a discard word and state nibbles per row
+    dynamic = cls is not CountMinSketch
     off = _HEADER.size
     if off + 8 * rows > len(raw):
         raise SnapshotError("truncated", "seed table truncated")
     seeds = struct.unpack_from(f"<{rows}Q", raw, off)
     off += 8 * rows
-    count_words = 1 if cls is CountMinSketch else 1 + rows
+    count_words = 1 + rows if dynamic else 1
     if off + 8 * count_words > len(raw):
         raise SnapshotError("truncated", "packet and discard counts truncated")
-    counts = list(struct.unpack_from(f"<{count_words}Q", raw, off))
+    packets, *discards = struct.unpack_from(f"<{count_words}Q", raw, off)
     off += 8 * count_words
-    if cls is CountMinSketch:
-        if (counter_bits, shared_bits, mode) != (32, 0, 0):
-            raise SnapshotError(
-                "bad-config",
-                f"Count-Min counter_bits, shared_bits, merge_mode {counter_bits}, "
-                f"{shared_bits}, {mode}, not 32, 0, 0",
-            )
+    if dynamic:
+        if cls is InstantMergeSketch and shared_bits:
+            raise SnapshotError("bad-config", f"instant-merge shared_bits {shared_bits}, not 0")
+        # an unknown mode code is passed on, for SketchConfig to refuse
+        merge_mode = _MERGE_MODES[mode] if mode < len(_MERGE_MODES) else mode
+        config = _config(SketchConfig, rows=rows, width=width, counter_bits=counter_bits,
+                         shared_bits=shared_bits, merge_mode=merge_mode, seeds=seeds)
+    elif (counter_bits, shared_bits, mode) != _COUNT_MIN_SHAPE:
+        raise SnapshotError(
+            "bad-config",
+            f"Count-Min counter_bits, shared_bits, merge_mode {counter_bits}, "
+            f"{shared_bits}, {mode}, not 32, 0, 0",
+        )
+    else:
         config = _config(CountMinConfig, rows=rows, width=width, seeds=seeds)
-        _expect_body(raw, off, rows * width * 4)
-        sketch = CountMinSketch(config)
-        for r in range(rows):
-            sketch._rows[r] = _read_row("I", raw, off, width)
-            off += width * 4
-        sketch.packet_count = counts[0]
-        return sketch
-    if cls is InstantMergeSketch and shared_bits:
-        raise SnapshotError("bad-config", f"instant-merge shared_bits {shared_bits}, not 0")
-    if mode > 1:
-        raise SnapshotError("bad-config", f"unknown merge_mode code {mode}")
-    config = _config(
-        SketchConfig,
-        rows=rows,
-        width=width,
-        counter_bits=counter_bits,
-        shared_bits=shared_bits,
-        merge_mode=MERGE_SUM if mode == 0 else MERGE_MAX,
-        seeds=seeds,
-    )
     row_bytes = width * ((counter_bits + 7) // 8)
-    group_count = width // 4
+    group_count = width // 4 if dynamic else 0
     state_bytes = (group_count + 1) // 2
     _expect_body(raw, off, rows * (row_bytes + state_bytes))
     sketch = cls(config)
@@ -180,19 +167,23 @@ def load_bytes(raw: bytes):
     legal[list(LEGAL_GROUP_STATES if shared_bits else UNSHARED_GROUP_STATES)] = True
     max_slot = (1 << counter_bits) - 1
     typecode = sketch._rows[0].typecode
+    # only a slot wider than its counter (4 or 12 bits, say) can hold too much
+    narrow = max_slot < np.iinfo(typecode).max
     for r in range(rows):
         row = _read_row(typecode, raw, off, width)
-        if np.frombuffer(row, dtype=typecode).max() > max_slot:
+        if narrow and np.frombuffer(row, dtype=typecode).max() > max_slot:
             raise SnapshotError("bad-state", f"row {r} has a slot above {max_slot}")
         sketch._rows[r] = row
         off += row_bytes
-        states = _unpack_states(raw, off, group_count)
-        if not legal[states].all():
-            raise SnapshotError("bad-state", f"row {r} has an illegal state code")
-        sketch._states[r] = array("B", states.tobytes())
-        off += state_bytes
-    sketch.packet_count = counts[0]
-    sketch._lsb_discards = counts[1:]
+        if dynamic:
+            states = _unpack_states(raw, off, group_count)
+            if not legal[states].all():
+                raise SnapshotError("bad-state", f"row {r} has an illegal state code")
+            sketch._states[r] = array("B", states.tobytes())
+            off += state_bytes
+    sketch.packet_count = packets
+    if dynamic:
+        sketch._lsb_discards = discards
     return sketch
 
 

@@ -32,13 +32,14 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernel
 from .analysis import coupon_expect
-from .hashing import MASK64, hash_batch, mix64, u64_keys
+from .hashing import MASK64, hash_batch, mix64, require_ints, u64_keys
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -132,6 +133,13 @@ class ZipfConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # a float count fails deep in gen_zipf, a bool skew would run as 0 or 1,
+        # and a numpy count has no bit_length
+        require_ints(self, "flows", "packets", "seed")
+        for name in ("flows", "packets", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if isinstance(self.skew, bool) or not isinstance(self.skew, Real):
+            raise TypeError(f"skew must be a real number, not {type(self.skew).__name__}")
         if not (math.isfinite(self.skew) and self.skew >= 0):
             raise ValueError("skew must be finite and non-negative")
         if self.flows < 1:

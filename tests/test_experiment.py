@@ -19,7 +19,7 @@ from siamsketch import (
     run_experiment,
 )
 from siamsketch import experiment, hashing, traffic
-from siamsketch.experiment import assemble_stream, build_sketch, config_hash, resolve_widths
+from siamsketch.experiment import assemble_stream, build_sketch, config_hash, scheme_configs
 from siamsketch.snapshot import dump_bytes
 
 
@@ -69,12 +69,22 @@ def test_spec_validation():
     for bad in (dict(attack_fraction=1.5), dict(attack_fraction=-0.1),
                 dict(attack_fraction=float("nan")), dict(seed=-1), dict(seed=2**64),
                 dict(rows=0), dict(rows=2**16), dict(rows=2**70), dict(schemes=[]),
-                dict(merge_mode="bogus")):
+                dict(merge_mode="bogus"), dict(threshold_fraction=1.5),
+                dict(threshold_fraction=1e308),
+                # every shape rule holds whatever schemes run: the dynamic
+                # config is built for a Count-Min-only spec too
+                dict(merge_mode="bogus", schemes=("count-min",)),
+                dict(counter_bits=100, schemes=("count-min",)),
+                dict(shared_bits=7, schemes=("count-min",)),
+                dict(width=1001, schemes=("count-min",))):
         with pytest.raises(ValueError, match=next(iter(bad))):
             ExperimentSpec(**bad)
+    with pytest.raises(ValueError, match="memory budget too small"):
+        ExperimentSpec(width=None, memory_bytes=10)
     ExperimentSpec(width=None, memory_bytes=4096, threshold=np.int64(10), seed=np.uint64(3))
     for ok in (dict(attack_fraction=0), dict(attack_fraction=np.float64(0.5)),
-               dict(attack_fraction=1), dict(seed=2**64 - 1), dict(rows=2**16 - 1)):
+               dict(attack_fraction=1), dict(seed=2**64 - 1), dict(rows=2**16 - 1),
+               dict(threshold_fraction=1.0)):
         spec = ExperimentSpec(**ok)
         assert getattr(spec, next(iter(ok))) is next(iter(ok.values()))  # not coerced
     # no apps still takes the census; no packets is refused
@@ -84,6 +94,20 @@ def test_spec_validation():
                            (None, None)):
         with pytest.raises(ValueError, match="at least one packet"):
             assemble_stream(_small_spec(benign=benign, attack=attack))
+
+
+def test_numpy_int_fields_run_as_python_ints(tmp_path):
+    # a numpy seed overflowed in the seed hash, changed the config hash and
+    # could not be written to the JSON report
+    given = _small_spec(seed=np.uint64(3), threshold=np.int64(10))
+    plain = _small_spec(seed=3, threshold=10)
+    assert type(given.seed) is int and type(given.threshold) is int
+    assert config_hash(given) == config_hash(plain)
+    got, want = run_experiment(given), run_experiment(plain)
+    assert (got.metric_rows, got.counter_rows) == (want.metric_rows, want.counter_rows)
+    got_paths, want_paths = got.save(tmp_path / "numpy"), want.save(tmp_path / "plain")
+    for name, path in got_paths.items():
+        assert path.read_bytes() == want_paths[name].read_bytes()
 
 
 def test_spec_lists_are_tuples():
@@ -206,9 +230,13 @@ def test_each_segment_is_placed_once_per_width(monkeypatch):
         assert sorted(queries) == sorted(spec.schemes * 3)
 
 
-def test_resolve_widths_equal_memory():
+def test_scheme_configs_equal_memory():
     spec = ExperimentSpec(memory_bytes=512 * 1024, width=None)
-    dyn, cm = resolve_widths(spec)
+    configs = scheme_configs(spec)
+    # sc-lsb and instant share one config; Count-Min has its own width and the same seeds
+    assert configs["sc-lsb"] is configs["instant"]
+    assert configs["count-min"].seeds == configs["sc-lsb"].seeds
+    dyn, cm = configs["sc-lsb"].width, configs["count-min"].width
     assert dyn % 4 == 0
     dyn_bits = spec.rows * dyn * 9
     cm_bits = spec.rows * cm * 32

@@ -79,6 +79,15 @@ def test_zipf_validation():
     for skew in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="skew"):
             ZipfConfig(skew=skew, flows=100, packets=10, seed=0)
+    # a float or a bool is no count, and a bool no skew: each names its field
+    for bad in (dict(flows=2.5), dict(packets=10.0), dict(seed=1.0), dict(skew=True)):
+        with pytest.raises(TypeError, match=next(iter(bad))):
+            ZipfConfig(**{"skew": 1.0, "flows": 100, "packets": 10, "seed": 1, **bad})
+    # a numpy count is stored as a Python int and gives the same stream
+    numpy_cfg = ZipfConfig(skew=1.0, flows=np.int64(100), packets=np.int64(10), seed=np.uint64(1))
+    assert numpy_cfg == ZipfConfig(skew=1.0, flows=100, packets=10, seed=1)
+    assert type(numpy_cfg.flows) is int
+    assert gen_zipf(numpy_cfg) == gen_zipf(ZipfConfig(skew=1.0, flows=100, packets=10, seed=1))
 
 
 # Leading 16 hex digits of the sha256 of ``gen_zipf(cfg).as_u64().tobytes()``,
