@@ -31,12 +31,19 @@
  * sketch's own ``array.array`` buffers, updated in place. The caller
  * guarantees that every index is in ``[0, width)``.
  *
- * ``encode_row`` has two count loops, which leave the row bit-identical:
+ * ``encode_row`` counts in one of three regimes, which leave the row
+ * bit-identical:
  *
  * - ``count`` calls ``bump``, which branches on the slot's unit. It is
  *   compiled once per slot type, so the bump runs on a constant width and
  *   on locals, not on ``machine`` fields that every slot store could
  *   overwrite.
+ * - ``count`` with ``fresh``, for either slot type, first tries the bump of
+ *   an independent slot in a group still in code 0. It loads the packet's
+ *   slot at its own address while it loads the group code, where ``bump``
+ *   waits on the code, then on ``UNIT``, for the address of the counter's
+ *   lowest slot. If the code is 0 and the slot is below the slot maximum it
+ *   adds 1; any other packet takes the ``bump`` and ``settle`` of ``count``.
  * - ``count_pairs``, for uint8 slots only, handles units 0-2 without
  *   branching on the unit. It reads the packet's pair as one 16-bit word,
  *   first slot high, and adds ``inc``: 1 at the counter's lowest slot, or
@@ -50,13 +57,21 @@
  *   row). A packet that fails the test, and every packet to units 3-4
  *   (``field`` 0), takes the ``bump`` and ``settle`` of ``count``.
  *
- * On predictable streams, where most packets of a run hit one unit kind,
- * ``count`` is faster. When the units of a row's packets are mixed, as in a
- * row under a slot-saturation attack, ``count_pairs`` is faster, because
- * ``count`` mispredicts its unit branch on about half of the packets. Once
- * per call ``encode_row`` counts the row's groups that hold a shared pair,
- * and runs ``count_pairs`` for a uint8 row with ``shared_bits > 0`` where
- * at least 1/8 of them do (``PAIR_SHARE``), else ``count``.
+ * Once per call ``encode_row`` counts the row's groups that have left code
+ * 0 and those that hold a shared pair. Where fewer than 1/10 of the groups
+ * have left code 0 (``MOVED_SHARE``), as in a row under skewed traffic that
+ * few counters outgrow, it runs ``count`` with ``fresh``: nearly every
+ * packet then takes the fast path, which is about twice as fast as
+ * ``count``. Above that share the packets to moved groups, which pay the
+ * fast path's test before ``bump``, cost more than the fast path saves.
+ * There, on predictable streams, where most packets of a run hit one unit
+ * kind, ``count`` is faster. When the units of a row's packets are mixed,
+ * as in a row under a slot-saturation attack, ``count_pairs`` is faster,
+ * because ``count`` mispredicts its unit branch on about half of the
+ * packets. So a uint8 row with at least 1/8 of its groups holding a shared
+ * pair (``PAIR_SHARE``) runs ``count_pairs``, and every other row
+ * ``count``. The comments above the two constants hold the measured
+ * crossovers.
  *
  * Built by ``_kernel.py`` with the system C compiler and loaded with ctypes.
  */
@@ -252,15 +267,26 @@ static void settle(machine *m, size_t slot)
             return;
 }
 
-/* The loop of ``encode_row`` for one slot type, ``wide`` a constant. */
-static inline void count(machine *m, const int64_t *idx, size_t n, int wide)
+/* The loop of ``encode_row`` for one slot type, ``wide`` a constant; with
+ * ``fresh``, also a constant, each packet first tries the code-0 fast path,
+ * whose slot load does not wait on the group code. */
+static inline void count(machine *m, const int64_t *idx, size_t n, int wide, int fresh)
 {
     void *slots = m->slots;
     const uint8_t *states = m->states;
     uint64_t max0 = m->max[0], hmask = m->hmask;
-    for (size_t i = 0; i < n; i++)
-        if (!bump(slots, wide, states, (size_t)idx[i], max0, hmask))
-            settle(m, (size_t)idx[i]);
+    for (size_t i = 0; i < n; i++) {
+        size_t slot = (size_t)idx[i];
+        if (fresh) {
+            uint64_t value = get(slots, wide, slot);
+            if (states[slot >> 2] == 0 && value < max0) {
+                set(slots, wide, slot, value + 1);
+                continue;
+            }
+        }
+        if (!bump(slots, wide, states, slot, max0, hmask))
+            settle(m, slot);
+    }
 }
 
 /* ``count_pairs`` runs when at least 1 / PAIR_SHARE of a row's groups hold
@@ -270,8 +296,33 @@ static inline void count(machine *m, const int64_t *idx, size_t n, int wide)
  * 8 %, 390 against 316 us at 12.5 %, 933 against 377 us at 50 %. The
  * crossover lies between 4 and 8 % there; 1/8 errs towards ``count``, the
  * loop of every other row. On the benchmark's ``attack`` stream an sc-lsb
- * row passes 1/8 by its second chunk; on ``many-flows`` it stays below 1 %. */
+ * row passes 1/8 by its second chunk; on ``many-flows`` it stays below 1 %.
+ * A group with a shared pair has left code 0, and 1/8 lies above the fast
+ * path's 1/10 (``MOVED_SHARE``), so the fast path takes no row of this
+ * loop's. */
 #define PAIR_SHARE 8
+
+/* ``count`` with ``fresh`` runs when fewer than 1 / MOVED_SHARE of a row's
+ * groups have left code 0. One 4096-slot row, 65,536 uniform packets, a
+ * share of groups planted in codes 1-10 (code 8, both pairs fused, for
+ * instant), best of 63, ``count`` against ``count`` with ``fresh``, in us
+ * (2-core x86-64 host, gcc 12 -O2):
+ *
+ *   moved     8-bit 8/4     8-bit 8/0     16-bit 16/8
+ *   0 %       257 / 135     268 / 141     253 / 131
+ *   3 %       275 / 196     276 / 184     265 / 177
+ *   6.25 %    277 / 250     263 / 214     275 / 223
+ *   9.4 %     294 / 301     261 / 251     293 / 268
+ *   10.9 %    299 / 342     267 / 271     297 / 295
+ *   12.5 %    330 / 363     260 / 282     310 / 321
+ *   25 %      369 / 574     262 / 434     372 / 523
+ *
+ * A packet to a moved group pays the fast path's test before ``bump``'s own
+ * branch. The crossover lies between 9 and 11 % in repeated sweeps, so
+ * 1/10. On the benchmark's ``many-flows`` stream fewer than 1 % of a row's
+ * groups leave code 0; on ``attack`` a row passes 1/10 by its second chunk,
+ * so only the first chunk runs the fast path. */
+#define MOVED_SHARE 10
 
 /* The pair-word bump of a slot, indexed by 4 * group code + (slot & 3): the
  * slot's pair read as one word, first slot high, takes ``(word | gap) +
@@ -339,16 +390,22 @@ uint64_t encode_row(void *row, int wide, uint8_t *states, size_t groups, const i
     m.kmask = ones(shared_bits);
     m.hmask = ones(m.hk);
     m.discarded = 0;
-    size_t shared = 0;
-    if (shared_bits && !wide)
-        for (size_t g = 0; g < groups; g++)
-            shared += UNIT[2 * states[g]] == 1 || UNIT[2 * states[g] + 1] == 1;
-    if (wide)
-        count(&m, idx, n, 1);
+    size_t moved = 0, shared = 0;
+    for (size_t g = 0; g < groups; g++) {
+        moved += states[g] != 0;
+        shared += UNIT[2 * states[g]] == 1 || UNIT[2 * states[g] + 1] == 1;
+    }
+    if (moved * MOVED_SHARE < groups) {
+        if (wide)
+            count(&m, idx, n, 1, 1);
+        else
+            count(&m, idx, n, 0, 1);
+    } else if (wide)
+        count(&m, idx, n, 1, 0);
     else if (shared * PAIR_SHARE >= groups)
         count_pairs(&m, idx, n);
     else
-        count(&m, idx, n, 0);
+        count(&m, idx, n, 0, 0);
     return m.discarded;
 }
 

@@ -13,7 +13,11 @@ their labels as numpy's ``Generator.shuffle`` does, drawing from the
 generator's own state through the ``next_uint32`` function the generator
 hands out, and fills the mix in the same pass. ``encode_row`` takes the
 row's group count with its group codes: it reads every code once per call
-to choose between its two count loops (see ``_encode.c``).
+to choose among its three count regimes. A row with fewer than 1/10 of its
+groups out of code 0 is counted with a fast path for independent slots, an
+8-bit row with at least 1/8 of its groups holding a shared pair with the
+pair-word loop, and every other row with the per-unit loop (``_encode.c``
+gives the loops and the measured crossovers).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under

@@ -106,6 +106,12 @@ def equal_memory_widths(
     bits_per_row = (memory_bytes * 8) // rows
     dyn = (bits_per_row // (counter_bits + 1)) & ~3
     if dyn < 4:
-        raise ValueError("memory budget too small for a dynamic row")
+        # a row of 4 slots, each counter_bits + 1 bits with its share of the
+        # group code, in every row
+        least = -(-rows * (counter_bits + 1) // 2)
+        raise ValueError(
+            f"memory budget too small for a dynamic row: memory_bytes must be at least "
+            f"{least} for {rows} rows of {counter_bits}-bit counters, not {memory_bytes}"
+        )
     cm = count_min_width_for(dyn, counter_bits)
     return dyn, cm

@@ -99,12 +99,20 @@ where a row's packets hit independent slots, shared pairs and fused pairs in
 random order, as under a slot-saturation attack. So for 8-bit rows the
 library has a second loop, which bumps an independent slot, a shared pair's
 joint or a fused pair by one add on the pair's two slots read as one word,
-without branching on the kind; once per chunk and row it runs where at least
-1/8 of the row's groups hold a shared pair, and the first loop elsewhere
-(``_encode.c`` gives the layout and the measured crossover). The rest, the
-transition (prefix carry on a joint wrap, carry across a fused counter's
-slots, quad saturation, share, fuse), runs only when the bump cannot absorb
-the packet, in either loop, and after a share or fuse the bump is retried
+without branching on the kind. Where few groups have left code 0, as under
+skewed traffic that few counters outgrow, the kind is nearly always an
+independent slot, and the first loop's bump waits on the group code before
+it can load the slot. So that loop has a fast path, compiled in as a
+constant: it loads the packet's slot next to the code and adds 1 if the code
+is 0 and the slot is below the slot maximum, and leaves every other packet
+to the bump. Once per chunk and row the library counts the row's groups:
+with fewer than 1/10 of them out of code 0 it runs the fast path; else, in
+an 8-bit row with at least 1/8 of them holding a shared pair, the pair-word
+loop; else the first loop alone (``_encode.c`` gives the layout and the
+measured crossovers). The rest, the transition (prefix carry on a joint
+wrap, carry across a fused counter's slots, quad saturation, share, fuse),
+runs only when the bump cannot absorb the packet, in either loop, and after
+a share or fuse the bump is retried
 where ``_encode`` calls itself again. ``_encode`` stays the
 specification: it is the readable form of the lifecycle above, the tests
 compare the kernel against it, and it is the fallback. Where the library cannot be built (no C
@@ -426,7 +434,7 @@ class DynamicSketch(RowSketch):
         initialization, which ``lsb_discard`` counts, but a packet to a
         saturated quad-width counter is dropped and counted nowhere. At 4-bit
         slots, 70,000 packets of one key leave 65,535 on every row. ROADMAP
-        item 2 plans a per-row count of those packets.
+        item 16 plans a per-row count of those packets.
         """
         slot = np.arange(self._w)
         codes = np.frombuffer(self._states[row], dtype=np.uint8)

@@ -146,6 +146,8 @@ class ZipfConfig:
             raise ValueError("flows must be at least 1")
         if self.packets < 0:
             raise ValueError("packets must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 _FLOW_SALT = 0x5A1F_0000

@@ -205,6 +205,13 @@ def test_equal_memory_accounting():
 def test_equal_memory_too_small():
     with pytest.raises(ValueError):
         equal_memory_widths(1, rows=3)
+    # the minimum the error names is exact: one 4-slot row each fits in it
+    for rows in (1, 2, 3, 5):
+        for bits in (1, 4, 8, 12, 16):
+            least = -(-rows * (bits + 1) // 2)
+            assert equal_memory_widths(least, rows, bits)[0] == 4
+            with pytest.raises(ValueError, match=f"memory_bytes must be at least {least} "):
+                equal_memory_widths(least - 1, rows, bits)
 
 
 def test_late_merge_dominance_small():

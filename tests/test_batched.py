@@ -3,10 +3,12 @@
 ``encode_stream`` places each chunk with the kernel library's ``place`` and
 counts it with its ``encode_row``, a port of ``_encode``, or, where the
 library cannot be built, with the scalar ``mix64`` and ``_encode`` itself;
-``query_many`` reads decoded-row tables. The kernel counts a chunk of an
-8-bit row with its pair-word loop when at least 1/8 of the row's groups hold
-a shared pair, else with its per-unit loop; the tests below plant rows on
-each side of that share and cross it within one stream. Both
+``query_many`` reads decoded-row tables. The kernel counts a chunk of a row
+in one of three regimes: with its code-0 fast path when fewer than 1/10 of
+the row's groups have left code 0, else, for an 8-bit row, with its
+pair-word loop when at least 1/8 of the groups hold a shared pair, else with
+its per-unit loop. The tests below plant rows on each side of both shares
+and cross each within one stream. Both
 encode paths and the query must leave and report exactly what per-packet
 ``encode_u64`` and per-key ``query_u64`` do, in every group state and at
 every counter width. The kernel's build, cache and fallback are tested here
@@ -23,7 +25,8 @@ from hypothesis import strategies as st
 
 from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, _kernel, hashing
 from siamsketch.sketch import (
-    _UNIT, GROUP_MERGED_WIDE, LEGAL_GROUP_STATES, PAIR_SHARED, UNSHARED_GROUP_STATES, group_code,
+    _UNIT, GROUP_MERGED_WIDE, LEGAL_GROUP_STATES, PAIR_MERGED, PAIR_SHARED, UNSHARED_GROUP_STATES,
+    group_code,
 )
 
 from conftest import kernel_unbuildable, plant_state, slot_of
@@ -32,10 +35,17 @@ from conftest import kernel_unbuildable, plant_state, slot_of
 # from which the kernel counts an 8-bit row with its pair-word loop.
 SHARED_PAIR_CODES = [c for c in range(11) if 1 in (_UNIT[2 * c], _UNIT[2 * c + 1])]
 PAIR_LOOP_SHARE = 1 / 8
+# The share of a row's groups out of code 0 below which the kernel counts a
+# row with its code-0 fast path.
+FAST_PATH_SHARE = 1 / 10
 
 
 def shared_pair_share(sketch, row: int) -> float:
     return float(np.isin(np.frombuffer(sketch._states[row], dtype=np.uint8), SHARED_PAIR_CODES).mean())
+
+
+def moved_share(sketch, row: int) -> float:
+    return float((np.frombuffer(sketch._states[row], dtype=np.uint8) != 0).mean())
 
 
 def bursty_stream(rng: np.random.Generator, length: int, pool: int) -> np.ndarray:
@@ -212,7 +222,89 @@ def test_kernel_switches_loops_between_chunks(shared, mode):
     assert_same(kernel, scalar)
 
 
-@pytest.mark.parametrize("path", ["pair-word loop", "per-unit loop", "fallback"])
+def plant_moved_groups(sketch, rng: np.random.Generator, count: int) -> None:
+    """``plant_state``, then exactly ``count`` groups of each row out of code
+    0, in every legal code by turns (from a different code in each row), and
+    every other group in code 0 with each slot at the slot maximum or one
+    below it, where the code-0 fast path falls through or counts once
+    before it does."""
+    plant_state(sketch, rng)
+    legal = LEGAL_GROUP_STATES if sketch.config.shared_bits else UNSHARED_GROUP_STATES
+    codes = sorted(legal - {0})
+    top = (1 << sketch.config.counter_bits) - 1
+    groups = sketch.config.width // 4
+    for r in range(sketch.config.rows):
+        chosen = rng.choice(groups, size=count, replace=False).tolist()
+        moved = {g: codes[(turn + r) % len(codes)] for turn, g in enumerate(chosen)}
+        for g in range(groups):
+            sketch._states[r][g] = moved.get(g, 0)
+            if g not in moved:
+                for i in range(4 * g, 4 * g + 4):
+                    sketch._rows[r][i] = top - int(rng.integers(0, 2))
+
+
+@pytest.mark.parametrize("bits", [2, 4, 6, 8, 12, 16])
+def test_kernel_matches_encode_on_each_side_of_the_fast_path_share(bits):
+    # every even shared_bits in both merge modes, from rows planted with 9
+    # of 100 groups out of code 0 (code-0 fast path) and with 10, exactly
+    # the 1/10 share (the loops above); the stream is one chunk, so the
+    # planted share selects the loop for all of it. Code-0 slots start at
+    # the slot maximum or one below it, so packets that fall through share
+    # and fuse inside the fast path's chunk.
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    for shared in range(0, bits, 2):
+        for mode in ("sum", "max"):
+            for planted in (9, 10):
+                cfg = SketchConfig(
+                    rows=2, width=400, counter_bits=bits, shared_bits=shared, merge_mode=mode,
+                    seeds=(bits, planted),
+                )
+                rng = np.random.default_rng(1000 * bits + 10 * shared + planted)
+                pool = rng.integers(0, 1 << 64, size=1600, dtype=np.uint64)
+                stream = np.concatenate([pool, bursty_stream(rng, 3000, 60)])
+                kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+                plant_moved_groups(kernel, np.random.default_rng(planted), planted)
+                plant_moved_groups(scalar, np.random.default_rng(planted), planted)
+                assert (moved_share(kernel, 0) < FAST_PATH_SHARE) == (planted == 9)
+                kernel.encode_stream(stream)
+                for key in stream.tolist():
+                    scalar.encode_u64(key)
+                assert_same(kernel, scalar)
+
+
+@pytest.mark.parametrize("bits, shared, mode", [(2, 0, "sum"), (4, 2, "max"), (8, 4, "sum"),
+                                                (8, 0, "max"), (12, 6, "sum")])
+def test_kernel_leaves_the_fast_path_between_chunks(bits, shared, mode):
+    # from an empty sketch, where every chunk starts in the fast path, runs
+    # of more packets than a slot holds push groups out of code 0, so the
+    # share that selects the fast path crosses 1/10 between chunks of one
+    # encode_stream call
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    chunk = 200
+    cfg = SketchConfig(rows=2, width=64, counter_bits=bits, shared_bits=shared, merge_mode=mode,
+                       seeds=(bits, shared + 11))
+    rng = np.random.default_rng(bits + shared)
+    heavy = rng.integers(0, 1 << 64, size=4, dtype=np.uint64)
+    stream = np.concatenate([bursty_stream(rng, 600, 40)] + [
+        np.concatenate([np.full((1 << bits) + 1, key, dtype=np.uint64), bursty_stream(rng, 300, 40)])
+        for key in heavy
+    ])
+    kernel, scalar = SiameseSketch(cfg), SiameseSketch(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hashing, "ENCODE_CHUNK", chunk)
+        kernel.encode_stream(stream)
+    shares = []
+    for i in range(0, len(stream), chunk):
+        shares.append(moved_share(scalar, 0))
+        for key in stream[i : i + chunk].tolist():
+            scalar.encode_u64(key)
+    assert shares[0] == 0 and max(shares) >= FAST_PATH_SHARE
+    assert_same(kernel, scalar)
+
+
+@pytest.mark.parametrize("path", ["pair-word loop", "per-unit loop", "fallback", "code-0 fast path"])
 def test_saturated_quad_counter_drops_packets_from_row_total(path):
     # 4-bit slots: one key's group fuses up to a 16-bit quad counter, which
     # saturates at 65,535, and the 4,465 packets beyond it are counted
@@ -220,18 +312,23 @@ def test_saturated_quad_counter_drops_packets_from_row_total(path):
     # packets encoded. For the pair-word loop every other group holds a
     # shared pair at zero, so the row stays above its share and the quad
     # counter's packets go through the per-unit bump inside it; in a
-    # 16-group row the key's group alone stays below the share.
+    # 16-group row the key's group alone stays below the share. For the
+    # per-unit loop every other group is two fused pairs at zero, so the
+    # row stays above the fast path's share; the fast path counts a row
+    # where only the key's group leaves code 0.
     if path != "fallback" and _kernel.load() is None:
         pytest.skip("no C compiler: the kernel cannot be compared")
     width = 16 if path == "pair-word loop" else 64
     sk = SiameseSketch(SketchConfig(rows=2, width=width, counter_bits=4, shared_bits=2, seeds=(3, 4)))
     key = 12345
-    if path == "pair-word loop":
+    if path in ("pair-word loop", "per-unit loop"):
+        pair = PAIR_SHARED if path == "pair-word loop" else PAIR_MERGED
         for r in range(2):
             own = slot_of(sk, r, key) >> 2
             for g in range(width // 4):
-                sk._states[r][g] = group_code(PAIR_SHARED, PAIR_SHARED) if g != own else 0
-            assert shared_pair_share(sk, r) >= PAIR_LOOP_SHARE
+                sk._states[r][g] = group_code(pair, pair) if g != own else 0
+            assert (shared_pair_share(sk, r) >= PAIR_LOOP_SHARE) == (path == "pair-word loop")
+            assert moved_share(sk, r) >= FAST_PATH_SHARE
     with kernel_unbuildable(path == "fallback"):
         sk.encode_stream(np.full(70_000, key, dtype=np.uint64))
     assert sk.packet_count == 70_000

@@ -52,6 +52,16 @@ def test_generate_missing_out_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_generate_negative_seed_names_the_field(tmp_path, capsys):
+    # refused by ZipfConfig, not by numpy's "expected non-negative integer"
+    out = tmp_path / "n.sktr"
+    assert main(["generate", "--zipf", "1.0", "--flows", "10", "--packets", "10",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and "seed" in err["detail"]
+    assert not out.exists()
+
+
 def test_attack_sizing(tmp_path, capsys):
     out = tmp_path / "atk.sktr"
     assert main(["attack", "--width", "1024", "--fraction", "1.0",
@@ -160,6 +170,19 @@ def test_run_memory_budget_bad_shape_reports_json_error(tmp_path, capsys, flag):
                "--out", str(tmp_path / "r")])
     assert rc == 1
     assert json.loads(capsys.readouterr().err)["error"] == "bad-arguments"
+
+
+def test_run_memory_budget_too_small_names_the_field(tmp_path, capsys):
+    # 3 rows of 8-bit counters need at least ceil(3 * 9 / 2) = 14 bytes
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    rc = main(["run", "--memory-bytes", "10", "--benign", str(benign),
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments"
+    assert "memory_bytes" in err["detail"] and "at least 14" in err["detail"]
+    assert not (tmp_path / "r").exists()
 
 
 def test_run_width_refused_by_one_scheme_allocates_nothing(tmp_path, capsys, monkeypatch):

@@ -83,6 +83,11 @@ def test_zipf_validation():
     for bad in (dict(flows=2.5), dict(packets=10.0), dict(seed=1.0), dict(skew=True)):
         with pytest.raises(TypeError, match=next(iter(bad))):
             ZipfConfig(**{"skew": 1.0, "flows": 100, "packets": 10, "seed": 1, **bad})
+    # a negative seed is refused naming it, not by numpy's generator; seeds
+    # from 0 up stay valid (ZIPF_DIGESTS pins one above 2**64)
+    with pytest.raises(ValueError, match="seed"):
+        ZipfConfig(skew=1.0, flows=100, packets=10, seed=-1)
+    ZipfConfig(skew=1.0, flows=100, packets=10, seed=2**70)
     # a numpy count is stored as a Python int and gives the same stream
     numpy_cfg = ZipfConfig(skew=1.0, flows=np.int64(100), packets=np.int64(10), seed=np.uint64(1))
     assert numpy_cfg == ZipfConfig(skew=1.0, flows=100, packets=10, seed=1)
