@@ -1,5 +1,6 @@
 /* The kernel library: batched hashing, batched row placement, batched
- * encode, batched query and the shuffled interleave of two traces.
+ * encode, batched query, the shuffled interleave of two traces and the rank
+ * search of a Zipf stream: seven entry points.
  *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
@@ -16,6 +17,12 @@
  * labels the packets, shuffles the labels with numpy's own draws, calling
  * the bit generator's ``next_uint32`` on its state, and fills the mix in
  * label order, in one pass.
+ *
+ * ``guide_search`` finds the rank of each draw of a Zipf stream as
+ * ``traffic.guide_search`` defines it: it builds a guide table of the rank
+ * CDF in one pass over the CDF, then bisects each draw's bracket of ranks
+ * in one pass over the draws, which also checks that each draw lies in
+ * ``[0, 1)``.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It ports
@@ -527,4 +534,45 @@ void interleave(const uint64_t *a, size_t na, const uint64_t *b, size_t nb, void
     }
     if (n)
         out[0] = *--end[labels[0]];
+}
+
+/* ``traffic.guide_search``: for each of ``nd`` draws ``u``, the first ``i``
+ * with ``cdf[i] > u``, as ``np.searchsorted(cdf, draws, side="right")``
+ * finds it in a sorted ``cdf`` of ``n`` values. One pass over ``cdf`` builds
+ * the guide table, ``m + 1`` edges: ``edges[k]`` counts the ``i`` with
+ * ``cdf[i] * m < k``. ``m`` is a power of two, so the product is exact, and
+ * the table compares doubles; no CDF value is cast to an integer. A draw in
+ * bucket ``b``, ``u * m`` truncated, has its rank in
+ * ``[edges[b], edges[b + 1]]`` (``guide_search``'s docstring gives the
+ * proof), and the same pass bisects that bracket. The edges are counts, so
+ * every bracket lies in ``[0, n]`` and every ``cdf`` read lies in the array,
+ * even for an unsorted ``cdf``, whose ranks are then wrong. A draw outside
+ * ``[0, 1)``, NaN included, would index outside ``edges``: the search stops
+ * there and returns its index. Returns ``nd`` when every draw is in range. */
+size_t guide_search(const double *cdf, size_t n, const double *draws, size_t nd, size_t m,
+                    int64_t *edges, int64_t *out)
+{
+    double scale = (double)m;
+    size_t i = 0;
+    for (size_t k = 0; k <= m; k++) {
+        while (i < n && cdf[i] * scale < (double)k)
+            i++;
+        edges[k] = (int64_t)i;
+    }
+    for (size_t j = 0; j < nd; j++) {
+        double u = draws[j];
+        if (!(u >= 0.0 && u < 1.0))
+            return j;
+        size_t b = (size_t)(u * scale);
+        size_t lo = (size_t)edges[b], hi = (size_t)edges[b + 1];
+        while (lo < hi) {
+            size_t mid = (lo + hi) >> 1;
+            if (cdf[mid] > u)
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        out[j] = (int64_t)lo;
+    }
+    return nd;
 }

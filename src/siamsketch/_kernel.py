@@ -1,23 +1,26 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has six entry points: ``hash_keys`` hashes a chunk of keys
+The library has seven entry points: ``hash_keys`` hashes a chunk of keys
 under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
 their slots in one row (``hashing.index_batch``), ``encode_row`` counts a
 chunk of slots into one row of the dynamic-counter engine
 (``DynamicSketch._encode_batch``), ``decode_row`` decodes every slot of such
 a row (``DynamicSketch._decode_row``), ``query_rows`` answers a batch of
 keys from every row's decoded table, placing each key and taking the minimum
-over rows in one pass (``hashing.RowSketch._query_array``), and
-``interleave`` mixes two traces (``traffic.interleave_traces``): it shuffles
-their labels as numpy's ``Generator.shuffle`` does, drawing from the
-generator's own state through the ``next_uint32`` function the generator
-hands out, and fills the mix in the same pass. ``encode_row`` takes the
-row's group count with its group codes: it reads every code once per call
-to choose among its three count regimes. A row with fewer than 1/10 of its
-groups out of code 0 is counted with a fast path for independent slots, an
-8-bit row with at least 1/8 of its groups holding a shared pair with the
-pair-word loop, and every other row with the per-unit loop (``_encode.c``
-gives the loops and the measured crossovers).
+over rows in one pass (``hashing.RowSketch._query_array``), ``interleave``
+mixes two traces (``traffic.interleave_traces``): it shuffles their labels
+as numpy's ``Generator.shuffle`` does, drawing from the generator's own
+state through the ``next_uint32`` function the generator hands out, and
+fills the mix in the same pass; and ``guide_search`` finds the rank of each
+draw of a Zipf stream (``traffic.guide_search``): it builds the guide table
+of the rank CDF in one pass over the CDF and bisects each draw's bracket in
+one pass over the draws. ``encode_row`` takes the row's group count with
+its group codes: it reads every code once per call to choose among its
+three count regimes. A row with fewer than 1/10 of its groups out of code 0
+is counted with a fast path for independent slots, an 8-bit row with at
+least 1/8 of its groups holding a shared pair with the pair-word loop, and
+every other row with the per-unit loop (``_encode.c`` gives the loops and
+the measured crossovers).
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -34,7 +37,8 @@ None after one ``RuntimeWarning`` per process: keys are then hashed and
 placed key by key with the scalar ``mix64``, the engine counts packets with
 its scalar ``_encode`` and decodes slots with its scalar ``_decode``, and
 two traces are mixed by their definition: ``rng.shuffle`` of the labels,
-then a boolean-mask scatter of each trace to its labels.
+then a boolean-mask scatter of each trace to its labels, and a Zipf
+stream's ranks come from ``np.searchsorted`` over its CDF.
 """
 
 from __future__ import annotations
@@ -101,10 +105,10 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel library, with its six entry points declared (``hash_keys``,
-    ``place``, ``encode_row``, ``decode_row``, ``query_rows`` and
-    ``interleave``), built first if needed; None if it cannot be built or
-    loaded."""
+    """The kernel library, with its seven entry points declared
+    (``hash_keys``, ``place``, ``encode_row``, ``decode_row``,
+    ``query_rows``, ``interleave`` and ``guide_search``), built first if
+    needed; None if it cannot be built or loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
@@ -113,6 +117,7 @@ def load():
         lib = ctypes.CDLL(str(path))
         hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
         decode_row, query_rows, interleave = lib.decode_row, lib.query_rows, lib.interleave
+        guide_search = lib.guide_search
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
@@ -179,4 +184,14 @@ def load():
         ctypes.c_void_p,  # uint64 mix, written
     ]
     interleave.restype = None
+    guide_search.argtypes = [
+        ctypes.c_void_p,  # float64 CDF
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # float64 draws
+        ctypes.c_size_t,
+        ctypes.c_size_t,  # buckets, a power of two
+        ctypes.c_void_p,  # int64 guide table, buckets + 1 edges, written
+        ctypes.c_void_p,  # int64 ranks, written
+    ]
+    guide_search.restype = ctypes.c_size_t  # the first draw out of range, else their count
     return lib

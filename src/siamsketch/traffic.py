@@ -12,9 +12,11 @@ at it. A plain binary search over a CDF of every rank misses the cache on
 each step, so :func:`guide_search` first reads the draw's bucket in a guide
 table (Chen & Asau 1974; Devroye, *Non-Uniform Random Variate Generation*,
 III.2.4), which brackets the answer to the few ranks whose CDF falls in that
-bucket, and bisects only there. Its buckets are a power of two in number, so
-scaling a CDF value or a draw to its bucket is exact, and the ranks are those
-of ``np.searchsorted`` bit for bit.
+bucket, and bisects only there. The kernel library builds the table in one
+pass over the CDF and searches every draw in one pass over the draws. Its
+buckets are a power of two in number, so comparing a CDF value or a draw
+with a bucket edge is exact, and the ranks are those of ``np.searchsorted``
+bit for bit; without the library they are ``np.searchsorted``'s own.
 
 Binary trace format (``SKTR``), little-endian::
 
@@ -32,7 +34,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +124,16 @@ class Trace:
         return bool(np.array_equal(self.keys, other.keys))
 
 
+def _require_seed(seed: int) -> None:
+    """TypeError unless ``seed`` is an int, ValueError if it is negative:
+    ``np.random.default_rng`` would refuse it too, naming no field. Every
+    seed from 0 up is valid, 2**64 and above included."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 @dataclass(frozen=True)
 class ZipfConfig:
     """Zipf-distributed stream: ``P(rank k) ~ k**-skew`` over ``flows`` ranks,
@@ -146,63 +158,54 @@ class ZipfConfig:
             raise ValueError("flows must be at least 1")
         if self.packets < 0:
             raise ValueError("packets must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _require_seed(self.seed)
 
 
 _FLOW_SALT = 0x5A1F_0000
-
-# Draws searched per step: it bounds each step's index and mask arrays to
-# 512 KB, which stay in cache.
-_CHUNK = 1 << 16
 
 
 def guide_search(cdf: np.ndarray, draws: np.ndarray, buckets: int) -> np.ndarray:
     """``np.searchsorted(cdf, draws, side="right")``, the first ``i`` with
     ``cdf[i] > u`` for each draw ``u``, found through a guide table of
-    ``buckets`` buckets. ``cdf`` is non-decreasing and ends at 1.0, every draw
-    lies in [0, 1), and ``buckets`` is a power of two.
+    ``buckets`` buckets. ``cdf`` is non-decreasing, every draw lies in
+    [0, 1), and ``buckets`` is a power of two; a draw outside [0, 1), NaN
+    included, or any other ``buckets`` raises ValueError naming it. A ``cdf``
+    that is not sorted gives wrong ranks, but each still lies in
+    ``[0, len(cdf)]`` and the search reads nothing outside ``cdf``.
 
     Why the bracket holds: multiplying by a power of two ``m`` is exact, so
-    ``bucket(x) = floor(x * m)`` is exact and, as rounding is monotone, never
-    decreasing in ``x``. Let ``g[k]`` count the ``i`` with
-    ``bucket(cdf[i]) <= k``, and ``g[-1] = 0``; ``cdf`` is sorted, so those
-    are its first ``g[k]`` entries. A draw ``u`` has ``b = bucket(u)``. Every
-    ``i`` below ``g[b-1]`` has ``bucket(cdf[i]) < b``, hence ``cdf[i] < u``;
-    and ``i = g[b]``, where it exists, has ``bucket(cdf[i]) > b``, hence
-    ``cdf[i] > u``. So the answer lies in ``[g[b-1], g[b]]``. It is never
-    ``len(cdf)``, as ``bucket(cdf[-1]) = m > b``.
+    ``x * m < k`` compares ``x`` with ``k / m`` exactly. Let ``g[k]`` count
+    the ``i`` with ``cdf[i] * m < k``; ``cdf`` is sorted, so those are its
+    first ``g[k]`` entries. A draw ``u`` lies in bucket ``b``, ``u * m``
+    truncated, so ``b <= u * m < b + 1``. Every ``i`` below ``g[b]`` has
+    ``cdf[i] * m < b``, hence ``cdf[i] < u``; and ``i = g[b + 1]``, where it
+    exists, has ``cdf[i] * m >= b + 1``, hence ``cdf[i] > u``. So the answer
+    lies in ``[g[b], g[b + 1]]``.
 
-    Draws are searched a chunk at a time. Within a chunk each pass bisects
-    every bracket still open and then drops the ones that closed, so the
-    number of numpy passes is log2 of the widest bracket, not its width.
-    Building the table costs one pass over ``cdf`` and one over
-    ``buckets + 2`` counts.
+    The kernel library's ``guide_search`` builds the ``buckets + 1`` counts
+    in one pass over ``cdf`` and bisects each draw's bracket in one pass over
+    the draws, in which it also checks each draw's range. Without the library
+    the ranks are ``np.searchsorted``'s own.
     """
     m = buckets
-    bucket = np.empty(len(cdf), dtype=np.intp)
-    np.multiply(cdf, m, out=bucket, casting="unsafe")  # truncation is floor here
-    bucket += 1  # so the counts below start with g[-1] = 0
-    edges = np.bincount(bucket, minlength=m + 2)
-    np.cumsum(edges, out=edges)  # edges[k] is g[k - 1]
-    ranks = np.empty(len(draws), dtype=np.intp)
-    for start in range(0, len(draws), _CHUNK):
-        u = draws[start : start + _CHUNK]
-        found = ranks[start : start + _CHUNK]
-        b = (u * m).astype(np.intp)
-        found[:] = edges[b]
-        hi = edges[1:][b]
-        open_ = np.flatnonzero(found < hi)
-        lo, hi, u = found[open_], hi[open_], u[open_]
-        while len(open_):
-            mid = (lo + hi) >> 1
-            above = cdf[mid] > u
-            np.copyto(hi, mid, where=above)
-            mid += 1
-            np.copyto(lo, mid, where=~above)
-            found[open_] = lo
-            keep = lo < hi
-            open_, lo, hi, u = open_[keep], lo[keep], hi[keep], u[keep]
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1 or m & (m - 1):
+        raise ValueError(f"buckets must be a power of two, at least 1, not {buckets!r}")
+    cdf = np.ascontiguousarray(cdf, dtype=np.float64)
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    lib = _kernel.load()
+    if lib is None:
+        bad = np.flatnonzero(~((draws >= 0.0) & (draws < 1.0)))
+        first = bad[0] if len(bad) else len(draws)
+        ranks = np.searchsorted(cdf, draws, side="right")
+    else:
+        edges = np.empty(int(m) + 1, dtype=np.int64)
+        ranks = np.empty(len(draws), dtype=np.int64)
+        first = lib.guide_search(
+            cdf.ctypes.data, len(cdf), draws.ctypes.data, len(draws), int(m),
+            edges.ctypes.data, ranks.ctypes.data,
+        )
+    if first < len(draws):
+        raise ValueError(f"draws must lie in [0, 1): draws[{first}] is {draws[first]!r}")
     return ranks
 
 
@@ -210,7 +213,8 @@ def gen_zipf(cfg: ZipfConfig) -> Trace:
     """Deterministic Zipf stream; rank 1 is the most frequent flow.
 
     Each packet draws one uniform number, and its rank is the first whose CDF
-    exceeds the draw, found by :func:`guide_search`, so equal seeds give
+    exceeds the draw, found by :func:`guide_search` in the kernel library (by
+    ``np.searchsorted`` without it, with the same ranks), so equal seeds give
     byte-identical streams. The guide table has the power of two at or above
     ``min(flows, packets)`` buckets, so it is never twice as long as the
     draws or the CDF, and a long CDF sampled a few times builds a short
@@ -283,6 +287,7 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
     Keys are uniform random 64-bit values; the attacker knows the table width
     but not the hash seeds, so no placement targeting happens here.
     """
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << 64, size=plan.flows, dtype=np.uint64)
     while len(np.unique(keys)) < plan.flows:
@@ -320,6 +325,7 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     test that compares the kernel with ``rng.shuffle`` fails together with
     the golden stream digests, which depend on the shuffle whichever path
     made them."""
+    _require_seed(seed)
     n = len(a) + len(b)
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.uint64)

@@ -62,6 +62,16 @@ def test_generate_negative_seed_names_the_field(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_attack_negative_seed_names_the_field(tmp_path, capsys):
+    # refused by gen_attack, not by numpy's "expected non-negative integer"
+    out = tmp_path / "a.sktr"
+    assert main(["attack", "--width", "4096", "--fraction", "0.5",
+                 "--seed", "-1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and "seed" in err["detail"]
+    assert not out.exists()
+
+
 def test_attack_sizing(tmp_path, capsys):
     out = tmp_path / "atk.sktr"
     assert main(["attack", "--width", "1024", "--fraction", "1.0",

@@ -146,7 +146,15 @@ def test_zipf_stream_matches_golden_digest(name, fallback):
     log_buckets=st.integers(0, 18),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(skew=0.6, flows=5000, scale=0, log_buckets=0, seed=1)  # one bucket
+@example(skew=1.0, flows=300, scale=0, log_buckets=12, seed=2)  # more buckets than ranks
+@example(skew=8.0, flows=200_000, scale=0, log_buckets=17, seed=3)  # the skew-8 plateau
 def test_guide_search_matches_searchsorted(skew, flows, scale, log_buckets, seed):
+    # the kernel's ranks and the guide table it writes, against their
+    # definitions
+    lib = _kernel.load()
+    if lib is None:
+        pytest.skip("no kernel library")
     weights = np.arange(1, flows + 1, dtype=np.float64) ** -skew * 2.0**scale
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
@@ -162,6 +170,46 @@ def test_guide_search_matches_searchsorted(skew, flows, scale, log_buckets, seed
     )
     expected = np.searchsorted(cdf, draws, side="right")
     assert np.array_equal(guide_search(cdf, draws, m), expected)
+    edges = np.empty(m + 1, dtype=np.int64)
+    ranks = np.empty(len(draws), dtype=np.int64)
+    first_bad = lib.guide_search(
+        cdf.ctypes.data, flows, draws.ctypes.data, len(draws), m,
+        edges.ctypes.data, ranks.ctypes.data,
+    )
+    assert first_bad == len(draws)
+    # edges[k] counts the i with cdf[i] * m < k
+    assert np.array_equal(edges, np.searchsorted(cdf * m, np.arange(m + 1), side="left"))
+    assert np.array_equal(ranks, expected)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_guide_search_refuses_what_would_read_outside_its_arrays(fallback):
+    cdf = np.cumsum(np.arange(1, 101, dtype=np.float64) ** -1.0)
+    cdf /= cdf[-1]
+    with kernel_unbuildable(fallback):
+        for bad in (1.0, -0.5, np.nan):
+            with pytest.raises(ValueError, match=r"draws\[2\]"):
+                guide_search(cdf, np.array([0.5, 0.0, bad, 0.25]), 64)
+        for buckets in (0, 3, -4, True, 4.0):
+            with pytest.raises(ValueError, match="buckets"):
+                guide_search(cdf, np.array([0.5]), buckets)
+        # an unsorted CDF gives wrong ranks, but each lies in [0, len(cdf)]
+        draws = np.random.default_rng(1).random(10_000)
+        for m in (1, 64, 4096):
+            ranks = guide_search(np.random.default_rng(m).permutation(cdf), draws, m)
+            assert 0 <= ranks.min() and ranks.max() <= len(cdf)
+
+
+def test_gen_zipf_without_the_kernel_matches_it():
+    # the fallback ranks are np.searchsorted's, the kernel's come from its
+    # guide table: the streams are one
+    cfg = ZipfConfig(skew=1.2, flows=3000, packets=20_000, seed=11)
+    with kernel_unbuildable(False):
+        with_kernel = gen_zipf(cfg)
+    with kernel_unbuildable() as caught:
+        without = gen_zipf(cfg)
+    assert any("no C encode kernel" in str(w.message) for w in caught)
+    assert with_kernel == without
 
 
 # -- attack planning ----------------------------------------------------------
@@ -202,6 +250,21 @@ def test_gen_attack_stream_shape():
     tr = gen_attack(plan, seed=1)
     assert len(tr) == plan.flows * 7
     assert len(np.unique(tr.as_u64())) == plan.flows
+
+
+def test_gen_attack_and_interleave_refuse_a_bad_seed():
+    # refused naming the seed, as ZipfConfig refuses it, not by numpy's
+    # generator; seeds from 0 up, 2**64 and above included, stay valid
+    plan = plan_attack(64, 0.5, packets_per_flow=2)
+    a, b = Trace(np.arange(5, dtype=np.uint64)), Trace(np.arange(3, dtype=np.uint64) + 100)
+    for make in (lambda seed: gen_attack(plan, seed), lambda seed: interleave_traces(a, b, seed)):
+        with pytest.raises(ValueError, match="seed"):
+            make(-1)
+        for bad in (True, 1.0):
+            with pytest.raises(TypeError, match="seed"):
+                make(bad)
+        assert make(2**70) == make(2**70)
+        assert make(np.uint64(7)) == make(7)
 
 
 def test_gen_attack_interleave_same_multiset():
