@@ -37,6 +37,7 @@ from .metrics import (
     true_heavy_hitters,
 )
 from .oracle import ExactCounter
+from .rules import SpecError, SpecTypeError
 from .sketch import (
     GROUP_MERGED_WIDE,
     GROUP_SHARED_WIDE,

@@ -13,7 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .rules import Int, Rules, SpecError
+
 _EXACT_COMB_LIMIT = 60  # population size below which the pmf is exact integer math
+
+
+_COUPON = Rules(width=Int(1), targets=Int(0))
+_HYPER = Rules(side1=Int(0), side2=Int(0), draws=Int(0))
 
 
 def coupon_expect(width: int, targets: int) -> float:
@@ -22,18 +28,16 @@ def coupon_expect(width: int, targets: int) -> float:
     Equals ``width * (H(width) - H(width - targets))``, computed from the
     partial sum directly so large widths lose no precision.
     """
-    if width < 1:
-        raise ValueError("width must be positive")
-    if not 0 <= targets <= width:
-        raise ValueError("targets must be in [0, width]")
+    width, targets = _COUPON.args(width=width, targets=targets)
+    if targets > width:
+        raise SpecError("targets", "targets must be in [0, width]")
     return width * math.fsum(1.0 / i for i in range(width - targets + 1, width + 1))
 
 
 def _check_hyper(side1: int, side2: int, draws: int) -> None:
-    if side1 < 0 or side2 < 0:
-        raise ValueError("population sides must be non-negative")
-    if not 0 <= draws <= side1 + side2:
-        raise ValueError("draws must be in [0, side1 + side2]")
+    _HYPER.args(side1=side1, side2=side2, draws=draws)
+    if draws > side1 + side2:
+        raise SpecError("draws", "draws must be in [0, side1 + side2]")
 
 
 def hyper_pmf(side1: int, side2: int, draws: int, i: int) -> float:

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .hashing import RowSketch, config_seeds
+from .hashing import MAX_WIDTH, ROWS, SEEDS, WIDTH, RowSketch, row_seeds
+from .rules import Int, Rules, SpecError, checked
 from .sketch import DynamicSketch, SketchConfig
 
 
@@ -37,16 +38,18 @@ class InstantMergeSketch(DynamicSketch):
         super().__init__(replace(config, shared_bits=0))
 
 
+@checked
 @dataclass(frozen=True)
 class CountMinConfig:
     """Plain Count-Min shape: rows of full-width (32-bit) counters."""
 
-    rows: int = 3
-    width: int = 1152
-    seeds: tuple[int, ...] = ()
+    rows: int = ROWS.field(3)
+    width: int = WIDTH.field(1152)
+    seeds: tuple[int, ...] = SEEDS.field(())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", config_seeds(self))
+        self.RULES.apply(self)
+        row_seeds(self)
 
 
 _MAX32 = (1 << 32) - 1
@@ -91,27 +94,34 @@ def count_min_width_for(width: int, counter_bits: int = 8) -> int:
     return max(1, round(width * (counter_bits + 1) / 32))
 
 
+_BUDGET = Rules(memory_bytes=Int(), rows=ROWS, counter_bits=Int(1))
+
+
 def equal_memory_widths(
     memory_bytes: int, rows: int, counter_bits: int = 8
 ) -> tuple[int, int]:
     """Resolve (dynamic width, Count-Min width) from one memory budget.
 
     Both layouts fit within ``memory_bytes`` and match each other's bit cost
-    to well under 1%; the dynamic width is rounded down to a multiple of 4.
+    to well under 1%; the dynamic width is rounded down to a multiple of 4,
+    and must lie from 4 up to ``2**32 - 4``, the widest a row may be.
     """
-    if rows < 1:
-        raise ValueError("rows must be at least 1")
-    if counter_bits < 1:
-        raise ValueError("counter_bits must be positive")
+    memory_bytes, rows, counter_bits = _BUDGET.args(
+        memory_bytes=memory_bytes, rows=rows, counter_bits=counter_bits
+    )
     bits_per_row = (memory_bytes * 8) // rows
     dyn = (bits_per_row // (counter_bits + 1)) & ~3
-    if dyn < 4:
+    if not 4 <= dyn <= MAX_WIDTH - 4:
         # a row of 4 slots, each counter_bits + 1 bits with its share of the
-        # group code, in every row
+        # group code, in every row; a budget of 2**32 slots a row is too much
         least = -(-rows * (counter_bits + 1) // 2)
-        raise ValueError(
-            f"memory budget too small for a dynamic row: memory_bytes must be at least "
-            f"{least} for {rows} rows of {counter_bits}-bit counters, not {memory_bytes}"
+        most = rows * (counter_bits + 1) * (MAX_WIDTH // 8) - 1
+        bound = f"at least {least}" if dyn < 4 else f"at most {most}"
+        raise SpecError(
+            "memory_bytes",
+            f"memory budget too {'small' if dyn < 4 else 'large'} for a dynamic row: "
+            f"memory_bytes must be {bound} for {rows} rows of {counter_bits}-bit counters, "
+            f"not {memory_bytes}"
         )
     cm = count_min_width_for(dyn, counter_bits)
     return dyn, cm

@@ -8,25 +8,32 @@ Subcommands:
 * ``theory``   — print closed-form attack and wrap-split numbers
 
 The ``run`` flags are the fields of ``ExperimentSpec``, one flag per field
-(``--memory-bytes`` for ``memory_bytes``), each parsed as the field's
-annotation says: an integer, a real number, a comma list for ``schemes`` and
-``apps``, or a string. ``run --config FILE`` reads spec fields from a JSON
-file. Each flag given overrides its own field, and ``--width`` also drops the
-file's ``memory_bytes`` (a ``--memory-bytes`` flag still applies).
+(``--memory-bytes`` for ``memory_bytes``), each read as the field's rule in
+``ExperimentSpec.RULES`` says: an integer, a real number, a comma list for
+``schemes`` and ``apps`` (``''`` is the empty list), or a string. ``run
+--config FILE`` reads spec fields from a JSON object, whose every key must
+name a field. Each flag given overrides its own field, and ``--width`` also
+drops the file's ``memory_bytes`` (a ``--memory-bytes`` flag still applies).
 
 The spec checks every value, from a flag or a file alike: a bad
-``--merge-mode`` or ``--interleave`` is a ``bad-arguments`` error (exit 1),
-as the same value in a ``--config`` file is. The shape fields (``--rows``,
-``--width``, ``--memory-bytes``, ``--counter-bits``, ``--shared-bits``,
-``--merge-mode``) are checked when the spec is built, for every scheme list:
-``--schemes count-min --counter-bits 100`` is refused too. A flag whose text does not
-parse as its type (``--rows abc``) is still a usage error (exit 2).
-``schemes`` must name at least one scheme, while an empty ``apps`` list still
-takes the counter census and scores nothing. A run whose traces hold no
-packet is refused.
+``--merge-mode`` or ``--interleave`` is refused, as the same value in a
+``--config`` file is. The shape fields (``--rows``, ``--width``,
+``--memory-bytes``, ``--counter-bits``, ``--shared-bits``, ``--merge-mode``)
+are checked when the spec is built, for every scheme list: ``--schemes
+count-min --counter-bits 100`` is refused too. A flag whose text does not
+parse as its type (``--rows abc``) is a usage error (exit 2). ``schemes``
+must name at least one scheme, while an empty ``apps`` list still takes the
+counter census and scores nothing. A run whose traces hold no packet is
+refused.
 
-Failures exit nonzero and print one JSON object ``{"error": <class>,
-"detail": <message>}`` on stderr.
+Other failures exit 1 and print one JSON object ``{"error": <code>, "detail":
+<message>}`` on stderr. Each typed error has its code: a refused input
+(``rules.SpecError``: a value its field's rule refuses, a ``--config`` that
+is not a JSON object of spec fields) is ``bad-arguments``, and its detail
+names the field; a trace file that breaks the format (``TraceError``) and a
+snapshot that does (``SnapshotError``) carry their own codes; a file that
+cannot be read or written (``OSError``) is ``io-error``. Any other exception
+is a bug, and it escapes as a traceback.
 """
 
 from __future__ import annotations
@@ -34,12 +41,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 from .analysis import coupon_expect, hyper_mean, hyper_pmf, hyper_var
 from .experiment import ExperimentSpec, run_experiment
+from .rules import SpecError
 from .snapshot import SnapshotError
 from .traffic import (
     ROUND_ROBIN,
@@ -85,13 +91,29 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_config(path: str) -> dict:
+    """The spec fields in the JSON file at ``path``: an object whose every
+    key names a field."""
+    try:
+        values = json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # not JSON, or not Unicode
+        raise SpecError("config", f"config {path} is not JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise SpecError("config", f"config must be a JSON object of spec fields, not "
+                        f"{type(values).__name__}")
+    for name in values:
+        if name not in ExperimentSpec.RULES:
+            raise SpecError(name, f"config names {name!r}, which is no spec field")
+    return values
+
+
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    values = json.loads(Path(args.config).read_text()) if args.config else {}
+    values = _read_config(args.config) if args.config else {}
     if args.width is not None:
         values.pop("memory_bytes", None)
-    for f in fields(ExperimentSpec):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
+    for name in ExperimentSpec.RULES:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return ExperimentSpec(**values)
 
 
@@ -145,25 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     atk.add_argument("--out", required=True)
     atk.set_defaults(func=cmd_attack)
 
-    def add_spec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--config",
-            help="JSON file of spec fields; each flag overrides its field, and "
-            "--width also drops the file's memory_bytes",
-        )
-        # one flag per spec field, parsed as the field's annotation says
-        hints = get_type_hints(ExperimentSpec)
-        for f in fields(ExperimentSpec):
-            flag, hint = "--" + f.name.replace("_", "-"), hints[f.name]
-            if get_origin(hint) is tuple:
-                doc = f"comma list of {','.join(f.default)}"
-                p.add_argument(flag, type=lambda text: text.split(","), help=doc)
-                continue
-            kinds = get_args(hint) or (hint,)
-            p.add_argument(flag, type=int if int in kinds else float if float in kinds else str)
-
     run = sub.add_parser("run", help="run an experiment, write reports")
-    add_spec_args(run)
+    run.add_argument(
+        "--config",
+        help="JSON file of spec fields; each flag overrides its field, and "
+        "--width also drops the file's memory_bytes",
+    )
+    # one flag per spec field, read as the field's rule says
+    for name, rule in ExperimentSpec.RULES.items():
+        run.add_argument("--" + name.replace("_", "-"), type=rule.parse, help=rule.doc)
     run.add_argument("--out", required=True, help="report directory")
     run.set_defaults(func=cmd_run)
 
@@ -184,14 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TraceError, SnapshotError) as exc:
+    except (SpecError, TraceError, SnapshotError) as exc:
         return _fail(exc.code, str(exc))
-    except (ValueError, TypeError) as exc:
-        return _fail("bad-arguments", str(exc))
     except OSError as exc:
         return _fail("io-error", str(exc))
 

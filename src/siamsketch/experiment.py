@@ -62,10 +62,7 @@ import copy
 import csv
 import hashlib
 import json
-import math
-import operator
 from dataclasses import dataclass, field, fields
-from numbers import Real
 from pathlib import Path
 from typing import Sequence
 
@@ -78,7 +75,7 @@ from .baselines import (
     count_min_width_for,
     equal_memory_widths,
 )
-from .hashing import ENCODE_CHUNK, MASK64, MAX_ROWS, KeyBatch, derive_seeds, require_ints
+from .hashing import ENCODE_CHUNK, MASK64, ROWS, KeyBatch, derive_seeds
 from .metrics import (
     detect_changes,
     estimate_entropy,
@@ -93,6 +90,7 @@ from .metrics import (
     true_fsd,
     true_heavy_hitters,
 )
+from .rules import Choice, Int, Items, Real, SpecError, Text, checked
 from .sketch import SiameseSketch, SketchConfig
 from .traffic import Trace, concat_traces, interleave_traces, read_trace
 
@@ -121,90 +119,51 @@ METRIC_COLUMNS = (
 COUNTER_COLUMNS = ("experiment_id", "scheme", "packets", "row", "counters")
 
 
+# a trace given inline, or the path of its file
+_TRACE = Text("a Trace or a path", (Trace, Path))
+
+
+@checked
 @dataclass
 class ExperimentSpec:
-    """One experiment cell; every field is reflected in the report."""
+    """One experiment cell; every field is reflected in the report.
 
-    schemes: tuple[str, ...] = SCHEMES
-    rows: int = 3
-    width: int | None = 4096
-    memory_bytes: int | None = None
-    counter_bits: int = 8
-    shared_bits: int = 4
-    merge_mode: str = "sum"
-    benign: Trace | str | Path | None = None
-    attack: Trace | str | Path | None = None
-    attack_fraction: float | None = None
-    interleave: str = INTERLEAVE_SHUFFLE
-    snapshot_interval: int = 100_000
-    apps: tuple[str, ...] = ALL_APPS
-    threshold: int | None = None
-    threshold_fraction: float | None = 0.00004
-    seed: int = 0
-    experiment_id: str = ""
+    Each field declares its rule: its kind, its range and whether it may be
+    None (``RULES`` holds them all). The shape fields have the rules of
+    ``SketchConfig``'s, and ``run`` reads each flag as its field's rule
+    says. The rules that tie fields together (width or memory_bytes, the
+    memory budget, ``shared_bits < counter_bits``) are checked by the
+    configs that ``scheme_configs`` builds, for every spec, whatever schemes
+    it runs.
+    """
+
+    # A list of names (a string would be read letter by letter) is stored as
+    # a tuple, so that JSON, Python and a flag give one spec and one hash; a
+    # repeated scheme would feed its sketch every segment twice. A numpy int
+    # would overflow in the seed hash, change the config hash and fail the
+    # JSON report, so it is stored as a Python int. An int path would be
+    # opened as a file descriptor (0 reads stdin). None means no threshold;
+    # zero or less would detect every flow.
+    schemes: tuple[str, ...] = Items(Choice(SCHEMES), required=True, unique=True).field(SCHEMES)
+    rows: int = ROWS.field(3)
+    width: int | None = SketchConfig.RULES["width"].field(4096, none=True)
+    memory_bytes: int | None = Int().field(None)
+    counter_bits: int = SketchConfig.RULES["counter_bits"].field(8)
+    shared_bits: int = SketchConfig.RULES["shared_bits"].field(4)
+    merge_mode: str = SketchConfig.RULES["merge_mode"].field("sum")
+    benign: Trace | str | Path | None = _TRACE.field(None)
+    attack: Trace | str | Path | None = _TRACE.field(None)
+    attack_fraction: float | None = Real(0, 1).field(None)
+    interleave: str = Choice((INTERLEAVE_SHUFFLE, INTERLEAVE_APPEND)).field(INTERLEAVE_SHUFFLE)
+    snapshot_interval: int = Int(1).field(100_000)
+    apps: tuple[str, ...] = Items(Choice(ALL_APPS)).field(ALL_APPS)
+    threshold: int | None = Int(1).field(None)
+    threshold_fraction: float | None = Real(0, 1, open_lo=True).field(0.00004, none=True)
+    seed: int = Int(0, MASK64).field(0)
+    experiment_id: str = Text().field("")
 
     def __post_init__(self) -> None:
-        # a string is no list of names: "half" would be read letter by letter
-        for name in ("schemes", "apps"):
-            names = getattr(self, name)
-            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
-                raise TypeError(f"{name} must be a list or tuple of names")
-        # a JSON list, a Python list and a flag give one spec and one hash
-        self.schemes, self.apps = tuple(self.schemes), tuple(self.apps)
-        # a float or a bool is no count, and a bool or a string no fraction
-        # (a JSON config can hold any of them)
-        given = [n for n in ("width", "memory_bytes", "threshold") if getattr(self, n) is not None]
-        counts = ("rows", "counter_bits", "shared_bits", "snapshot_interval", "seed", *given)
-        require_ints(self, *counts)
-        # a numpy int would overflow in the seed hash, change the config hash
-        # and fail the JSON report; a Python int is kept as the same object
-        for name in counts:
-            setattr(self, name, operator.index(getattr(self, name)))
-        for name in ("attack_fraction", "threshold_fraction"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Real)):
-                raise TypeError(f"{name} must be a real number, not {type(value).__name__}")
-        # an int path would be opened as a file descriptor (0 reads stdin)
-        for name in ("benign", "attack"):
-            trace = getattr(self, name)
-            if trace is not None and not isinstance(trace, (Trace, str, Path)):
-                raise TypeError(f"{name} must be a Trace or a path, not {type(trace).__name__}")
-        if not isinstance(self.experiment_id, str):
-            raise TypeError(f"experiment_id must be a str, not {type(self.experiment_id).__name__}")
-        # rows are counted out (derive_seeds) before any sketch checks them
-        if not 1 <= self.rows <= MAX_ROWS:
-            raise ValueError(f"rows must be in [1, {MAX_ROWS}]")
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be in [0, 2**64)")
-        if self.attack_fraction is not None and not 0 <= self.attack_fraction <= 1:
-            raise ValueError("attack_fraction must be in [0, 1]")
-        if not self.schemes:
-            raise ValueError("schemes must name at least one scheme")
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown:
-            raise ValueError(f"unknown schemes: {sorted(unknown)}")
-        # one sketch per scheme: a repeated name would feed it every segment twice
-        if len(set(self.schemes)) != len(self.schemes):
-            raise ValueError(f"repeated schemes: {list(self.schemes)}")
-        if self.width is None and self.memory_bytes is None:
-            raise ValueError("either width or memory_bytes is required")
-        if self.snapshot_interval <= 0:
-            raise ValueError("snapshot_interval must be positive")
-        if self.interleave not in (INTERLEAVE_SHUFFLE, INTERLEAVE_APPEND):
-            raise ValueError(f"unknown interleave mode {self.interleave!r}")
-        bad = set(self.apps) - set(ALL_APPS)
-        if bad:
-            raise ValueError(f"unknown apps: {sorted(bad)}")
-        # None means no threshold; zero or less would detect every flow
-        for name in ("threshold", "threshold_fraction"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.threshold_fraction is not None:
-            if not math.isfinite(self.threshold_fraction):
-                raise ValueError("threshold_fraction must be finite")
-            if self.threshold_fraction > 1:
-                raise ValueError("threshold_fraction must be in (0, 1]")
-        # each shape rule is checked by the config that carries it
+        self.RULES.apply(self)
         scheme_configs(self)
 
 
@@ -242,11 +201,13 @@ def scheme_configs(spec: ExperimentSpec) -> dict[str, SketchConfig | CountMinCon
     it runs: one ``SketchConfig``, which sc-lsb and instant share, and one
     ``CountMinConfig`` at the same memory, with the same row seeds. A config
     checks its fields when it is built, so a width or a field no scheme can
-    take raises ValueError here, before any sketch allocates a row."""
+    take raises ``SpecError`` here, before any sketch allocates a row."""
     if spec.memory_bytes is not None:
         width, cm_width = equal_memory_widths(spec.memory_bytes, spec.rows, spec.counter_bits)
-    else:
+    elif spec.width is not None:
         width, cm_width = spec.width, count_min_width_for(spec.width, spec.counter_bits)
+    else:
+        raise SpecError("width", "either width or memory_bytes is required")
     seeds = derive_seeds(spec.seed, spec.rows)
     dynamic = SketchConfig(rows=spec.rows, width=width, counter_bits=spec.counter_bits,
                            shared_bits=spec.shared_bits, merge_mode=spec.merge_mode, seeds=seeds)
@@ -295,7 +256,7 @@ def assemble_stream(spec: ExperimentSpec) -> tuple[Trace, Trace | None]:
     attack = _load(spec.attack)
     # no trace, or traces of no packets, would report nothing and exit 0
     if not sum(len(trace) for trace in (benign, attack) if trace is not None):
-        raise ValueError("experiment needs a trace of at least one packet")
+        raise SpecError("benign", "benign and attack: a run needs at least one packet")
     if benign is None:
         return attack, None
     if attack is None or len(attack) == 0:

@@ -29,7 +29,6 @@ it up in each table and takes the minimum over rows in one pass.
 from __future__ import annotations
 
 import functools
-import numbers
 import operator
 from array import array
 from typing import Sequence
@@ -37,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernel
+from .rules import Int, Items, SpecError
 
 MASK64 = (1 << 64) - 1
 
@@ -46,6 +46,12 @@ MAX_WIDTH = 1 << 32
 
 # The most rows a sketch may have: a snapshot header stores the count as a u16.
 MAX_ROWS = (1 << 16) - 1
+
+# The rules of the shape fields every config has: a snapshot header stores
+# the rows in a u16, the width in a u32 and each seed in a u64.
+ROWS = Int(1, MAX_ROWS)
+WIDTH = Int(1, MAX_WIDTH - 1)
+SEEDS = Items(Int(0, MASK64))
 
 # Packets placed and counted per step of ``RowSketch.encode_stream`` given raw
 # keys, and the longest segment ``run_experiment`` wraps in one ``KeyBatch``.
@@ -175,30 +181,13 @@ class KeyBatch:
         return idx
 
 
-def require_ints(config, *names: str) -> None:
-    """TypeError unless each named field of ``config`` is an int, not a float or bool."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
-
-
-def config_seeds(config, width_step: int = 1) -> tuple[int, ...]:
-    """``config.seeds``, or ``derive_seeds(0, rows)`` if it names none, once
-    ``rows``, ``width`` (a multiple of ``width_step``) and the seeds are
-    checked to be ints that a snapshot header stores: a u16, a u32, u64s."""
-    require_ints(config, "rows", "width")
-    if not 1 <= config.rows <= MAX_ROWS:
-        raise ValueError(f"rows must be in [1, {MAX_ROWS}]")
-    if not 1 <= config.width < 1 << 32 or config.width % width_step:
-        step = f" and a multiple of {width_step}" if width_step > 1 else ""
-        raise ValueError(f"width must be in [1, 2**32 - 1]{step}")
-    seeds = config.seeds or derive_seeds(0, config.rows)
-    if len(seeds) != config.rows:
-        raise ValueError("seeds must provide one seed per row")
-    if not all(0 <= operator.index(seed) <= MASK64 for seed in seeds):
-        raise ValueError("seeds must lie in [0, 2**64)")
-    return seeds
+def row_seeds(config) -> None:
+    """Give ``config`` the seeds ``derive_seeds(0, rows)`` if it names none,
+    and refuse it unless it has one seed per row."""
+    if not config.seeds:
+        object.__setattr__(config, "seeds", derive_seeds(0, config.rows))
+    if len(config.seeds) != config.rows:
+        raise SpecError("seeds", "seeds must provide one seed per row")
 
 
 class RowSketch:

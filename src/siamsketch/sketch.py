@@ -136,7 +136,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernel
-from .hashing import MASK64, RowSketch, config_seeds, require_ints
+from .hashing import MASK64, MAX_WIDTH, ROWS, SEEDS, RowSketch, row_seeds
+from .rules import Choice, Int, SpecError, checked
 
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
@@ -189,33 +190,30 @@ def pair_states(code: int) -> tuple[int, int]:
     return _PAIR_A[code], _PAIR_B[code]
 
 
+@checked
 @dataclass(frozen=True)
 class SketchConfig:
     """Shape of a sketch: rows ``d``, slots per row ``w``, base counter bits
     ``S``, joint sub-counter bits ``K``, fuse rule, and per-row hash seeds.
 
     ``shared_bits`` must be even and below ``counter_bits``; zero disables
-    sharing entirely (instant-merge behaviour).
+    sharing entirely (instant-merge behaviour). Each field declares its rule.
     """
 
-    rows: int = 3
-    width: int = 4096
-    counter_bits: int = 8
-    shared_bits: int = 4
-    merge_mode: str = MERGE_SUM
-    seeds: tuple[int, ...] = ()
+    # a group is four slots, each level doubles a counter's bits, and the
+    # joint sub-counter is split in two halves
+    rows: int = ROWS.field(3)
+    width: int = Int(1, MAX_WIDTH - 1, step=4).field(4096)
+    counter_bits: int = Int(2, 16).field(8)
+    shared_bits: int = Int(0, step=2).field(4)
+    merge_mode: str = Choice((MERGE_SUM, MERGE_MAX)).field(MERGE_SUM)
+    seeds: tuple[int, ...] = SEEDS.field(())
 
     def __post_init__(self) -> None:
-        require_ints(self, "counter_bits", "shared_bits")
-        object.__setattr__(self, "seeds", config_seeds(self, width_step=4))
-        if not 2 <= self.counter_bits <= 16:
-            raise ValueError("counter_bits must be in [2, 16]")
-        if self.shared_bits % 2:
-            raise ValueError("shared_bits must be even")
-        if self.shared_bits < 0 or self.shared_bits >= self.counter_bits:
-            raise ValueError("shared_bits must satisfy 0 <= shared_bits < counter_bits")
-        if self.merge_mode not in (MERGE_SUM, MERGE_MAX):
-            raise ValueError(f"unknown merge_mode {self.merge_mode!r}")
+        self.RULES.apply(self)
+        row_seeds(self)
+        if self.shared_bits >= self.counter_bits:
+            raise SpecError("shared_bits", "shared_bits must be below counter_bits")
 
 
 class DynamicSketch(RowSketch):

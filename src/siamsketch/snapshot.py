@@ -45,6 +45,7 @@ from array import array
 import numpy as np
 
 from .baselines import CountMinConfig, CountMinSketch, InstantMergeSketch
+from .rules import SpecError
 from .sketch import (
     LEGAL_GROUP_STATES,
     MERGE_MAX,
@@ -190,7 +191,7 @@ def load_bytes(raw: bytes):
 def _config(cls, **fields):
     try:
         return cls(**fields)
-    except ValueError as exc:
+    except SpecError as exc:
         raise SnapshotError("bad-config", str(exc)) from exc
 
 

@@ -31,17 +31,17 @@ from __future__ import annotations
 
 import ctypes
 import math
-import operator
 import struct
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernel
 from .analysis import coupon_expect
-from .hashing import MASK64, hash_batch, mix64, require_ints, u64_keys
+from .hashing import MASK64, WIDTH, hash_batch, mix64, u64_keys
+from .rules import Choice, Int, Real, Rules, SpecError, checked
 
 TRACE_MAGIC = b"SKTR"
 TRACE_VERSION = 1
@@ -49,6 +49,17 @@ _HEADER = struct.Struct("<4sHH")
 
 SEQUENTIAL = "sequential"
 ROUND_ROBIN = "round-robin"
+
+# A flow id; a Python int key is its own.
+_KEY = Int(0, MASK64)
+
+# Every seed from 0 up, 2**64 and above included; np.random.default_rng
+# refuses a negative one too, naming no field.
+SEED = Int(0)
+
+# The most items of 8 bytes one numpy array holds: a count of packets or
+# flows above it could never be generated.
+_MAX_LEN = np.iinfo(np.intp).max // 8
 
 
 class TraceError(Exception):
@@ -100,14 +111,7 @@ class Trace:
             if keys.dtype.kind == "i" and len(keys) > 0 and int(keys.min()) < 0:
                 raise ValueError("integer keys must lie in [0, 2**64)")
         else:
-            keys = []
-            for k in self.keys:
-                if isinstance(k, bool):
-                    raise TypeError("keys must be integers or bytes, not bool")
-                k = flow_id(k) if isinstance(k, bytes) else operator.index(k)
-                if not 0 <= k <= MASK64:
-                    raise ValueError("integer keys must lie in [0, 2**64)")
-                keys.append(k)
+            keys = [flow_id(k) if isinstance(k, bytes) else _KEY.check("keys", k) for k in keys]
         self.keys = u64_keys(keys)
 
     def __len__(self) -> int:
@@ -124,41 +128,19 @@ class Trace:
         return bool(np.array_equal(self.keys, other.keys))
 
 
-def _require_seed(seed: int) -> None:
-    """TypeError unless ``seed`` is an int, ValueError if it is negative:
-    ``np.random.default_rng`` would refuse it too, naming no field. Every
-    seed from 0 up is valid, 2**64 and above included."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
-        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-
+@checked
 @dataclass(frozen=True)
 class ZipfConfig:
     """Zipf-distributed stream: ``P(rank k) ~ k**-skew`` over ``flows`` ranks,
-    each rank a 64-bit flow id."""
+    each rank a 64-bit flow id. Each field declares its rule."""
 
-    skew: float
-    flows: int
-    packets: int
-    seed: int
+    skew: float = Real(0).field()
+    flows: int = Int(1, _MAX_LEN).field()
+    packets: int = Int(0, _MAX_LEN).field()
+    seed: int = SEED.field()
 
     def __post_init__(self) -> None:
-        # a float count fails deep in gen_zipf, a bool skew would run as 0 or 1,
-        # and a numpy count has no bit_length
-        require_ints(self, "flows", "packets", "seed")
-        for name in ("flows", "packets", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if isinstance(self.skew, bool) or not isinstance(self.skew, Real):
-            raise TypeError(f"skew must be a real number, not {type(self.skew).__name__}")
-        if not (math.isfinite(self.skew) and self.skew >= 0):
-            raise ValueError("skew must be finite and non-negative")
-        if self.flows < 1:
-            raise ValueError("flows must be at least 1")
-        if self.packets < 0:
-            raise ValueError("packets must be non-negative")
-        _require_seed(self.seed)
+        self.RULES.apply(self)
 
 
 _FLOW_SALT = 0x5A1F_0000
@@ -254,28 +236,35 @@ class AttackPlan:
         return self.flows * self.packets_per_flow
 
 
+# the table attacked is a sketch row
+_PLAN = Rules(
+    width=WIDTH,
+    fraction=Real(0, 1),
+    packets_per_flow=Int(1, _MAX_LEN),
+    interleave=Choice((SEQUENTIAL, ROUND_ROBIN)),
+)
+
+
 def plan_attack(
     width: int,
     fraction: float,
     packets_per_flow: int = 256,
     interleave: str = SEQUENTIAL,
 ) -> AttackPlan:
-    if width < 1:
-        raise ValueError("width must be positive")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be finite and in [0, 1]")
-    if packets_per_flow < 1:
-        raise ValueError("packets_per_flow must be positive")
-    if interleave not in (SEQUENTIAL, ROUND_ROBIN):
-        raise ValueError(f"unknown interleave mode {interleave!r}")
+    width, fraction, packets_per_flow, interleave = _PLAN.args(
+        width=width, fraction=fraction, packets_per_flow=packets_per_flow, interleave=interleave
+    )
     targets = round(width * fraction)
     expected = coupon_expect(width, targets)
+    flows = math.ceil(expected)
+    if flows * packets_per_flow > _MAX_LEN:
+        raise SpecError("packets_per_flow", f"packets_per_flow must be at most {_MAX_LEN // flows}")
     return AttackPlan(
         width=width,
         fraction=fraction,
         targets=targets,
         expected_flows=expected,
-        flows=math.ceil(expected),
+        flows=flows,
         packets_per_flow=packets_per_flow,
         interleave=interleave,
     )
@@ -287,7 +276,7 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
     Keys are uniform random 64-bit values; the attacker knows the table width
     but not the hash seeds, so no placement targeting happens here.
     """
-    _require_seed(seed)
+    seed = SEED.check("seed", seed)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << 64, size=plan.flows, dtype=np.uint64)
     while len(np.unique(keys)) < plan.flows:
@@ -325,7 +314,7 @@ def interleave_traces(a: Trace, b: Trace, seed: int) -> Trace:
     test that compares the kernel with ``rng.shuffle`` fails together with
     the golden stream digests, which depend on the shuffle whichever path
     made them."""
-    _require_seed(seed)
+    seed = SEED.check("seed", seed)
     n = len(a) + len(b)
     rng = np.random.default_rng(seed)
     out = np.empty(n, dtype=np.uint64)

@@ -214,6 +214,17 @@ def test_equal_memory_too_small():
                 equal_memory_widths(least - 1, rows, bits)
 
 
+def test_equal_memory_too_large():
+    # a budget of 2**32 slots a row is refused naming memory_bytes, not the
+    # width derived from it; the most the error names is exact
+    for rows in (1, 3):
+        for bits in (2, 8, 16):
+            most = rows * (bits + 1) * 2**29 - 1
+            assert equal_memory_widths(most, rows, bits)[0] == 2**32 - 4
+            with pytest.raises(ValueError, match=f"memory_bytes must be at most {most} "):
+                equal_memory_widths(most + 1, rows, bits)
+
+
 def test_late_merge_dominance_small():
     rng = np.random.default_rng(4)
     seeds = (11, 12)

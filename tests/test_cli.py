@@ -357,3 +357,52 @@ def test_run_memory_bytes_flag_overrides_config_file(tmp_path):
                  "--snapshot-interval", "5000", "--out", str(tmp_path / "nofile")]) == 0
     assert (tmp_path / "width" / "metrics.json").read_bytes() == (
         tmp_path / "nofile" / "metrics.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, flags, field",
+    [("[1, 2]", [], "config"),
+     ("[1, 2]", ["--width", "64"], "config"),
+     ("{bad", [], "config"),
+     ('{"foo": 1}', [], "foo")],
+)
+def test_run_config_that_is_no_object_of_spec_fields_names_it(tmp_path, capsys, text, flags,
+                                                               field):
+    # a list, text that is not JSON, or a key that is no spec field
+    config = tmp_path / "c.json"
+    config.write_text(text)
+    rc = main(["run", "--config", str(config), *flags, "--benign", "x",
+               "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and field in err["detail"]
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_empty_apps_flag_takes_the_census(tmp_path, capsys):
+    # '' is the empty list: no metric rows, every counter row
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    out = tmp_path / "r"
+    assert main(["run", "--apps", "", "--benign", str(benign), "--width", "64",
+                 "--out", str(out)]) == 0
+    assert (out / "metrics.csv").read_text().splitlines() == [",".join(experiment.METRIC_COLUMNS)]
+    assert len((out / "counters.csv").read_text().splitlines()) == 1 + 3 * 3
+    capsys.readouterr()
+    assert main(["run", "--schemes", "", "--benign", str(benign), "--width", "64",
+                 "--out", str(tmp_path / "none")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "bad-arguments", "detail": "schemes must name at least one scheme"}
+
+
+def test_a_bug_in_a_run_is_not_a_bad_argument(tmp_path, monkeypatch):
+    # only a refused input is reported as bad-arguments; any other error
+    # escapes main as the bug it is
+    def broken(*args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(experiment, "metric_are", broken)
+    benign = tmp_path / "b.sktr"
+    write_trace(benign, Trace(np.arange(100, dtype=np.uint64)))
+    with pytest.raises(ValueError, match="a bug"):
+        main(["run", "--benign", str(benign), "--width", "64", "--out", str(tmp_path / "r")])
