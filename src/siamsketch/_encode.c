@@ -1,6 +1,7 @@
 /* The kernel library: batched hashing, batched row placement, batched
- * encode, batched query, the shuffled interleave of two traces and the rank
- * search of a Zipf stream: seven entry points.
+ * encode, batched query, the shuffled interleave of two traces, the rank
+ * search of a Zipf stream and an exact sum of float64 terms: eight entry
+ * points.
  *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
@@ -23,6 +24,10 @@
  * CDF in one pass over the CDF, then bisects each draw's bracket of ranks
  * in one pass over the draws, which also checks that each draw lies in
  * ``[0, 1)``.
+ *
+ * ``sum_buckets`` adds float64 terms exactly, for ``metrics._exact_sum``: in
+ * one pass it adds each term's significand into the integer bucket of its
+ * exponent, from which Python forms the exact sum and rounds it once.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It ports
@@ -575,4 +580,36 @@ size_t guide_search(const double *cdf, size_t n, const double *draws, size_t nd,
         out[j] = (int64_t)lo;
     }
     return nd;
+}
+
+/* ``metrics._exact_sum``: the exact sum of ``n`` doubles, none negative, -0.0
+ * or not finite, as 2047 two-word buckets, one per biased exponent (bucket 0
+ * unused). A double of biased exponent ``e >= 1`` is its 53-bit significand
+ * times ``2**(e - 1075)``; a subnormal is its significand times
+ * ``2**-1074``, the scale of bucket 1. So bucket ``e`` adds up the
+ * significands of its exponent in ``buckets[2 * e]`` (low word) and
+ * ``buckets[2 * e + 1]`` (high word), and the sum is
+ * ``((hi << 64) | lo) << (e - 1)`` over the buckets, divided by
+ * ``2**1074``. A significand is below ``2**53``, so the high word cannot
+ * wrap before ``2**75`` terms. The carry into the high word is done by hand:
+ * strict C99 has no 128-bit integer. Writes every bucket. Returns the index
+ * of the first term whose sign bit is set or whose exponent is all ones
+ * (infinite or NaN), its top 12 bits at least ``0x7FF``, and ``n`` when
+ * there is none; the buckets then hold the terms before it. */
+size_t sum_buckets(const double *values, size_t n, uint64_t *buckets)
+{
+    const uint64_t frac = (UINT64_C(1) << 52) - 1;
+    memset(buckets, 0, 2 * 2047 * sizeof *buckets);
+    for (size_t i = 0; i < n; i++) {
+        uint64_t bits;
+        memcpy(&bits, &values[i], sizeof bits);
+        uint64_t e = bits >> 52;
+        if (e >= 0x7FF)
+            return i;
+        uint64_t sig = (bits & frac) | ((uint64_t)(e != 0) << 52);
+        uint64_t *b = buckets + 2 * (e + (e == 0));
+        b[0] += sig;
+        b[1] += b[0] < sig;
+    }
+    return n;
 }

@@ -1,6 +1,6 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has seven entry points: ``hash_keys`` hashes a chunk of keys
+The library has eight entry points: ``hash_keys`` hashes a chunk of keys
 under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
 their slots in one row (``hashing.index_batch``), ``encode_row`` counts a
 chunk of slots into one row of the dynamic-counter engine
@@ -11,12 +11,13 @@ over rows in one pass (``hashing.RowSketch._query_array``), ``interleave``
 mixes two traces (``traffic.interleave_traces``): it shuffles their labels
 as numpy's ``Generator.shuffle`` does, drawing from the generator's own
 state through the ``next_uint32`` function the generator hands out, and
-fills the mix in the same pass; and ``guide_search`` finds the rank of each
+fills the mix in the same pass; ``guide_search`` finds the rank of each
 draw of a Zipf stream (``traffic.guide_search``): it builds the guide table
 of the rank CDF in one pass over the CDF and bisects each draw's bracket in
-one pass over the draws. ``encode_row`` takes the row's group count with
-its group codes: it reads every code once per call to choose among its
-three count regimes. A row with fewer than 1/10 of its groups out of code 0
+one pass over the draws; and ``sum_buckets`` adds float64 terms exactly
+into one integer bucket per exponent (``metrics._exact_sum``), in one pass.
+``encode_row`` takes the row's group count with its group codes: it reads
+every code once per call to choose among its three count regimes. A row with fewer than 1/10 of its groups out of code 0
 is counted with a fast path for independent slots, an 8-bit row with at
 least 1/8 of its groups holding a shared pair with the pair-word loop, and
 every other row with the per-unit loop (``_encode.c`` gives the loops and
@@ -37,8 +38,9 @@ None after one ``RuntimeWarning`` per process: keys are then hashed and
 placed key by key with the scalar ``mix64``, the engine counts packets with
 its scalar ``_encode`` and decodes slots with its scalar ``_decode``, and
 two traces are mixed by their definition: ``rng.shuffle`` of the labels,
-then a boolean-mask scatter of each trace to its labels, and a Zipf
-stream's ranks come from ``np.searchsorted`` over its CDF.
+then a boolean-mask scatter of each trace to its labels, a Zipf stream's
+ranks come from ``np.searchsorted`` over its CDF, and error terms are summed
+by ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -105,10 +107,10 @@ def _build(path: Path, command: Sequence[str]) -> None:
 
 @functools.cache
 def load():
-    """The kernel library, with its seven entry points declared
+    """The kernel library, with its eight entry points declared
     (``hash_keys``, ``place``, ``encode_row``, ``decode_row``,
-    ``query_rows``, ``interleave`` and ``guide_search``), built first if
-    needed; None if it cannot be built or loaded."""
+    ``query_rows``, ``interleave``, ``guide_search`` and ``sum_buckets``),
+    built first if needed; None if it cannot be built or loaded."""
     try:
         command = compile_command()
         path = library_path(SOURCE.read_bytes(), command)
@@ -117,7 +119,7 @@ def load():
         lib = ctypes.CDLL(str(path))
         hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
         decode_row, query_rows, interleave = lib.decode_row, lib.query_rows, lib.interleave
-        guide_search = lib.guide_search
+        guide_search, sum_buckets = lib.guide_search, lib.sum_buckets
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
@@ -194,4 +196,10 @@ def load():
         ctypes.c_void_p,  # int64 ranks, written
     ]
     guide_search.restype = ctypes.c_size_t  # the first draw out of range, else their count
+    sum_buckets.argtypes = [
+        ctypes.c_void_p,  # float64 terms
+        ctypes.c_size_t,
+        ctypes.c_void_p,  # uint64 buckets, 2047 x (low, high) words, written
+    ]
+    sum_buckets.restype = ctypes.c_size_t  # the first term not summed, else their count
     return lib

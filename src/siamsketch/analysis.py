@@ -17,6 +17,12 @@ from .rules import Int, Rules, SpecError
 
 _EXACT_COMB_LIMIT = 60  # population size below which the pmf is exact integer math
 
+# Harmonic numbers of arguments up to this are summed term by term; larger
+# ones take the asymptotic expansion, whose first omitted term,
+# 1/(120 n**4), is below 1e-25 there.
+_DIRECT_HARMONIC = 1 << 20
+_EULER_GAMMA = 0.5772156649015329
+
 
 _COUPON = Rules(width=Int(1), targets=Int(0))
 _HYPER = Rules(side1=Int(0), side2=Int(0), draws=Int(0))
@@ -25,13 +31,25 @@ _HYPER = Rules(side1=Int(0), side2=Int(0), draws=Int(0))
 def coupon_expect(width: int, targets: int) -> float:
     """Expected uniform draws to hit ``targets`` distinct slots out of ``width``.
 
-    Equals ``width * (H(width) - H(width - targets))``, computed from the
-    partial sum directly so large widths lose no precision.
+    Equals ``width * (H(width) - H(width - targets))``. Up to
+    ``_DIRECT_HARMONIC`` targets it is the partial sum of their terms, so
+    large widths lose no precision. More targets take the expansion
+    ``H(n) = ln n + gamma + 1/(2n) - 1/(12n**2)`` in constant time: the
+    logarithms' difference is ``-log1p(-targets / width)`` and each
+    correction's difference one exact fraction, or, when ``width - targets``
+    is at most ``_DIRECT_HARMONIC``, ``H(width - targets)`` is its term sum.
     """
     width, targets = _COUPON.args(width=width, targets=targets)
     if targets > width:
         raise SpecError("targets", "targets must be in [0, width]")
-    return width * math.fsum(1.0 / i for i in range(width - targets + 1, width + 1))
+    rest = width - targets
+    if targets <= _DIRECT_HARMONIC:
+        return width * math.fsum(1.0 / i for i in range(rest + 1, width + 1))
+    if rest <= _DIRECT_HARMONIC:
+        h_width = math.log(width) + _EULER_GAMMA + (6 * width - 1) / (12 * width * width)
+        return width * (h_width - math.fsum(1.0 / i for i in range(1, rest + 1)))
+    corrections = targets * (6 * width * rest - width - rest) / (12 * width * width * rest * rest)
+    return width * (-math.log1p(-targets / width) - corrections)
 
 
 def _check_hyper(side1: int, side2: int, draws: int) -> None:

@@ -12,13 +12,17 @@ bit for bit. Integers whose magnitudes all stay below 2**30 are computed in
 int64, so every difference and every square is exact (larger integers are
 computed on Python ints). Converting such an int64 to float64 is exact too,
 and float64 division is correctly rounded, as Python's ``int / int`` is. The
-per-flow terms are then summed with ``math.fsum``, which is correctly
-rounded and so independent of order; ``metric_are`` hands it the float64
-terms through a ``memoryview``, not as a list. ``metric_rmse`` sums int64
-squares in int64 when the largest square is at most 2**53 and ``n`` times it
-stays below 2**63: every square is then an exact float and the sum cannot
-wrap, so ``float`` of the integer sum is the correctly rounded sum that
-``math.fsum`` of the squares returns. Other inputs are summed by ``fsum``.
+per-flow terms are then summed exactly and rounded once, so the sum is
+independent of order. ``metric_are`` sums its float64 terms with the kernel
+library's ``sum_buckets`` (:func:`_exact_sum`), which returns the value
+``math.fsum`` returns, bit for bit; ``math.fsum`` itself still sums them
+without the library, for terms that are not float64 (Python objects, from
+integers past 2**30, or float32), and when a term is negative, -0.0, NaN or
+infinite. ``metric_rmse`` sums int64 squares in int64 when the largest
+square is at most 2**53 and ``n`` times it stays below 2**63: every square
+is then an exact float and the sum cannot wrap, so ``float`` of the integer
+sum is the correctly rounded sum that ``math.fsum`` of the squares returns.
+Other inputs are summed by ``fsum``.
 
 ``FlowSizeDistribution.from_sizes`` keeps its size classes in the order each
 size first occurs, as a dict filled flow by flow does: ``estimate_entropy``
@@ -36,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import _kernel
 
 # Integers of smaller magnitude are computed in int64: their differences
 # stay below 2**31 and the squares of those below 2**62.
@@ -83,13 +89,35 @@ def _flow_arrays(truths, estimates) -> tuple[np.ndarray, np.ndarray]:
     return t, e
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """``math.fsum`` of an array of terms, bit for bit: the correctly rounded
+    sum, or OverflowError when it is past the largest float.
+
+    For float64 terms, none negative, -0.0 or not finite, the kernel
+    library's ``sum_buckets`` adds every significand into the integer bucket
+    of its exponent in one pass; the buckets form the exact sum as one
+    integer count of ``2**-1074``, and Python's ``int / int``, correctly
+    rounded as ``fsum`` is, rounds it once. Other terms, or any terms without
+    the library, go to ``fsum``."""
+    lib = _kernel.load()
+    if lib is not None and terms.dtype == np.float64:
+        terms = np.ascontiguousarray(terms)
+        buckets = np.empty((2047, 2), dtype=np.uint64)
+        if lib.sum_buckets(terms.ctypes.data, len(terms), buckets.ctypes.data) == len(terms):
+            used = np.flatnonzero(buckets.any(axis=1))
+            total = 0
+            for e, (lo, hi) in zip(used.tolist(), buckets[used].tolist()):
+                total += ((hi << 64) | lo) << (e - 1)
+            return total / (1 << 1074)
+    return math.fsum(terms.tolist())
+
+
 def metric_are(truths: Sequence[float], estimates: Sequence[float]) -> float:
     """Average relative error: mean of ``|f - f_hat| / f``."""
     t, e = _flow_arrays(truths, estimates)
     if (t <= 0).any():
         raise ValueError("truths must be positive")
-    q = abs(t - e) / t
-    return math.fsum(memoryview(q) if q.dtype == np.float64 else q.tolist()) / len(t)
+    return _exact_sum(abs(t - e) / t) / len(t)
 
 
 def metric_rmse(truths: Sequence[float], estimates: Sequence[float]) -> float:

@@ -41,6 +41,28 @@ def test_coupon_expect_closed_forms():
     assert coupon_expect(500, 500) == pytest.approx(float(500 * h500), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "width, targets",
+    [
+        (2**20 + 1, 2**20 + 1),  # the first targets past the term sum, H(0)
+        (2**21, 2**20 + 1),  # H(width - targets) as its term sum
+        (2**22, 2**22),
+        (2**23, 2**22),  # both harmonic numbers by the expansion
+        (2**62, 2**22),  # -log1p of a ratio near 1e-12
+    ],
+)
+def test_coupon_expect_expansion_matches_the_term_sum(width, targets):
+    # above 2**20 targets the harmonic expansion replaces the term sum
+    terms = 1.0 / np.arange(width - targets + 1, width + 1, dtype=np.uint64).astype(np.float64)
+    assert coupon_expect(width, targets) == pytest.approx(width * math.fsum(terms), rel=1e-12)
+
+
+def test_coupon_expect_at_the_widest_width():
+    # 2**64 targets take constant time and stay finite
+    assert math.isfinite(coupon_expect(2**64, 2**64))
+    assert coupon_expect(2**64, 2**64) == pytest.approx(2**64 * (64 * math.log(2) + EULER_GAMMA))
+
+
 def test_coupon_expect_worked_value():
     assert 1.07e5 <= coupon_expect(155_000, 77_500) <= 1.09e5
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siamsketch import metrics
+from siamsketch import _kernel, metrics
 from siamsketch import (
     CountMinConfig,
     CountMinSketch,
@@ -80,6 +80,53 @@ def test_rmse_integer_sum_at_its_guards(top, n, integer_sum):
         assert metric_rmse(truths, estimates) == want
         assert metric_rmse(tl, el) == want
     assert fsum.called is not integer_sum
+
+
+_TERMS = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.0**-1022, exclude_max=True),  # subnormals
+    st.floats(2.0**1000, allow_infinity=False),  # near the largest float
+    st.floats(0.0, allow_infinity=False),
+)
+# each sends the sum to fsum
+_FALLBACK_TERMS = st.one_of(
+    st.sampled_from([-0.0, math.nan, math.inf]),
+    st.floats(max_value=-(2.0**-1074)),
+)
+
+
+@given(
+    terms=st.lists(_TERMS, max_size=60),
+    run=st.tuples(_TERMS, st.integers(0, 5000)),
+    bad=st.none() | st.tuples(_FALLBACK_TERMS, st.integers(0, 10**6)),
+)
+@example(terms=[], run=(2.0 - 2.0**-52, 5000), bad=None)  # the low word wraps twice
+@example(terms=[1.0], run=(1e-16, 5000), bad=None)
+@example(terms=[np.finfo(float).max], run=(2.0**970, 1), bad=None)  # ties up to 2**1024
+@example(terms=[np.finfo(float).max], run=(2.0**969, 2), bad=None)
+@example(terms=[5e-324, 2.0**-1022], run=(2.0**-1022 - 5e-324, 3), bad=(-0.0, 1))
+@settings(max_examples=300, deadline=None)
+def test_exact_sum_matches_fsum(terms, run, bad):
+    # zeros, subnormals, terms near 2**1023 and long runs of one term, whose
+    # significands carry from a bucket's low word into its high word: the
+    # kernel's bucket sum returns fsum's float, or raises OverflowError as
+    # fsum does; a -0.0, negative, NaN or infinite term goes to fsum itself
+    value, count = run
+    a = np.concatenate([np.array(terms, dtype=np.float64), np.full(count, value)])
+    if bad is not None:
+        a = np.insert(a, bad[1] % (len(a) + 1), bad[0])
+
+    def outcome(sum_of, values):
+        try:
+            return repr(sum_of(values))
+        except OverflowError:
+            return OverflowError
+
+    want = outcome(math.fsum, a.tolist())
+    with patch.object(math, "fsum", wraps=math.fsum) as fsum:
+        assert outcome(metrics._exact_sum, a) == want
+        assert outcome(metrics._exact_sum, a[::-1]) == want
+    assert fsum.called is (bad is not None or _kernel.load() is None)
 
 
 def _mask(*hits, n=6):
@@ -165,6 +212,17 @@ def test_error_metrics_take_lists_and_arrays_alike():
             metric(np.array([1, 2]), np.array([1]))
     with pytest.raises(ValueError, match="positive"):
         metric_are(np.array([1, 0]), np.array([1, 3]))
+    # 185k flows shaped as many-flows' (most flows small, a few large, about
+    # a third estimated exactly): the kernel's exact sum and the fsum that
+    # runs without the library give one float
+    flows = 185_024
+    truths = np.minimum(rng.zipf(1.6, size=flows), 300_000)
+    estimates = truths + rng.integers(0, 40, size=flows) * (rng.random(flows) < 0.7)
+    tl, el = truths.tolist(), estimates.tolist()
+    want = math.fsum(abs(a - b) / a for a, b in zip(tl, el)) / flows
+    assert metric_are(truths, estimates) == want
+    with patch.object(_kernel, "load", lambda: None):
+        assert metric_are(truths, estimates) == want
 
 
 def test_fsd_from_lists_and_arrays_alike():
