@@ -7,6 +7,16 @@
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
  * as ``hashing.place_u64`` does key by key. Both share one ``mix64``.
  *
+ * On x86-64 CPUs with AVX-512F and AVX-512DQ, ``hash_keys``, ``place`` and
+ * ``query_rows`` take their keys in blocks of 8 through 8-lane bodies, which
+ * share ``mix8`` and ``slot8`` as the scalar loops share ``mix64`` and
+ * ``slot_in``, and write the same values. Only a GNU-compatible compiler for
+ * x86-64 builds them, each function for those two extensions alone, so the
+ * library needs no ``-march`` and loads on any x86-64 CPU; ``lanes`` asks
+ * the CPU at run time. The scalar loops take the rest: a tail of fewer than
+ * 8 keys, a row of 2**32 slots, which ``slot8``'s 32-bit multiplies cannot
+ * reduce, and every key on other CPUs and under other compilers.
+ *
  * ``decode_row`` writes ``DynamicSketch._decode`` of every slot of one row
  * into a uint64 table, through the same ``unit_of`` and ``read_span`` as the
  * encode. ``query_rows`` answers a batch of keys from the tables of every
@@ -429,13 +439,6 @@ static inline uint64_t mix64(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* ``n`` keys to their 64-bit hashes, ``mix64(key ^ seed_state)``. */
-void hash_keys(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t *out)
-{
-    for (size_t i = 0; i < n; i++)
-        out[i] = mix64(keys[i] ^ seed_state);
-}
-
 /* A key's slot in ``[0, width)``: ``mix64(key ^ seed_state)``, then the high
  * 64 bits of ``hash * width``, taken in 32-bit halves so that no product
  * overflows; exact for ``width <= 2**32``. */
@@ -445,10 +448,108 @@ static inline size_t slot_in(uint64_t key, uint64_t seed_state, uint64_t width)
     return (size_t)(((z >> 32) * width + (((z & 0xFFFFFFFF) * width) >> 32)) >> 32);
 }
 
+/* The widths ``slot8`` takes: its multiplies read 32 bits of ``width``. */
+#define LANE_WIDTH (UINT64_C(1) << 32)
+
+#if defined(__GNUC__) && defined(__x86_64__)
+#include <immintrin.h>
+
+/* A function built for AVX-512F and AVX-512DQ alone, whatever the flags of
+ * the library; only a caller that ``lanes`` allowed may call it. */
+#define LANES __attribute__((target("avx512f,avx512dq")))
+
+/* Whether this CPU, and the OS's saved vector state, run the 8-lane bodies. */
+static int lanes(void)
+{
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+}
+
+/* ``mix64`` of 8 keys: ``_mm512_mullo_epi64`` keeps the low 64 bits of each
+ * product, as the scalar multiply does. */
+static inline LANES __m512i mix8(__m512i z)
+{
+    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 30));
+    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)UINT64_C(0xBF58476D1CE4E5B9)));
+    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 27));
+    z = _mm512_mullo_epi64(z, _mm512_set1_epi64((long long)UINT64_C(0x94D049BB133111EB)));
+    return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+}
+
+/* ``slot_in`` of 8 hashes, given ``width < LANE_WIDTH`` in every lane:
+ * ``_mm512_mul_epu32`` multiplies the low 32 bits of two lanes into 64. */
+static inline LANES __m512i slot8(__m512i z, __m512i width)
+{
+    __m512i high = _mm512_mul_epu32(_mm512_srli_epi64(z, 32), width);
+    __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(z, width), 32);
+    return _mm512_srli_epi64(_mm512_add_epi64(high, low), 32);
+}
+
+/* The 8-lane bodies of ``hash_keys``, ``place`` and ``query_rows``: each
+ * handles the whole blocks of 8 keys and returns how many keys that is. */
+static LANES size_t hash_blocks(const uint64_t *keys, size_t n, uint64_t seed_state,
+                                uint64_t *out)
+{
+    __m512i seed = _mm512_set1_epi64((long long)seed_state);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        _mm512_storeu_si512(out + i, mix8(_mm512_xor_si512(_mm512_loadu_si512(keys + i), seed)));
+    return i;
+}
+
+static LANES size_t place_blocks(const uint64_t *keys, size_t n, uint64_t seed_state,
+                                 uint64_t width, int64_t *out)
+{
+    __m512i seed = _mm512_set1_epi64((long long)seed_state);
+    __m512i w = _mm512_set1_epi64((long long)width);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512i z = mix8(_mm512_xor_si512(_mm512_loadu_si512(keys + i), seed));
+        _mm512_storeu_si512(out + i, slot8(z, w));
+    }
+    return i;
+}
+
+static LANES size_t query_blocks(const uint64_t *keys, size_t n, const uint64_t *seed_states,
+                                 const uint64_t *tables, size_t rows, uint64_t width,
+                                 uint64_t *out)
+{
+    __m512i w = _mm512_set1_epi64((long long)width);
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        __m512i key = _mm512_loadu_si512(keys + i);
+        __m512i best = _mm512_set1_epi64(-1);
+        for (size_t r = 0; r < rows; r++) {
+            __m512i seed = _mm512_set1_epi64((long long)seed_states[r]);
+            __m512i slot = slot8(mix8(_mm512_xor_si512(key, seed)), w);
+            __m512i v = _mm512_i64gather_epi64(slot, tables + r * width, 8);
+            best = _mm512_min_epu64(best, v);
+        }
+        _mm512_storeu_si512(out + i, best);
+    }
+    return i;
+}
+#else
+/* No 8-lane bodies: the scalar loops take every key. */
+#define lanes() 0
+#define hash_blocks(keys, n, seed_state, out) 0
+#define place_blocks(keys, n, seed_state, width, out) 0
+#define query_blocks(keys, n, seed_states, tables, rows, width, out) 0
+#endif
+
+/* ``n`` keys to their 64-bit hashes, ``mix64(key ^ seed_state)``. */
+void hash_keys(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t *out)
+{
+    size_t i = lanes() ? hash_blocks(keys, n, seed_state, out) : 0;
+    for (; i < n; i++)
+        out[i] = mix64(keys[i] ^ seed_state);
+}
+
 /* ``n`` keys to their slots in one row. */
 void place(const uint64_t *keys, size_t n, uint64_t seed_state, uint64_t width, int64_t *out)
 {
-    for (size_t i = 0; i < n; i++)
+    size_t i = width < LANE_WIDTH && lanes() ? place_blocks(keys, n, seed_state, width, out) : 0;
+    for (; i < n; i++)
         out[i] = (int64_t)slot_in(keys[i], seed_state, width);
 }
 
@@ -484,7 +585,10 @@ void decode_row(const void *row, int wide, const uint8_t *states, size_t width,
 void query_rows(const uint64_t *keys, size_t n, const uint64_t *seed_states,
                 const uint64_t *tables, size_t rows, uint64_t width, uint64_t *out)
 {
-    for (size_t i = 0; i < n; i++) {
+    size_t i = width < LANE_WIDTH && lanes()
+                   ? query_blocks(keys, n, seed_states, tables, rows, width, out)
+                   : 0;
+    for (; i < n; i++) {
         uint64_t best = UINT64_MAX;
         for (size_t r = 0; r < rows; r++) {
             uint64_t v = tables[r * width + slot_in(keys[i], seed_states[r], width)];

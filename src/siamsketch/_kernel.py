@@ -17,11 +17,15 @@ of the rank CDF in one pass over the CDF and bisects each draw's bracket in
 one pass over the draws; and ``sum_buckets`` adds float64 terms exactly
 into one integer bucket per exponent (``metrics._exact_sum``), in one pass.
 ``encode_row`` takes the row's group count with its group codes: it reads
-every code once per call to choose among its three count regimes. A row with fewer than 1/10 of its groups out of code 0
-is counted with a fast path for independent slots, an 8-bit row with at
-least 1/8 of its groups holding a shared pair with the pair-word loop, and
-every other row with the per-unit loop (``_encode.c`` gives the loops and
-the measured crossovers).
+every code once per call to choose among its three count regimes. A row
+with fewer than 1/10 of its groups out of code 0 is counted with a fast
+path for independent slots, an 8-bit row with at least 1/8 of its groups
+holding a shared pair with the pair-word loop, and every other row with the
+per-unit loop (``_encode.c`` gives the loops and the measured crossovers).
+On an x86-64 CPU with AVX-512F and AVX-512DQ, ``hash_keys``, ``place`` and
+``query_rows`` hash 8 keys per instruction. The library asks the CPU at run
+time, so ``FLAGS`` name no target and one build serves every x86-64 CPU;
+other CPUs and compilers run the scalar loops, with the same results.
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under

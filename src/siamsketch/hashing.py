@@ -14,8 +14,10 @@ Hashing and placement each have two implementations: the scalar
 serve the per-key entry points, and the C kernel library (``_encode.c``,
 loaded by ``_kernel``) behind the batched :func:`hash_batch` (``hash_keys``)
 and :func:`index_batch` (``place``), which fall back to the scalar ones
-without a compiler. A :class:`KeyBatch` keeps a segment's slots per row, so
-sketches that count one segment at one width place it once.
+without a compiler. On an x86-64 CPU with AVX-512DQ the library hashes and
+places 8 keys per instruction, chosen at run time, with the same results.
+A :class:`KeyBatch` keeps a segment's slots per row, so sketches that count
+one segment at one width place it once.
 
 :class:`RowSketch` is the base of every scheme. It owns the row seeds, the
 packet total, and the entry points (``encode_u64``, ``query_u64``,
@@ -52,6 +54,10 @@ MAX_ROWS = (1 << 16) - 1
 ROWS = Int(1, MAX_ROWS)
 WIDTH = Int(1, MAX_WIDTH - 1)
 SEEDS = Items(Int(0, MASK64))
+
+# The widths :func:`index_batch` places into: up to 2**32, which no config
+# takes but ``place_u64`` still reduces exactly.
+PLACED_WIDTH = Int(1, MAX_WIDTH)
 
 # Packets placed and counted per step of ``RowSketch.encode_stream`` given raw
 # keys, and the longest segment ``run_experiment`` wraps in one ``KeyBatch``.
@@ -103,8 +109,11 @@ def place_u64(key: int, state: int, width: int) -> int:
 def u64_keys(keys: Sequence[int] | np.ndarray) -> np.ndarray:
     """Keys as a contiguous uint64 array of flow ids, each integer masked to
     64 bits as ``encode_u64`` and ``query_u64`` mask it. Other keys raise
-    TypeError: a float, a string or a ``bytes`` key in a sequence, and an
-    array whose dtype is not an integer one (float, complex, string)."""
+    TypeError: a float, a string or a ``bytes`` key in a sequence, an array
+    that is not one-dimensional, and an array whose dtype is not an integer
+    one (float, complex, string)."""
+    if isinstance(keys, np.ndarray) and keys.ndim != 1:
+        raise TypeError(f"keys must be a one-dimensional array, not {keys.ndim}-dimensional")
     if isinstance(keys, np.ndarray) and keys.dtype != object:
         if keys.dtype.kind not in "iu":
             raise TypeError(f"keys must be integers, not {keys.dtype}")
@@ -139,9 +148,10 @@ def index_batch(keys: np.ndarray, seed: int, width: int) -> np.ndarray:
     slots hashed with ``seed``, as an int64 array: :func:`place_u64` of each
     key, exactly. The kernel library's ``place`` computes it; where the
     library cannot be built, every key goes through the scalar
-    :func:`place_u64`, after the loader's one ``RuntimeWarning``."""
-    if not 0 < width <= MAX_WIDTH:
-        raise ValueError("width must be in [1, 2**32]")
+    :func:`place_u64`, after the loader's one ``RuntimeWarning``. ``width``
+    is an integer in ``[1, 2**32]`` (``PLACED_WIDTH``): a bool or a float is
+    refused with a TypeError, a width out of range with a ValueError."""
+    width = PLACED_WIDTH.check("width", width)
     keys = u64_keys(keys)
     state = seed_state(seed)
     lib = _kernel.load()

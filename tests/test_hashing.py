@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from siamsketch import (
     SiameseSketch,
     SketchConfig,
     Trace,
+    _kernel,
     flow_id,
 )
 from siamsketch.hashing import (
@@ -31,6 +33,28 @@ from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 from siamsketch.snapshot import dump_bytes
 
 from conftest import kernel_unbuildable, plant_state
+
+
+def at_lane_boundaries(**fixed):
+    """Hypothesis examples whose arrays, with the two extreme keys each test
+    adds, hold 7, 8, 9, 15, 16 and 17 keys: either side of one and of two
+    blocks of the kernel's 8-lane bodies."""
+
+    def wrap(test):
+        for n in (7, 8, 9, 15, 16, 17):
+            test = example(keys=list(range(1, n - 1)), **fixed)(test)
+        return test
+
+    return wrap
+
+
+def cpu_flags() -> set[str]:
+    """The CPU flags ``/proc/cpuinfo`` lists; empty where there is none."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.split(":", 1)[1].split()}
 
 
 def test_width_one_always_zero():
@@ -89,11 +113,14 @@ def test_long_keys_fold():
 @example(keys=[1], seed=3, width=65_536)
 @example(keys=[1], seed=3, width=99_991)
 @example(keys=list(range(64)), seed=3, width=2**32 - 1)
+@example(keys=list(range(1, 16)), seed=5, width=2**32)
+@at_lane_boundaries(seed=3, width=4096)
 def test_batch_matches_scalar(keys, seed, width):
     # with the kernel library's place and with the scalar fallback; the
     # extreme keys go into every draw. The reduction's carry from the low
     # half of the product changes about width / 2**32 of the slots, so the
-    # widest row is drawn too.
+    # widest row is drawn too. A row of 2**32 slots, which the 8-lane body
+    # cannot reduce, takes the scalar loop for its whole blocks too.
     keys = [0, *keys, 2**64 - 1]
     arr = np.array(keys, dtype=np.uint64)
     expected = [place_u64(k, seed_state(seed), width) for k in keys]
@@ -111,6 +138,7 @@ def test_batch_matches_scalar(keys, seed, width):
 )
 @example(keys=[], seed=0)
 @example(keys=[1], seed=2**64)
+@at_lane_boundaries(seed=3)
 def test_hash_batch_matches_scalar(keys, seed):
     # with the kernel library's hash_keys and with the scalar fallback; seeds
     # above 2**64 are masked by seed_state as hash_u64 masks them
@@ -160,10 +188,18 @@ def test_mix64_avalanche_smoke():
 
 
 def test_invalid_width():
-    # the batched reduction is exact up to 2**32 slots
+    # the batched reduction is exact up to 2**32 slots, and only an integer
+    # width reaches it: a bool or a float is refused, not placed or cast
     for width in (0, -4, 2**32 + 1):
         with pytest.raises(ValueError):
             index_batch(np.arange(3, dtype=np.uint64), 0, width)
+    for width in (True, 4.0, "8"):
+        for fallback in (False, True):
+            with kernel_unbuildable(fallback), pytest.raises(TypeError, match="width"):
+                index_batch(np.arange(3, dtype=np.uint64), 0, width)
+    assert index_batch(np.arange(3, dtype=np.uint64), 0, np.int64(8)).tolist() == [
+        place_u64(k, seed_state(0), 8) for k in range(3)
+    ]
     assert index_batch(np.array([2**64 - 1], dtype=np.uint64), 5, 2**32).tolist() == [
         place_u64(2**64 - 1, seed_state(5), 2**32)
     ]
@@ -218,7 +254,9 @@ def test_query_many_matches_query_u64_for_every_scheme():
                     assert all(type(v) is int for v in answers)
                     assert sk.query_many(keys) == answers
                     assert sk.query_many(probe[-1:]) == expected[-1:]
-                    assert sk.query_many([]) == []
+                    # either side of one and of two 8-key blocks, and none
+                    for n in range(18):
+                        assert sk.query_many(probe[:n]) == expected[:n]
 
 
 @pytest.mark.parametrize("cls", [SiameseSketch, InstantMergeSketch, CountMinSketch])
@@ -338,3 +376,54 @@ def test_key_batch_keeps_the_slots_of_one_width():
     other = batch.slots(7, 50)
     assert np.array_equal(other, index_batch(batch.keys, 7, 50))
     assert batch.slots(7, 100) is first and batch.slots(7, 50) is other
+
+
+@pytest.mark.skipif(
+    "avx512dq" not in cpu_flags(),
+    reason="no avx512dq in /proc/cpuinfo: only the kernel's scalar loops were tested",
+)
+def test_vector_blocks_match_scalar():
+    # on a CPU with AVX-512DQ the kernel's hash_keys, place and query_rows
+    # take whole blocks of 8 keys through their 8-lane bodies and the tail
+    # through the scalar loops: every length up to five blocks, from an
+    # array start that is not 64-byte aligned, gives the scalar answers, at
+    # the widths either side of the body's 2**32 limit too
+    if _kernel.load() is None:
+        pytest.skip("no kernel library")
+    rng = np.random.default_rng(36)
+    pool = rng.integers(0, 1 << 64, size=42, dtype=np.uint64)
+    pool[:2] = (0, 2**64 - 1)
+    for n in range(41):
+        keys = pool[1 : n + 1]
+        ints = keys.tolist()
+        assert hash_batch(keys, 9).tolist() == [hash_u64(k, 9) for k in ints]
+        for width in (1, 7, 4096, 2**32 - 1, 2**32):
+            expected = [place_u64(k, seed_state(9), width) for k in ints]
+            assert index_batch(keys, 9, width).tolist() == expected
+    sk = CountMinSketch(CountMinConfig(rows=3, width=61, seeds=(4, 5, 6)))
+    sk.encode_stream(rng.choice(pool, size=2_000))
+    for n in range(41):
+        probe = pool[1 : n + 1]
+        assert sk.query_many(probe) == [sk.query_u64(k) for k in probe.tolist()]
+
+
+def test_keys_must_be_one_dimensional():
+    # every kernel loop reads len(keys) keys from the flat buffer, so a 2-D
+    # array would be read as its first rows' worth of keys: it is refused
+    grid = np.arange(6, dtype=np.uint64).reshape(2, 3)
+    bad = (grid, grid.astype(np.int64), grid.astype(object), np.array(5, dtype=np.uint64))
+    cfg = SketchConfig(rows=2, width=8)
+    for fallback in (False, True):
+        with kernel_unbuildable(fallback):
+            sketches = [SiameseSketch(cfg), InstantMergeSketch(cfg)]
+            sketches.append(CountMinSketch(CountMinConfig()))
+            refusers = [u64_keys, Trace, KeyBatch, lambda k: hash_batch(k, 1)]
+            refusers.append(lambda k: index_batch(k, 1, 8))
+            for sk in sketches:
+                refusers += [sk.encode_stream, sk.query_many]
+            for keys in bad:
+                for refuse in refusers:
+                    with pytest.raises(TypeError):
+                        refuse(keys)
+            assert all(sk.packet_count == 0 for sk in sketches)
+            assert sketches[0].query_many(grid.ravel()) == [0] * 6
