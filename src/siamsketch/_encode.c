@@ -3,6 +3,11 @@
  * search of a Zipf stream and an exact sum of float64 terms: eight entry
  * points.
  *
+ * An entry point is a function defined at the start of a line and not
+ * ``static``; ``_kernel.load`` reads its ctypes signature from that
+ * definition. Its parameters and result are therefore pointers, ``size_t``,
+ * ``uint64_t``, ``int`` or ``void``, and every helper is ``static``.
+ *
  * ``hash_keys`` hashes a chunk of keys under one seed, as ``hashing.hash_u64``
  * does key by key. ``place`` maps a chunk of keys to their slots in one row,
  * as ``hashing.place_u64`` does key by key. Both share one ``mix64``.

@@ -1,31 +1,8 @@
 """Build and load the C kernel library, ``_encode.c``, once per machine.
 
-The library has eight entry points: ``hash_keys`` hashes a chunk of keys
-under one seed (``hashing.hash_batch``), ``place`` hashes a chunk of keys to
-their slots in one row (``hashing.index_batch``), ``encode_row`` counts a
-chunk of slots into one row of the dynamic-counter engine
-(``DynamicSketch._encode_batch``), ``decode_row`` decodes every slot of such
-a row (``DynamicSketch._decode_row``), ``query_rows`` answers a batch of
-keys from every row's decoded table, placing each key and taking the minimum
-over rows in one pass (``hashing.RowSketch._query_array``), ``interleave``
-mixes two traces (``traffic.interleave_traces``): it shuffles their labels
-as numpy's ``Generator.shuffle`` does, drawing from the generator's own
-state through the ``next_uint32`` function the generator hands out, and
-fills the mix in the same pass; ``guide_search`` finds the rank of each
-draw of a Zipf stream (``traffic.guide_search``): it builds the guide table
-of the rank CDF in one pass over the CDF and bisects each draw's bracket in
-one pass over the draws; and ``sum_buckets`` adds float64 terms exactly
-into one integer bucket per exponent (``metrics._exact_sum``), in one pass.
-``encode_row`` takes the row's group count with its group codes: it reads
-every code once per call to choose among its three count regimes. A row
-with fewer than 1/10 of its groups out of code 0 is counted with a fast
-path for independent slots, an 8-bit row with at least 1/8 of its groups
-holding a shared pair with the pair-word loop, and every other row with the
-per-unit loop (``_encode.c`` gives the loops and the measured crossovers).
-On an x86-64 CPU with AVX-512F and AVX-512DQ, ``hash_keys``, ``place`` and
-``query_rows`` hash 8 keys per instruction. The library asks the CPU at run
-time, so ``FLAGS`` name no target and one build serves every x86-64 CPU;
-other CPUs and compilers run the scalar loops, with the same results.
+The library's entry points and their ctypes signatures are read from that
+source (:func:`entry_points`); its header says what each one does, and each
+caller names its Python fallback.
 
 The kernel is compiled with the C compiler Python was built with
 (``sysconfig``'s ``CC``, else ``cc``) into a shared library under
@@ -37,14 +14,9 @@ compiler builds a new library and an unchanged one is reused without running
 the compiler. A library is written under a temporary name and moved into
 place, so a concurrent process never loads a partial file.
 
-Without a compiler, or when the build or the load fails, :func:`load` returns
-None after one ``RuntimeWarning`` per process: keys are then hashed and
-placed key by key with the scalar ``mix64``, the engine counts packets with
-its scalar ``_encode`` and decodes slots with its scalar ``_decode``, and
-two traces are mixed by their definition: ``rng.shuffle`` of the labels,
-then a boolean-mask scatter of each trace to its labels, a Zipf stream's
-ranks come from ``np.searchsorted`` over its CDF, and error terms are summed
-by ``math.fsum``.
+Without a compiler, or when the source cannot be declared, the build fails
+or the load fails, :func:`load` returns None after one ``RuntimeWarning`` per
+process, and every caller takes its Python fallback, with the same results.
 """
 
 from __future__ import annotations
@@ -53,6 +25,7 @@ import ctypes
 import functools
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sysconfig
@@ -109,21 +82,56 @@ def _build(path: Path, command: Sequence[str]) -> None:
             os.unlink(tmp)
 
 
+# A function defined at the start of a line and not ``static``: its result
+# type, its name and its parameters, in which the one nested pair of
+# parentheses allowed is a function pointer's.
+_DEFINITION = re.compile(
+    r"^(?!static\b)(\w[\w\s*]*?)\s*\b(\w+)\s*\(((?:[^()]|\([^()]*\))*)\)\s*\{", re.M
+)
+_CTYPES = {"size_t": ctypes.c_size_t, "uint64_t": ctypes.c_uint64, "int": ctypes.c_int, "void": None}
+
+
+def _ctype(c_type: str, definition: str):
+    """The ctypes type of a C type: ``c_void_p`` for any pointer, else
+    ``_CTYPES``' entry, ``const`` aside."""
+    if "*" in c_type:
+        return ctypes.c_void_p
+    words = [w for w in c_type.split() if w != "const"]
+    if len(words) != 1 or words[0] not in _CTYPES:
+        raise RuntimeError(f"no ctypes type for {c_type.strip()!r} in {definition}")
+    return _CTYPES[words[0]]
+
+
+def entry_points(source: str) -> dict[str, tuple[list, type | None]]:
+    """The entry points that the C ``source`` defines, each as its ctypes
+    ``(argtypes, restype)``. A RuntimeError names a definition with a type
+    outside ``_CTYPES`` that is not a pointer."""
+    declared = {}
+    for result, name, params in _DEFINITION.findall(source):
+        definition = " ".join(f"{result} {name}({params})".split())
+        parts = [] if params.strip() in ("", "void") else re.split(r",(?![^()]*\))", params)
+        # the last word of a parameter that is not a pointer is its name
+        argtypes = [_ctype(p if "*" in p else p.rsplit(None, 1)[0], definition) for p in parts]
+        declared[name] = (argtypes, _ctype(result, definition))
+    return declared
+
+
 @functools.cache
 def load():
-    """The kernel library, with its eight entry points declared
-    (``hash_keys``, ``place``, ``encode_row``, ``decode_row``,
-    ``query_rows``, ``interleave``, ``guide_search`` and ``sum_buckets``),
-    built first if needed; None if it cannot be built or loaded."""
+    """The kernel library, with every entry point of :func:`entry_points`
+    declared, built first if needed; None if it cannot be declared, built or
+    loaded."""
     try:
+        source = SOURCE.read_bytes()
+        declared = entry_points(source.decode())
         command = compile_command()
-        path = library_path(SOURCE.read_bytes(), command)
+        path = library_path(source, command)
         if not path.exists():
             _build(path, command)
         lib = ctypes.CDLL(str(path))
-        hash_keys, place, encode_row = lib.hash_keys, lib.place, lib.encode_row
-        decode_row, query_rows, interleave = lib.decode_row, lib.query_rows, lib.interleave
-        guide_search, sum_buckets = lib.guide_search, lib.sum_buckets
+        for name, (argtypes, restype) in declared.items():
+            entry = getattr(lib, name)
+            entry.argtypes, entry.restype = argtypes, restype
     except (OSError, RuntimeError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
         warnings.warn(
@@ -132,78 +140,4 @@ def load():
             stacklevel=2,
         )
         return None
-    hash_keys.argtypes = [
-        ctypes.c_void_p,  # uint64 keys
-        ctypes.c_size_t,
-        ctypes.c_uint64,  # seed state
-        ctypes.c_void_p,  # uint64 hashes, written
-    ]
-    hash_keys.restype = None
-    place.argtypes = [
-        ctypes.c_void_p,  # uint64 keys
-        ctypes.c_size_t,
-        ctypes.c_uint64,  # seed state
-        ctypes.c_uint64,  # width
-        ctypes.c_void_p,  # int64 slot indices, written
-    ]
-    place.restype = None
-    encode_row.argtypes = [
-        ctypes.c_void_p,  # row slots
-        ctypes.c_int,  # slots are uint16
-        ctypes.c_void_p,  # group codes
-        ctypes.c_size_t,  # groups, the length of the group codes
-        ctypes.c_void_p,  # int64 slot indices
-        ctypes.c_size_t,
-        ctypes.c_int,  # counter_bits
-        ctypes.c_int,  # shared_bits
-        ctypes.c_int,  # sum mode
-    ]
-    encode_row.restype = ctypes.c_uint64
-    decode_row.argtypes = [
-        ctypes.c_void_p,  # row slots
-        ctypes.c_int,  # slots are uint16
-        ctypes.c_void_p,  # group codes
-        ctypes.c_size_t,  # width, the number of slots
-        ctypes.c_int,  # counter_bits
-        ctypes.c_int,  # shared_bits
-        ctypes.c_void_p,  # uint64 decoded values, written
-    ]
-    decode_row.restype = None
-    query_rows.argtypes = [
-        ctypes.c_void_p,  # uint64 keys
-        ctypes.c_size_t,
-        ctypes.c_void_p,  # uint64 seed state of each row
-        ctypes.c_void_p,  # uint64 decoded tables, rows x width
-        ctypes.c_size_t,  # rows
-        ctypes.c_uint64,  # width
-        ctypes.c_void_p,  # uint64 answers, written
-    ]
-    query_rows.restype = None
-    interleave.argtypes = [
-        ctypes.c_void_p,  # uint64 keys of a
-        ctypes.c_size_t,
-        ctypes.c_void_p,  # uint64 keys of b
-        ctypes.c_size_t,
-        ctypes.c_void_p,  # bit generator state
-        ctypes.c_void_p,  # its next_uint32
-        ctypes.c_void_p,  # uint8 labels, written
-        ctypes.c_void_p,  # uint64 mix, written
-    ]
-    interleave.restype = None
-    guide_search.argtypes = [
-        ctypes.c_void_p,  # float64 CDF
-        ctypes.c_size_t,
-        ctypes.c_void_p,  # float64 draws
-        ctypes.c_size_t,
-        ctypes.c_size_t,  # buckets, a power of two
-        ctypes.c_void_p,  # int64 guide table, buckets + 1 edges, written
-        ctypes.c_void_p,  # int64 ranks, written
-    ]
-    guide_search.restype = ctypes.c_size_t  # the first draw out of range, else their count
-    sum_buckets.argtypes = [
-        ctypes.c_void_p,  # float64 terms
-        ctypes.c_size_t,
-        ctypes.c_void_p,  # uint64 buckets, 2047 x (low, high) words, written
-    ]
-    sum_buckets.restype = ctypes.c_size_t  # the first term not summed, else their count
     return lib

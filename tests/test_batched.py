@@ -11,12 +11,15 @@ its per-unit loop. The tests below plant rows on each side of both shares
 and cross each within one stream. Both
 encode paths and the query must leave and report exactly what per-packet
 ``encode_u64`` and per-key ``query_u64`` do, in every group state and at
-every counter width. The kernel's build, cache and fallback are tested here
-too.
+every counter width. The kernel's build, cache and fallback, and the calls
+of its entry points, are tested here too.
 """
 
+import ast
 import shutil
+import warnings
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,6 +307,24 @@ def test_kernel_leaves_the_fast_path_between_chunks(bits, shared, mode):
     assert_same(kernel, scalar)
 
 
+def test_kernel_matches_encode_where_a_sum_fuse_meets_a_sibling_pair_at_one():
+    # a 4-bit instant row in sum mode: one packet each to slots 2 and 3,
+    # then 300 to slot 0, whose counter outgrows its pair after the sibling
+    # pair (1, 1) is fused up to it; the quad reads 302 in every slot. A
+    # fuse that adds 1 where both prefixes are 1 reads 303, and neither the
+    # hypothesis streams nor the planted states above reach this state.
+    if _kernel.load() is None:
+        pytest.skip("no C compiler: the kernel cannot be compared")
+    cfg = SketchConfig(rows=1, width=4, counter_bits=4, shared_bits=0, merge_mode="sum", seeds=(1,))
+    kernel, scalar = InstantMergeSketch(cfg), InstantMergeSketch(cfg)
+    slots = [2, 3] + [0] * 300
+    kernel._encode_batch(0, np.array(slots, dtype=np.int64))
+    for slot in slots:
+        scalar._encode(0, slot)
+    assert_same(kernel, scalar)
+    assert kernel._decode_row(0).tolist() == [scalar._decode(0, s) for s in range(4)] == [302] * 4
+
+
 @pytest.mark.parametrize("path", ["pair-word loop", "per-unit loop", "fallback", "code-0 fast path"])
 def test_saturated_quad_counter_drops_packets_from_row_total(path):
     # 4-bit slots: one key's group fuses up to a 16-bit quad counter, which
@@ -376,6 +397,56 @@ def test_unbuildable_kernel_warns_once_and_falls_back():
     warned = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(warned) == 1
     assert "no C encode kernel" in str(warned[0].message)
+
+
+def test_source_with_a_type_ctypes_is_not_given_builds_nothing(tmp_path, monkeypatch):
+    source, cache = tmp_path / "bad.c", tmp_path / "cache"
+    source.write_text("void f(double x) {}\n")
+    cache.mkdir()
+    monkeypatch.setattr(_kernel, "SOURCE", source)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+
+    def compiler_ran(*args, **kwargs):
+        raise AssertionError("the compiler ran")
+
+    monkeypatch.setattr(_kernel.subprocess, "run", compiler_ran)
+    _kernel.load.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _kernel.load() is None
+            assert _kernel.load() is None
+    finally:
+        _kernel.load.cache_clear()
+    warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(warned) == 1
+    assert "void f(double x)" in warned[0]
+    assert not any(cache.iterdir())
+
+
+def test_every_kernel_call_passes_its_entry_points_arguments():
+    # ctypes passes surplus arguments without a word, so only a check of the
+    # calls' source catches one that lacks a parameter added in C. It reads
+    # the source alone and runs without a compiler too.
+    declared = _kernel.entry_points(_kernel.SOURCE.read_text())
+    called = {"src": set(), "tests": set()}
+    for tree, files in (("src", Path(_kernel.__file__).parent), ("tests", Path(__file__).parent)):
+        for path in sorted(files.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "lib"
+                ):
+                    continue
+                where, name = f"{path.name}:{node.lineno}", node.func.attr
+                assert name in declared, f"{where}: {name} is no entry point"
+                assert not node.keywords and not any(isinstance(a, ast.Starred) for a in node.args)
+                assert len(node.args) == len(declared[name][0]), f"{where}: {name}"
+                called[tree].add(name)
+    assert called["src"] == set(declared)
+    assert {"guide_search", "interleave"} <= called["tests"]
 
 
 def test_kernel_builds_where_the_compiler_is_on_the_path():
