@@ -1,7 +1,7 @@
 /* The kernel library: batched hashing, batched row placement, batched
  * encode, batched query, the shuffled interleave of two traces, the rank
- * search of a Zipf stream and an exact sum of float64 terms: eight entry
- * points.
+ * search of a Zipf stream, an exact sum of float64 terms and Count-Min's
+ * count: nine entry points.
  *
  * An entry point is a function defined at the start of a line and not
  * ``static``; ``_kernel.load`` reads its ctypes signature from that
@@ -43,6 +43,35 @@
  * ``sum_buckets`` adds float64 terms exactly, for ``metrics._exact_sum``: in
  * one pass it adds each term's significand into the integer bucket of its
  * exponent, from which Python forms the exact sum and rounds it once.
+ *
+ * ``count_min_row`` counts one chunk of slot indices into one row of
+ * ``CountMinSketch``, whose ``_encode`` is a saturating +1. One saturating
+ * +1 after another is slow where a skewed stream sends packet after packet
+ * to the same few slots: each increment waits for the store of the one
+ * before it. So, given lanes, it counts packet ``i`` into lane histogram
+ * ``i % 4`` and then adds each slot's four lane counts to the row in one
+ * saturating add. That is exact: increments commute, and one saturating
+ * add of a sum equals that many saturating +1s. The lanes are merged at
+ * least every ``LANE_BLOCK`` packets, so that no lane count wraps. The
+ * caller passes the lanes or NULL, for one saturating +1 at a time, and
+ * ``baselines.py`` records its rule. The lanes are the caller's, so the
+ * library calls no allocator, and the other entry points keep their
+ * addresses: imports of ``calloc`` and ``free`` moved every function by 32
+ * bytes, and the ``many-flows`` instant ``encode_row`` took 1.044 ms against
+ * 0.876 ms (best of 30, alternating in one process). For the same reason
+ * ``count_min_row`` is the last function of this file.
+ *
+ * One full stream of each benchmark workload, pre-placed into 3 Count-Min
+ * rows of 1152 slots in chunks of 65,536 packets, seed 7, best of 21
+ * (2-core x86-64 host with AVX-512, gcc 12 -O2; ``np.bincount`` is the
+ * fallback without the library):
+ *
+ *   workload     np.bincount  1 lane   4 lanes  8 lanes
+ *   attack       8.92 ms      6.12 ms  1.99 ms  2.05 ms
+ *   many-flows   1.13 ms      0.71 ms  0.47 ms  0.49 ms
+ *
+ * Eight lanes gain nothing over four and have twice the lanes to clear and
+ * merge.
  *
  * ``encode_row`` counts one chunk of slot indices into one row of the
  * dynamic-counter engine, in stream order. It ports
@@ -721,4 +750,43 @@ size_t sum_buckets(const double *values, size_t n, uint64_t *buckets)
         b[1] += b[0] < sig;
     }
     return n;
+}
+
+/* The most packets the lanes take before they are merged: each lane then
+ * holds at most 2**32 - 1 of them, so no lane count wraps. */
+#define LANE_BLOCK (4 * (uint64_t)UINT32_MAX)
+
+/* ``CountMinSketch._encode``, of ``n`` packets given by slot, into one row of
+ * ``width`` saturating uint32 counters. ``lanes`` is NULL, and each increment
+ * saturates in turn, or it has room for ``4 * width`` uint32 lane counts,
+ * which this overwrites: packet ``i`` is counted into lane ``i % 4``, and
+ * each block of at most ``LANE_BLOCK`` packets ends in one merge, ``min(row
+ * + sum of lanes, 2**32 - 1)`` per slot. The caller guarantees that every
+ * index is in ``[0, width)``. */
+void count_min_row(uint32_t *row, size_t width, const int64_t *idx, size_t n, uint32_t *lanes)
+{
+    if (lanes == NULL) {
+        for (size_t i = 0; i < n; i++)
+            row[idx[i]] += row[idx[i]] != UINT32_MAX;
+        return;
+    }
+    uint32_t *l0 = lanes, *l1 = l0 + width, *l2 = l1 + width, *l3 = l2 + width;
+    for (size_t start = 0; start < n;) {
+        size_t end = n - start > LANE_BLOCK ? start + (size_t)LANE_BLOCK : n;
+        size_t i = start;
+        memset(lanes, 0, 4 * width * sizeof *lanes);
+        for (; i + 4 <= end; i += 4) {
+            l0[idx[i]]++;
+            l1[idx[i + 1]]++;
+            l2[idx[i + 2]]++;
+            l3[idx[i + 3]]++;
+        }
+        for (; i < end; i++)
+            lanes[(i - start) % 4 * width + (size_t)idx[i]]++;
+        for (size_t s = 0; s < width; s++) {
+            uint64_t v = (uint64_t)row[s] + l0[s] + l1[s] + l2[s] + l3[s];
+            row[s] = v < UINT32_MAX ? (uint32_t)v : UINT32_MAX;
+        }
+        start = end;
+    }
 }

@@ -7,6 +7,8 @@
   (``sketch.DynamicSketch``) with ``shared_bits`` pinned to 0, not a
   separate implementation.
 * :class:`CountMinSketch` — plain full-width counters, the usual baseline.
+  Its batched count runs in the kernel library (``count_min_row`` in
+  ``_encode.c``), and in numpy without it.
 
 For fair comparisons the state-tracking overhead of the dynamic schemes is
 charged against them: a dynamic row of ``w`` base counters costs
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernel
 from .hashing import MAX_WIDTH, ROWS, SEEDS, WIDTH, RowSketch, row_seeds
 from .rules import Int, Rules, SpecError, checked
 from .sketch import DynamicSketch, SketchConfig
@@ -54,9 +57,33 @@ class CountMinConfig:
 
 _MAX32 = (1 << 32) - 1
 
+# ``_encode_batch`` gives ``count_min_row`` room for its four lane histograms
+# (16 bytes a slot; the kernel fixes the lane count at four) when a call has
+# at least 4 packets a slot, ``4 * width <= n``, and NULL, one saturating +1
+# at a time, otherwise. Only a call that uses the lanes allocates them, and
+# they take at most half the bytes of its int64 slot indices.
+# Pre-placed slots, best of 41, one lane against four, in us (2-core x86-64
+# host with AVX-512, gcc 12 -O2):
+#
+#   width   packets    uniform        Zipf 1.0
+#   1152    1 a slot   3.9 / 4.9      3.9 / 4.7
+#   1152    4 a slot   6.3 / 6.1      6.0 / 6.1
+#   1152    32 a slot  29.7 / 18.2    29.1 / 20.1
+#   4096    16 a slot  48.6 / 43.1    47.2 / 36.7
+#
+# Below 4 packets a slot, clearing and merging the lanes costs more than they
+# save.
+
 
 class CountMinSketch(RowSketch):
-    """Count-Min with saturating 32-bit counters, one ``array('I')`` per row."""
+    """Count-Min with saturating 32-bit counters, one ``array('I')`` per row.
+
+    ``_encode`` (per packet, the specification) adds 1 below ``2**32 - 1``.
+    ``_encode_batch`` counts a chunk in the kernel library's
+    ``count_min_row``, passing it lanes or NULL by the rule above the class;
+    without the library it adds the chunk's ``np.bincount`` and saturates
+    once. All three leave the row bit-identical.
+    """
 
     scheme = "count-min"
 
@@ -65,8 +92,21 @@ class CountMinSketch(RowSketch):
         self._rows = [array("I", [0]) * self._w for _ in range(self._d)]
 
     def _encode_batch(self, row_idx: int, idx: np.ndarray) -> None:
-        row = np.frombuffer(self._rows[row_idx], dtype=np.uint32)
-        row[:] = np.minimum(row + np.bincount(idx, minlength=self._w), _MAX32)
+        """Count a chunk of packets, given by slot (each in ``[0, width)``),
+        exactly as ``_encode`` would one by one: with the kernel library's
+        ``count_min_row`` when it could be built, else with ``np.bincount``
+        (see the class docstring)."""
+        lib = _kernel.load()
+        if lib is None:
+            row = np.frombuffer(self._rows[row_idx], dtype=np.uint32)
+            row[:] = np.minimum(row + np.bincount(idx, minlength=self._w), _MAX32)
+            return
+        idx = np.ascontiguousarray(idx, dtype=np.int64)
+        lanes = np.empty(4 * self._w, dtype=np.uint32) if 4 * self._w <= len(idx) else None
+        lib.count_min_row(
+            self._rows[row_idx].buffer_info()[0], self._w, idx.ctypes.data, len(idx),
+            None if lanes is None else lanes.ctypes.data,
+        )
 
     def _encode(self, row_idx: int, slot: int) -> None:
         row = self._rows[row_idx]

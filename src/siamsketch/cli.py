@@ -5,7 +5,9 @@ Subcommands:
 * ``generate`` — write a Zipf-distributed binary trace
 * ``attack``   — size and write a slot-saturation attack trace
 * ``run``      — drive schemes over traces, write metric/counter reports
-* ``theory``   — print closed-form attack and wrap-split numbers
+* ``theory``   — print closed-form attack and wrap-split numbers; ``theory
+  hyper`` tabulates a support of at most ``HYPER_TABLE_MAX`` values and
+  prints the ends of a wider one
 
 The ``run`` flags are the fields of ``ExperimentSpec``, one flag per field
 (``--memory-bytes`` for ``memory_bytes``), each read as the field's rule in
@@ -126,6 +128,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+# The most support values ``theory hyper`` prints a line for (about 0.1 s of
+# output); a wider support prints its ends instead of the table.
+HYPER_TABLE_MAX = 10_000
+
+
 def cmd_theory(args: argparse.Namespace) -> int:
     if args.theory_cmd == "coupon":
         width = args.width
@@ -139,8 +146,13 @@ def cmd_theory(args: argparse.Namespace) -> int:
     mean = hyper_mean(args.s1, args.s2, args.n)
     var = hyper_var(args.s1, args.s2, args.n)
     print(f"wrap-split pmf for sides ({args.s1}, {args.s2}), draws {args.n}:")
-    for i in range(max(0, args.n - args.s2), min(args.n, args.s1) + 1):
-        print(f"  P(X1={i}) = {hyper_pmf(args.s1, args.s2, args.n, i):.12g}")
+    low, high = max(0, args.n - args.s2), min(args.n, args.s1)
+    if high - low + 1 > HYPER_TABLE_MAX:
+        print(f"  support X1 in [{low}, {high}]: {high - low + 1} values, "
+              f"table omitted above {HYPER_TABLE_MAX}")
+    else:
+        for i in range(low, high + 1):
+            print(f"  P(X1={i}) = {hyper_pmf(args.s1, args.s2, args.n, i):.12g}")
     print(f"mean = {mean:.12g}")
     print(f"var  = {var:.12g}")
     return 0

@@ -62,6 +62,14 @@ SEED = Int(0)
 _MAX_LEN = np.iinfo(np.intp).max // 8
 
 
+# The longest stream gen_attack generates, a plan-size rule rather than what
+# a given machine holds: its keys take 8 bytes a packet, 32 GiB at the bound,
+# so a plan under it can still fail to allocate. It refuses a plan no machine
+# holds, such as a fully targeted row of 2**32 - 1 slots, whose 9.8e10 flows'
+# ids alone would fill 728 GiB.
+MAX_ATTACK_PACKETS = 1 << 32
+
+
 class TraceError(Exception):
     """Trace file violates the format; ``code`` is machine-readable."""
 
@@ -274,9 +282,22 @@ def gen_attack(plan: AttackPlan, seed: int) -> Trace:
     """Attack stream: ``plan.flows`` distinct random keys, repeated.
 
     Keys are uniform random 64-bit values; the attacker knows the table width
-    but not the hash seeds, so no placement targeting happens here.
+    but not the hash seeds, so no placement targeting happens here. A plan of
+    more than ``MAX_ATTACK_PACKETS`` packets is refused before anything is
+    allocated, naming ``fraction`` when its flows alone are too many, else
+    ``packets_per_flow``.
     """
     seed = SEED.check("seed", seed)
+    if plan.packets > MAX_ATTACK_PACKETS:
+        stream = (
+            f"an attack stream of {plan.flows} flows x {plan.packets_per_flow} packets "
+            f"exceeds {MAX_ATTACK_PACKETS} packets"
+        )
+        if plan.flows > MAX_ATTACK_PACKETS:
+            raise SpecError("fraction", f"{stream}: fraction {plan.fraction} targets too many "
+                            f"of {plan.width} slots")
+        raise SpecError("packets_per_flow", f"{stream}: packets_per_flow must be at most "
+                        f"{MAX_ATTACK_PACKETS // plan.flows}")
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, 1 << 64, size=plan.flows, dtype=np.uint64)
     while len(np.unique(keys)) < plan.flows:

@@ -2,6 +2,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siamsketch import (
     CountMinConfig,
@@ -13,10 +15,11 @@ from siamsketch import (
     count_min_width_for,
     equal_memory_widths,
 )
-from siamsketch.hashing import index_batch
+from siamsketch.hashing import KeyBatch, index_batch
+from siamsketch.snapshot import dump_bytes
 from siamsketch.sketch import GROUP_MERGED_WIDE, PAIR_MERGED, group_code, pair_states
 
-from conftest import keys_for_slots
+from conftest import kernel_unbuildable, keys_for_slots
 from reference_impls import RefInstantMerge
 
 
@@ -125,6 +128,62 @@ def test_count_min_stream_saturates():
         sketches[1].encode_u64(k)
     assert sketches[0]._rows == sketches[1]._rows
     assert list(sketches[0]._rows[0])[::2] == [(1 << 32) - 1] * 2
+
+
+_MAX32 = (1 << 32) - 1
+
+
+@st.composite
+def count_min_streams(draw):
+    """A Count-Min shape, a seed, and the segment lengths of its stream."""
+    # the kernel's lanes count a call with at least 4 packets a slot:
+    # segments of 4 * width - 4 to 4 * width + 3 packets sit on either side
+    # of that bound, with 0-3 packets past a multiple of 4
+    width = draw(st.sampled_from([1, 2, 3, 5, 17, 64, 1152]))
+    near = st.integers(max(0, 4 * width - 4), 4 * width + 3)
+    lengths = draw(st.lists(near | st.integers(0, 40), min_size=1, max_size=3))
+    rows = draw(st.integers(1, 2))
+    return rows, width, lengths, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+def _count_min_pass(cfg, seed, segments, how):
+    """A Count-Min sketch of ``cfg`` with its rows planted from ``seed``, at
+    and next to ``2**32 - 1`` in one slot of four, after counting
+    ``segments``: ``how`` is ``"raw"`` or ``"batch"`` for ``encode_stream``
+    of each segment's keys or of its ``KeyBatch``, and ``"per-packet"`` for
+    ``encode_u64`` of every packet."""
+    cm = CountMinSketch(cfg)
+    rng = np.random.default_rng(seed)
+    for r in range(cfg.rows):
+        near = rng.choice([_MAX32, _MAX32 - 1, _MAX32 - 2], size=cfg.width)
+        planted = np.where(rng.random(cfg.width) < 0.25, near, rng.integers(0, 50, cfg.width))
+        cm._rows[r] = array("I", planted.astype(np.uint32).tobytes())
+    for keys in segments:
+        if how == "per-packet":
+            for key in keys.tolist():
+                cm.encode_u64(key)
+        else:
+            cm.encode_stream(KeyBatch(keys) if how == "batch" else keys)
+    return dump_bytes(cm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_min_streams())
+def test_count_min_kernel_fallback_and_per_packet_agree(case):
+    # the kernel's count (lanes or one lane), the np.bincount fallback and
+    # encode_u64 of each packet leave the same rows, which start planted so
+    # that the next packets saturate them
+    rows, width, lengths, seed, batch = case
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << 64, size=12, dtype=np.uint64)
+    weights = 1.0 / np.arange(1, 13)
+    segments = [rng.choice(pool, size=n, p=weights / weights.sum()) for n in lengths]
+    cfg = CountMinConfig(rows=rows, width=width, seeds=tuple(range(seed, seed + rows)))
+    how = "batch" if batch else "raw"
+    kernel = _count_min_pass(cfg, seed, segments, how)
+    with kernel_unbuildable():
+        fallback = _count_min_pass(cfg, seed, segments, how)
+    assert kernel == fallback == _count_min_pass(cfg, seed, segments, "per-packet")
 
 
 def _feed(ref, cfg, stream):

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import struct
+import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from siamsketch import experiment
-from siamsketch.cli import build_parser, main
-from siamsketch.traffic import Trace, plan_attack, read_trace, write_trace
+from siamsketch.cli import HYPER_TABLE_MAX, build_parser, main
+from siamsketch.traffic import MAX_ATTACK_PACKETS, Trace, plan_attack, read_trace, write_trace
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -106,6 +107,50 @@ def test_theory_hyper(capsys):
     assert "P(X1=0) = 0.166666666667" in out
     assert "P(X1=1) = 0.666666666667" in out
     assert "mean = 1" in out
+
+
+def test_theory_hyper_omits_a_wide_table(capsys):
+    # a support of 3,000,001 values prints its ends and the moments, at once;
+    # one of HYPER_TABLE_MAX values still prints its table, line by line
+    start = time.perf_counter()
+    assert main(["theory", "hyper", "--s1", "3000000", "--s2", "3000000", "--n", "3000000"]) == 0
+    assert time.perf_counter() - start < 0.25
+    assert capsys.readouterr().out.splitlines() == [
+        "wrap-split pmf for sides (3000000, 3000000), draws 3000000:",
+        f"  support X1 in [0, 3000000]: 3000001 values, table omitted above {HYPER_TABLE_MAX}",
+        "mean = 1500000",
+        "var  = 375000.0625",
+    ]
+    side = HYPER_TABLE_MAX - 1
+    assert main(["theory", "hyper", "--s1", str(side), "--s2", str(side), "--n", str(side)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == HYPER_TABLE_MAX + 3
+    assert lines[1].startswith("  P(X1=0) = ") and lines[-3].startswith(f"  P(X1={side}) = ")
+
+
+def test_attack_refuses_a_stream_beyond_the_bound(tmp_path, capsys):
+    # a fully targeted row of 2**32 - 1 slots plans about 9.8e10 flows, whose
+    # ids alone would take 728 GiB: refused naming fraction before anything
+    # is allocated, while plan_attack and theory coupon still answer for it
+    out = tmp_path / "a.sktr"
+    assert main(["attack", "--width", "4294967295", "--fraction", "1", "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments" and "fraction" in err["detail"]
+    assert f"exceeds {MAX_ATTACK_PACKETS} packets" in err["detail"]
+    assert not out.exists()
+    plan = plan_attack(2**32 - 1, 1.0)
+    assert plan.flows > MAX_ATTACK_PACKETS
+    assert main(["theory", "coupon", "--width", "4294967295", "--fraction", "1"]) == 0
+    assert f"expected_flows={plan.expected_flows:.6g}" in capsys.readouterr().out
+    # few flows, each too long: refused naming packets_per_flow and the most
+    # it may be
+    most = MAX_ATTACK_PACKETS // plan_attack(4096, 0.5).flows
+    args = ["attack", "--width", "4096", "--fraction", "0.5", "--out", str(out)]
+    assert main([*args, "--packets-per-flow", str(most + 1)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-arguments"
+    assert f"packets_per_flow must be at most {most}" in err["detail"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("s1, s2, n", [(1, 1, 5), (-1, 3, 1), (3, -1, 1), (2, 2, -1)])

@@ -1,6 +1,7 @@
 import ctypes
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,6 +251,29 @@ def test_gen_attack_stream_shape():
     tr = gen_attack(plan, seed=1)
     assert len(tr) == plan.flows * 7
     assert len(np.unique(tr.as_u64())) == plan.flows
+
+
+def test_gen_attack_admits_a_plan_at_the_bound(monkeypatch):
+    # a plan of at most MAX_ATTACK_PACKETS packets passes the bound and starts
+    # generating, stopped here before its 32 GiB of keys; one packet a flow
+    # more is refused
+    class Generating(Exception):
+        pass
+
+    def stop(seed):
+        raise Generating
+
+    monkeypatch.setattr(traffic.np.random, "default_rng", stop)
+    plan = plan_attack(4096, 0.5)
+    most = traffic.MAX_ATTACK_PACKETS // plan.flows
+    exact = replace(plan, flows=1 << 16, packets_per_flow=1 << 16)
+    for under in (replace(plan, packets_per_flow=most), exact):
+        assert under.packets <= traffic.MAX_ATTACK_PACKETS
+        with pytest.raises(Generating):
+            gen_attack(under, seed=1)
+    for over in (replace(plan, packets_per_flow=most + 1), replace(exact, packets_per_flow=(1 << 16) + 1)):
+        with pytest.raises(ValueError, match="packets_per_flow must be at most"):
+            gen_attack(over, seed=1)
 
 
 def test_gen_attack_and_interleave_refuse_a_bad_seed():
