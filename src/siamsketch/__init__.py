@@ -23,7 +23,6 @@ from .hashing import (
     mix64,
 )
 from .metrics import (
-    FlowSizeDistribution,
     detect_changes,
     estimate_entropy,
     estimate_fsd,
@@ -38,19 +37,7 @@ from .metrics import (
 )
 from .oracle import ExactCounter
 from .rules import SpecError, SpecTypeError
-from .sketch import (
-    GROUP_MERGED_WIDE,
-    GROUP_SHARED_WIDE,
-    MERGE_MAX,
-    MERGE_SUM,
-    PAIR_INDEPENDENT,
-    PAIR_MERGED,
-    PAIR_SHARED,
-    SiameseSketch,
-    SketchConfig,
-    group_code,
-    pair_states,
-)
+from .sketch import MERGE_MAX, MERGE_SUM, SiameseSketch, SketchConfig
 from .snapshot import dump_bytes, load_bytes
 from .traffic import (
     AttackPlan,

@@ -289,6 +289,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         heavy = true_heavy_hitters(truths, threshold)
     if "fsd" in spec.apps or "entropy" in spec.apps:
         act_fsd = true_fsd(truths)
+        if "entropy" in spec.apps and len(flow_keys):
+            act_h = estimate_entropy(act_fsd)
     # the change app's two windows are the stream's halves (module docstring)
     half = len(keys) // 2
     need_windows = bool("change" in spec.apps and threshold and len(flow_keys))
@@ -369,7 +371,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
                 emit("wmre", metric_wmre(est_fsd, act_fsd))
             if "entropy" in spec.apps:
                 est_h = estimate_entropy(est_fsd)
-                act_h = estimate_entropy(act_fsd)
                 emit("entropy_re" if act_h else "entropy_re_abs", metric_re(est_h, act_h))
         if need_windows:
             windows = (first_windows[scheme], second_windows[scheme])

@@ -24,7 +24,8 @@ is then an exact float and the sum cannot wrap, so ``float`` of the integer
 sum is the correctly rounded sum that ``math.fsum`` of the squares returns.
 Other inputs are summed by ``fsum``.
 
-``FlowSizeDistribution.from_sizes`` keeps its size classes in the order each
+A flow-size distribution is a histogram dict, size -> number of flows
+(``estimate_fsd``, ``true_fsd``). It keeps its size classes in the order each
 size first occurs, as a dict filled flow by flow does: ``estimate_entropy``
 adds floats in that order, so the order is part of the value it returns. An
 integer array of ``n`` sizes, none negative and none above
@@ -36,7 +37,6 @@ sorted by ``np.unique``. Both give the same dict in the same order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -190,58 +190,42 @@ def threshold_from_fraction(fraction: float, total_packets: int) -> int:
     return max(1, round(scaled))
 
 
-@dataclass
-class FlowSizeDistribution:
-    """Histogram of flow sizes: ``counts[i]`` flows have size ``i``."""
+def _histogram(sizes: Iterable[int] | np.ndarray) -> dict[int, int]:
+    """Histogram dict of a sequence or array of sizes, size -> number of
+    flows, its sizes (Python numbers) in the order each first occurs.
 
-    counts: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_sizes(cls, sizes: Iterable[int] | np.ndarray) -> "FlowSizeDistribution":
-        """Histogram of a sequence or array of sizes, its sizes (Python
-        numbers) in the order each first occurs.
-
-        ``n`` integers (a signed or unsigned integer dtype), none negative
-        and the largest at most ``_COUNTED_SPAN * n``, are counted: a size's
-        class is the size itself, ``np.bincount`` counts the classes and
-        ``np.minimum.at`` finds where each first occurs. Any other input is
-        sorted into its classes by ``np.unique``."""
-        if not isinstance(sizes, np.ndarray):
-            sizes = _sequence_array(list(sizes))
-        n = len(sizes)
-        if sizes.dtype.kind in "iu" and n and sizes.min() >= 0 and sizes.max() <= _COUNTED_SPAN * n:
-            inverse = sizes.astype(np.intp, copy=False)
-            counts = np.bincount(inverse)
-            values = present = np.flatnonzero(counts)
-        else:
-            values, inverse, counts = np.unique(sizes, return_inverse=True, return_counts=True)
-            present = slice(None)
-        first = np.full(len(counts), n, dtype=np.intp)
-        np.minimum.at(first, inverse, np.arange(n))
-        order = np.argsort(first[present])
-        return cls(dict(zip(values[order].tolist(), counts[present][order].tolist())))
-
-    @property
-    def total_flows(self) -> int:
-        return sum(self.counts.values())
-
-    def count(self, size: int) -> int:
-        return self.counts.get(size, 0)
+    ``n`` integers (a signed or unsigned integer dtype), none negative and
+    the largest at most ``_COUNTED_SPAN * n``, are counted: a size's class is
+    the size itself, ``np.bincount`` counts the classes and ``np.minimum.at``
+    finds where each first occurs. Any other input is sorted into its classes
+    by ``np.unique``."""
+    if not isinstance(sizes, np.ndarray):
+        sizes = _sequence_array(list(sizes))
+    n = len(sizes)
+    if sizes.dtype.kind in "iu" and n and sizes.min() >= 0 and sizes.max() <= _COUNTED_SPAN * n:
+        inverse = sizes.astype(np.intp, copy=False)
+        counts = np.bincount(inverse)
+        values = present = np.flatnonzero(counts)
+    else:
+        values, inverse, counts = np.unique(sizes, return_inverse=True, return_counts=True)
+        present = slice(None)
+    first = np.full(len(counts), n, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(n))
+    order = np.argsort(first[present])
+    return dict(zip(values[order].tolist(), counts[present][order].tolist()))
 
 
-def estimate_fsd(estimates: np.ndarray) -> FlowSizeDistribution:
-    """Histogram of a sketch's estimates."""
-    return FlowSizeDistribution.from_sizes(estimates)
+def estimate_fsd(estimates: np.ndarray) -> dict[int, int]:
+    """Histogram dict of a sketch's estimates: size -> number of flows."""
+    return _histogram(estimates)
 
 
-def true_fsd(truths: np.ndarray) -> FlowSizeDistribution:
-    """Histogram of the exact flow sizes."""
-    return FlowSizeDistribution.from_sizes(truths)
+def true_fsd(truths: np.ndarray) -> dict[int, int]:
+    """Histogram dict of the exact flow sizes."""
+    return _histogram(truths)
 
 
-def metric_wmre(
-    estimated: FlowSizeDistribution, actual: FlowSizeDistribution
-) -> float:
+def metric_wmre(estimated: dict[int, int], actual: dict[int, int]) -> float:
     """Weighted mean relative error between two flow-size histograms.
 
     ``sum_i |n_i - n_hat_i| / sum_i (n_i + n_hat_i) / 2`` over all sizes
@@ -250,24 +234,24 @@ def metric_wmre(
     the float sum of its half-integer terms exactly while the totals stay
     below 2**53.
     """
-    sizes = estimated.counts.keys() | actual.counts.keys()
+    sizes = estimated.keys() | actual.keys()
     if not sizes:
         raise ValueError("both distributions are empty")
-    num = sum(abs(actual.count(i) - estimated.count(i)) for i in sizes)
-    return num / ((actual.total_flows + estimated.total_flows) / 2.0)
+    num = sum(abs(actual.get(i, 0) - estimated.get(i, 0)) for i in sizes)
+    return num / ((sum(actual.values()) + sum(estimated.values())) / 2.0)
 
 
-def estimate_entropy(fsd: FlowSizeDistribution) -> float:
+def estimate_entropy(fsd: dict[int, int]) -> float:
     """Size-weighted entropy of a flow-size histogram.
 
     ``-sum_i i * (n_i / N) * ln(n_i / N)`` with ``N`` the total number of
     flows; empty size classes contribute nothing.
     """
-    n_flows = fsd.total_flows
+    n_flows = sum(fsd.values())
     if n_flows == 0:
         raise ValueError("empty distribution")
     acc = 0.0
-    for size, count in fsd.counts.items():
+    for size, count in fsd.items():
         if count == 0:
             continue
         p = count / n_flows

@@ -90,33 +90,12 @@ counts. The library's ``encode_row`` therefore walks the chunk in stream
 order and runs a port of ``_encode``, ``_share`` and ``_fuse`` on the row
 buffers, returning the content its share initializations dropped, so rows,
 group codes and ``lsb_discard`` end exactly as per-packet ``_encode`` leaves
-them. The port splits ``_encode`` at its first transition. Its first steps,
-the bump (+1 to an unshared counter's lowest slot below the slot maximum,
-or to a shared pair's joint with its carry into the high half), are the
-whole update for nearly every packet, and run in a loop compiled once per
-slot type. That loop's bump branches on the counter kind, which mispredicts
-where a row's packets hit independent slots, shared pairs and fused pairs in
-random order, as under a slot-saturation attack. So for 8-bit rows the
-library has a second loop, which bumps an independent slot, a shared pair's
-joint or a fused pair by one add on the pair's two slots read as one word,
-without branching on the kind. Where few groups have left code 0, as under
-skewed traffic that few counters outgrow, the kind is nearly always an
-independent slot, and the first loop's bump waits on the group code before
-it can load the slot. So that loop has a fast path, compiled in as a
-constant: it loads the packet's slot next to the code and adds 1 if the code
-is 0 and the slot is below the slot maximum, and leaves every other packet
-to the bump. Once per chunk and row the library counts the row's groups:
-with fewer than 1/10 of them out of code 0 it runs the fast path; else, in
-an 8-bit row with at least 1/8 of them holding a shared pair, the pair-word
-loop; else the first loop alone (``_encode.c`` gives the layout and the
-measured crossovers). The rest, the transition (prefix carry on a joint
-wrap, carry across a fused counter's slots, quad saturation, share, fuse),
-runs only when the bump cannot absorb the packet, in either loop, and after
-a share or fuse the bump is retried
-where ``_encode`` calls itself again. ``_encode`` stays the
-specification: it is the readable form of the lifecycle above, the tests
-compare the kernel against it, and it is the fallback. Where the library cannot be built (no C
-compiler), placement goes key by key through the scalar ``mix64`` and
+them. The header of ``_encode.c`` gives the port's count loops, the rule
+that picks one per chunk and row, and the measured crossovers behind its two
+share constants. ``_encode`` stays the specification: it is the readable
+form of the lifecycle above, the tests compare the kernel against it, and it
+is the fallback. Where the library cannot be built (no C compiler),
+placement goes key by key through the scalar ``mix64`` and
 ``_encode_batch`` calls ``_encode`` per packet, after one ``RuntimeWarning``:
 the same result, about 100 times slower on an attacked stream.
 
@@ -142,52 +121,28 @@ from .rules import Choice, Int, SpecError, checked
 MERGE_SUM = "sum"
 MERGE_MAX = "max"
 
-PAIR_INDEPENDENT = 0
-PAIR_SHARED = 1
-PAIR_MERGED = 2
-
-GROUP_SHARED_WIDE = 9
-GROUP_MERGED_WIDE = 10
-
 LEGAL_GROUP_STATES = frozenset(range(11))
 
-_PAIR_A = tuple(c // 3 for c in range(9))
-_PAIR_B = tuple(c % 3 for c in range(9))
+# Unit of a slot (see the module docstring), indexed by ``2 * group code +
+# pair bit``: ``UNIT`` in ``_encode.c``.
+_UNIT = (0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2, 2, 0, 2, 1, 2, 2, 3, 3, 4, 4)
+# The group code of each (pair A unit, pair B unit).
+_CODE_OF = {(_UNIT[2 * c], _UNIT[2 * c + 1]): c for c in range(11)}
 
-# Codes reachable with sharing disabled (``shared_bits == 0``).
+# Codes reachable with sharing disabled (``shared_bits == 0``): no shared unit.
 UNSHARED_GROUP_STATES = frozenset(
-    c for c in range(9) if PAIR_SHARED not in (_PAIR_A[c], _PAIR_B[c])
-) | {GROUP_MERGED_WIDE}
+    c for c in range(11) if not (_UNIT[2 * c] | _UNIT[2 * c + 1]) & 1
+)
 
 # Logical counters contributed by a group in each state: an independent or
 # shared member still counts as its own estimator, a fused counter is one.
+# A pair holds 2 counters of level 0, 1 of level 1 and half of level 2.
 GROUP_COUNTER_COUNT = tuple(
-    (1 if _PAIR_A[c] == PAIR_MERGED else 2) + (1 if _PAIR_B[c] == PAIR_MERGED else 2)
-    for c in range(9)
-) + (2, 1)
-
-
-# Unit of a slot (see the module docstring), indexed by ``2 * group code +
-# pair bit``, and the group code of each (pair A unit, pair B unit).
-_UNIT = tuple(
-    [(_PAIR_A if bit == 0 else _PAIR_B)[c] for c in range(9) for bit in (0, 1)]
-    + [3, 3, 4, 4]
+    sum(4 >> (unit >> 1) for unit in _UNIT[2 * c : 2 * c + 2]) // 2 for c in range(11)
 )
-_CODE_OF = {(_UNIT[2 * c], _UNIT[2 * c + 1]): c for c in range(11)}
+
 _UNITS = np.array(_UNIT, dtype=np.uint8)
 _COUNTER_COUNTS = np.array(GROUP_COUNTER_COUNT, dtype=np.int64)
-
-
-def group_code(state_a: int, state_b: int) -> int:
-    """Group state code for two pair states below the group-wide levels."""
-    return 3 * state_a + state_b
-
-
-def pair_states(code: int) -> tuple[int, int]:
-    """Split a sub-9 group code into (pair A state, pair B state)."""
-    if not 0 <= code < 9:
-        raise ValueError(f"code {code} has no per-pair split")
-    return _PAIR_A[code], _PAIR_B[code]
 
 
 @checked

@@ -1,5 +1,6 @@
 """Straight-line reference implementations of every metric formula, of
-the instant-merge counter lifecycle and of one shared pair.
+the instant-merge counter lifecycle and of one shared pair, and the group
+state codes by name.
 
 Deliberately naive: plain loops, no shared code with the package, so the
 package implementations are checked against an independent reading of each
@@ -173,3 +174,26 @@ def ref_pair(order, shared_bits: int) -> tuple[int, int, int]:
             joint = 0
             wraps[side] += 1
     return wraps[0], wraps[1], joint
+
+
+# The group state codes, as ``sketch.py``'s module docstring defines them: a
+# pair is independent, shared or fused, a group below the group-wide codes is
+# ``3 * (pair A's state) + (pair B's state)``, and the two group-wide codes
+# follow.
+PAIR_INDEPENDENT = 0
+PAIR_SHARED = 1
+PAIR_MERGED = 2
+GROUP_SHARED_WIDE = 9
+GROUP_MERGED_WIDE = 10
+
+
+def group_code(state_a: int, state_b: int) -> int:
+    """Group state code for two pair states below the group-wide levels."""
+    return 3 * state_a + state_b
+
+
+def pair_states(code: int) -> tuple[int, int]:
+    """Split a sub-9 group code into (pair A state, pair B state)."""
+    if not 0 <= code < 9:
+        raise ValueError(f"code {code} has no per-pair split")
+    return divmod(code, 3)

@@ -17,10 +17,9 @@ from siamsketch import (
     plan_attack,
 )
 from siamsketch.hashing import index_batch
-from siamsketch.sketch import group_code
 
 from conftest import keys_for_slots
-from reference_impls import ref_order, ref_pair
+from reference_impls import group_code, ref_order, ref_pair
 
 EULER_GAMMA = 0.5772156649015329
 

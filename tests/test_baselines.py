@@ -17,10 +17,9 @@ from siamsketch import (
 )
 from siamsketch.hashing import KeyBatch, index_batch
 from siamsketch.snapshot import dump_bytes
-from siamsketch.sketch import GROUP_MERGED_WIDE, PAIR_MERGED, group_code, pair_states
 
 from conftest import kernel_unbuildable, keys_for_slots
-from reference_impls import RefInstantMerge
+from reference_impls import GROUP_MERGED_WIDE, PAIR_MERGED, RefInstantMerge, group_code, pair_states
 
 
 def _pair_sketch(merge_mode="sum"):

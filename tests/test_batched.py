@@ -16,6 +16,7 @@ of its entry points, are tested here too.
 """
 
 import ast
+import re
 import shutil
 import warnings
 from array import array
@@ -27,12 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siamsketch import InstantMergeSketch, SiameseSketch, SketchConfig, _kernel, hashing
-from siamsketch.sketch import (
-    _UNIT, GROUP_MERGED_WIDE, LEGAL_GROUP_STATES, PAIR_MERGED, PAIR_SHARED, UNSHARED_GROUP_STATES,
-    group_code,
-)
+from siamsketch.sketch import _UNIT, LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 from conftest import kernel_unbuildable, plant_state, slot_of
+from reference_impls import GROUP_MERGED_WIDE, PAIR_MERGED, PAIR_SHARED, group_code
 
 # Group codes holding a shared pair, and the share of a row's groups in them
 # from which the kernel counts an 8-bit row with its pair-word loop.
@@ -447,6 +446,15 @@ def test_every_kernel_call_passes_its_entry_points_arguments():
                 called[tree].add(name)
     assert called["src"] == set(declared)
     assert {"guide_search", "interleave"} <= called["tests"]
+
+
+def test_kernel_unit_table_is_the_sketchs():
+    # the kernel and the specification each hold the unit table; an entry
+    # that differs would make the two count different counters. It reads the
+    # source alone and runs without a compiler too.
+    table = re.search(r"\bUNIT\[22\] = \{([^}]*)\}", _kernel.SOURCE.read_text())
+    assert table is not None
+    assert tuple(int(v) for v in table.group(1).split(",")) == _UNIT
 
 
 def test_kernel_builds_where_the_compiler_is_on_the_path():

@@ -6,7 +6,8 @@ mixed with values of the wrong type or out of range, and the flags of
 ways, within the deadline: exit 0 with every report column of its declared
 type, or exit 1 with a typed error code whose detail names the field (or,
 for a file that cannot be read, the file). Any other exception fails the
-test as it escapes ``main``.
+test as it escapes ``main``. It also draws the bytes of trace files, headers
+and bodies, which ``run`` must count or refuse with the trace format's codes.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import csv
 import io
 import json
 import math
+import struct
 import tempfile
 from dataclasses import fields
 from datetime import timedelta
@@ -28,7 +30,7 @@ from siamsketch import CountMinConfig, SketchConfig, ZipfConfig, coupon_expect, 
 from siamsketch.cli import main
 from siamsketch.experiment import ALL_APPS, COUNTER_COLUMNS, SCHEMES, ExperimentSpec
 from siamsketch.rules import SpecError, SpecTypeError
-from siamsketch.traffic import Trace, write_trace
+from siamsketch.traffic import TRACE_MAGIC, TRACE_VERSION, Trace, write_trace
 
 # the type of each report column in metrics.json
 METRIC_TYPES = {
@@ -185,6 +187,55 @@ def test_every_flag_runs_or_is_refused_naming_its_field(command, data):
             assert not out.exists()
         elif writes:
             assert out.stat().st_size % 8 == 0
+
+
+@st.composite
+def trace_files(draw) -> tuple[bytes, str | None]:
+    """(the bytes of an SKTR file, the code that ``run`` given it exits 1
+    with, or None for a run). The file has the magic or another, the version
+    or another, ``key_len`` 0-16 and a body of whole records and perhaps a
+    partial one, at most 4 KiB; or it is a header cut short."""
+    flaw = draw(st.one_of(st.none(), st.sampled_from(["magic", "version", "cut"])))
+    magic = TRACE_MAGIC
+    if flaw == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != TRACE_MAGIC))
+    version = TRACE_VERSION
+    if flaw == "version":
+        version = draw(st.integers(0, 2**16 - 1).filter(lambda v: v != TRACE_VERSION))
+    key_len = draw(st.integers(0, 16))
+    header = struct.pack("<4sHH", magic, version, key_len)
+    if flaw == "cut":
+        return header[: draw(st.integers(0, len(header) - 1))], "bad-header"
+    width = max(key_len, 1)
+    size = draw(st.integers(0, 4096 // width)) * width
+    if draw(st.booleans()):
+        size = min(size + draw(st.integers(0, width - 1)), 4096)
+    body = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).bytes(size)
+    if flaw:
+        code = f"bad-{flaw}"
+    elif not key_len:
+        code = "bad-header"
+    elif size % key_len:
+        code = "truncated-record"
+    else:  # a run needs a packet
+        code = None if size else "bad-arguments"
+    return header + body, code
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(file=trace_files(), roles=st.sampled_from([("benign",), ("attack",), ("benign", "attack")]))
+def test_any_trace_bytes_run_or_are_refused_with_their_code(file, roles):
+    data, code = file
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "drawn.sktr"
+        trace.write_bytes(data)
+        flags = [arg for role in roles for arg in (f"--{role}", str(trace))]
+        rc, err = _run_cli(["run", *flags, "--width", "64", "--out", str(Path(tmp) / "report")])
+    event(f"exit {rc}: {code}")
+    if code is None:
+        assert rc == 0, err
+    else:
+        assert rc == 1 and json.loads(err)["error"] == code, err
 
 
 @pytest.mark.parametrize("config", [ExperimentSpec, SketchConfig, CountMinConfig, ZipfConfig])

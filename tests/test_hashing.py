@@ -29,10 +29,10 @@ from siamsketch.hashing import (
     seed_state,
     u64_keys,
 )
-from siamsketch.sketch import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 from siamsketch.snapshot import dump_bytes
 
 from conftest import kernel_unbuildable, plant_state
+from reference_impls import GROUP_MERGED_WIDE, GROUP_SHARED_WIDE
 
 
 def at_lane_boundaries(**fixed):

@@ -1,30 +1,34 @@
 import copy
 import tracemalloc
+import types
 from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import siamsketch
 from siamsketch import (
     CountMinConfig,
-    GROUP_MERGED_WIDE,
-    GROUP_SHARED_WIDE,
-    PAIR_INDEPENDENT,
-    PAIR_MERGED,
-    PAIR_SHARED,
     InstantMergeSketch,
     SiameseSketch,
     SketchConfig,
     Trace,
     dump_bytes,
     flow_id,
-    group_code,
-    pair_states,
 )
 from siamsketch.sketch import GROUP_COUNTER_COUNT, LEGAL_GROUP_STATES, UNSHARED_GROUP_STATES
 
 from conftest import collision_free_keys, keys_for_slots, plant_state
+from reference_impls import (
+    GROUP_MERGED_WIDE,
+    GROUP_SHARED_WIDE,
+    PAIR_INDEPENDENT,
+    PAIR_MERGED,
+    PAIR_SHARED,
+    group_code,
+    pair_states,
+)
 
 
 def counter_at(sk, row: int, slot: int) -> tuple[int, int, int, bool]:
@@ -432,6 +436,13 @@ def test_group_counter_census_table():
     assert GROUP_COUNTER_COUNT[group_code(PAIR_MERGED, PAIR_MERGED)] == 2
     assert GROUP_COUNTER_COUNT[GROUP_SHARED_WIDE] == 2
     assert GROUP_COUNTER_COUNT[GROUP_MERGED_WIDE] == 1
+    # every code, as the pair states define it: the tables are derived from
+    # the unit table
+    for c in range(9):
+        assert GROUP_COUNTER_COUNT[c] == sum(1 if p == PAIR_MERGED else 2 for p in pair_states(c))
+    assert UNSHARED_GROUP_STATES == {
+        c for c in range(9) if PAIR_SHARED not in pair_states(c)
+    } | {GROUP_MERGED_WIDE}
 
 
 @pytest.mark.parametrize("cls, legal", [(SiameseSketch, LEGAL_GROUP_STATES), (InstantMergeSketch, UNSHARED_GROUP_STATES)])
@@ -522,3 +533,25 @@ def test_encode_stream_matches_scalar_encode():
         two.encode_u64(k)
     assert one._rows == two._rows
     assert one._states == two._states
+
+
+def test_the_package_exports_what_the_product_calls():
+    # names that only tests call (the group state names, the pair model)
+    # live in tests/reference_impls.py, not in the package
+    names = sorted(
+        name
+        for name, value in vars(siamsketch).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == [
+        "AttackPlan", "CountMinConfig", "CountMinSketch", "ExactCounter", "ExperimentResult",
+        "ExperimentSpec", "InstantMergeSketch", "MERGE_MAX", "MERGE_SUM", "SiameseSketch",
+        "SketchConfig", "SpecError", "SpecTypeError", "Trace", "TraceError", "ZipfConfig",
+        "concat_traces", "count_min_width_for", "coupon_expect", "derive_seeds",
+        "detect_changes", "dump_bytes", "equal_memory_widths", "estimate_entropy",
+        "estimate_fsd", "flow_id", "gen_attack", "gen_zipf", "hash_batch", "hash_u64",
+        "hyper_mean", "hyper_pmf", "hyper_var", "index_batch", "interleave_traces",
+        "load_bytes", "metric_are", "metric_f1", "metric_re", "metric_rmse", "metric_wmre",
+        "mix64", "plan_attack", "read_trace", "run_experiment", "threshold_from_fraction",
+        "true_fsd", "true_heavy_hitters", "write_trace",
+    ]
